@@ -15,7 +15,7 @@ RACE_PKGS := ./internal/bound ./internal/pareto ./internal/fusion \
 # already shortened to milliseconds.
 ROBUST_PKGS := ./internal/shard ./internal/supervise ./internal/traverse
 
-.PHONY: all vet build test race robust serve fleet chaos store bench-json docs ci
+.PHONY: all vet build test race robust serve fleet chaos store bench-smoke docs ci
 
 all: ci
 
@@ -77,20 +77,14 @@ store:
 	go test -race -count=1 ./internal/cliutil -run 'Store|Warm'
 	go test -race -count=1 ./internal/serve -run 'Store|Restart|Warmer|Corrupt|Degraded206'
 
-# Machine-readable benchmark artifact: the paper-figure benchmark suite
-# (root package) parsed into BENCH_PR9.json by internal/tools/benchjson,
-# followed by a delta report against the previous PR's artifact so
-# regressions are visible in the CI log. BENCHTIME=1x (the default) runs
-# each benchmark once — a smoke-level artifact for CI; raise it (e.g.
-# BENCHTIME=2s) for stable numbers.
-BENCHTIME ?= 1x
-BENCH ?= .
-
-bench-json:
-	go test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -benchmem . \
-		| go run ./internal/tools/benchjson -out BENCH_PR10.json
-	@if [ -f BENCH_PR9.json ]; then \
-		go run ./internal/tools/benchjson -delta BENCH_PR9.json BENCH_PR10.json; \
-	fi
+# Golden-checked benchmark smoke: short orobench runs of the two
+# in-process derivation workloads (bench/README.md). Every derived curve
+# is compared byte for byte with bench/testdata/golden.json and any
+# mismatch exits non-zero, so this gates curve identity. The timings of
+# a 2-second run are not evidence; run bench/run.sh at its default length
+# for numbers.
+bench-smoke:
+	bash bench/run.sh --workload derive-conv --seconds 2
+	bash bench/run.sh --workload derive-mixed --seconds 2
 
 ci: vet build test race robust serve fleet chaos store docs

@@ -2,6 +2,12 @@
 // complete Snowcat mapspace of a workload, evaluate every mapping's buffer
 // size requirement and backing-store access count, and keep the Pareto
 // frontier — the ski-slope curve that no mapping of the algorithm can beat.
+//
+// The traversal walks tilings, not mappings. Every outer-loop order of a
+// tiling has the same buffer size, so only its cheapest order can reach
+// the frontier; snowcat.Evaluator.MinCompact finds that order exactly by
+// subset DP, and the frontier receives one point per tiling. The curve is
+// byte-identical to scoring every order.
 package bound
 
 import (
@@ -21,6 +27,11 @@ import (
 // Stats reports the cost of a bound derivation, used by the Table I
 // runtime comparison and the cmd tools' -stats output.
 type Stats struct {
+	// MappingsEvaluated counts the mappings the traversal represents,
+	// not the evaluations it ran: each tiling is scored once, by the
+	// exact minimum over its outer-loop orders, and counts as active!
+	// mappings (active = ranks with an outer bound above 1). It is the
+	// size of the mapspace covered, as Enum.Visit would enumerate it.
 	MappingsEvaluated int64
 	Elapsed           time.Duration
 
@@ -147,27 +158,25 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, opts Options, lo, hi int
 	}
 	start := time.Now()
 
-	imperfect := opts.ImperfectExtra > 0
 	en := newEnum(e, opts)
 	if lo < 0 || hi < lo || hi > en.Tilings() {
 		panic(fmt.Sprintf("bound: DeriveRange [%d, %d) outside [0, %d)", lo, hi, en.Tilings()))
 	}
 
+	acct := snowcat.Perfect
+	switch {
+	case opts.ImperfectExtra > 0:
+		acct = snowcat.Imperfect
+	case opts.ChargeSpills:
+		acct = snowcat.SpillCharged
+	}
 	curve, ts, err := traverse.FrontierRange(ctx, lo, hi, opts.Workers, func() traverse.ChunkFunc {
 		ev := snowcat.NewEvaluator(e)
-		eval := ev.EvaluateCompact
-		switch {
-		case imperfect:
-			eval = ev.EvaluateImperfectCompact
-		case opts.ChargeSpills:
-			eval = ev.EvaluateCompactSpillCharged
-		}
 		return func(lo, hi int64, b *pareto.Builder) int64 {
 			var count int64
-			en.Visit(lo, hi, func(m *mapping.Mapping) {
-				buf, acc := eval(m)
-				b.Add(buf, acc)
-				count++
+			en.VisitTilings(lo, hi, func(splits []shape.Split) {
+				b.Add(ev.MinCompact(acct, splits))
+				count += mapping.Orders(splits)
 			})
 			return count
 		}

@@ -8,10 +8,11 @@ import (
 // Enum is an index-addressable view of a Snowcat mapspace. The tiling
 // combinations — one split choice per rank — form a mixed-radix space of
 // Tilings() flat indices; each index expands into its distinct outer-loop
-// permutations at Visit time. Flat addressing is what lets a parallel
-// traversal chunk the space evenly across workers instead of sharding by
-// the divisor structure of one rank (which capped utilization at the
-// first rank's split count, e.g. two workers for a prime leading rank).
+// permutations at Visit time, or is passed whole to VisitTilings. Flat
+// addressing is what lets a parallel traversal chunk the space evenly
+// across workers instead of sharding by the divisor structure of one rank
+// (which capped utilization at the first rank's split count, e.g. two
+// workers for a prime leading rank).
 type Enum struct {
 	rankNames []string
 	options   [][]shape.Split
@@ -64,6 +65,22 @@ func (en *Enum) Tilings() int64 {
 // The Mapping value is reused between calls; visitors that retain it must
 // Clone it.
 func (en *Enum) Visit(lo, hi int64, visit func(*Mapping)) {
+	m := &Mapping{Splits: make(map[string]shape.Split, len(en.rankNames))}
+	en.VisitTilings(lo, hi, func(splits []shape.Split) {
+		for i, r := range en.rankNames {
+			m.Splits[r] = splits[i]
+		}
+		emitPermutations(m, en.rankNames, visit)
+	})
+}
+
+// VisitTilings enumerates the tilings with flat index in [lo, hi) in
+// Visit's order, calling visit once per tiling with its splits indexed
+// like the Einsum's ranks. Outer orders are not expanded: a per-tiling
+// evaluator (snowcat.Evaluator.MinCompact) takes the minimum over them,
+// and Orders(splits) counts the mappings the tiling stands for. The slice
+// is reused between calls; visitors that retain it must copy it.
+func (en *Enum) VisitTilings(lo, hi int64, visit func(splits []shape.Split)) {
 	n := len(en.rankNames)
 	if n == 0 || lo >= hi {
 		return
@@ -76,12 +93,12 @@ func (en *Enum) Visit(lo, hi int64, visit func(*Mapping)) {
 		idx[i] = int(rem % k)
 		rem /= k
 	}
-	m := &Mapping{Splits: make(map[string]shape.Split, n)}
+	splits := make([]shape.Split, n)
 	for flat := lo; flat < hi; flat++ {
-		for i, r := range en.rankNames {
-			m.Splits[r] = en.options[i][idx[i]]
+		for i := range splits {
+			splits[i] = en.options[i][idx[i]]
 		}
-		emitPermutations(m, en.rankNames, visit)
+		visit(splits)
 		for i := n - 1; i >= 0; i-- {
 			idx[i]++
 			if idx[i] < len(en.options[i]) {

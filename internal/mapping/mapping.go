@@ -5,6 +5,14 @@
 // mapspace for a workload — every perfect two-level tiling × every outer
 // permutation — which is what the Orojenesis flow (Fig. 5) traverses
 // exhaustively, plus the Ruby-style imperfect-factor extension.
+//
+// The enumeration has two granularities. Enum.Visit emits every mapping
+// (tiling × distinct outer order) and is the per-order reference.
+// Enum.VisitTilings emits each tiling once: the buffer requirement of a
+// tiling does not depend on its outer order, so a derivation only needs
+// the cheapest order, which snowcat.Evaluator.MinCompact computes exactly
+// by subset DP over the active ranks (2^k states instead of k! orders).
+// Orders reports how many mappings such a tiling stands for.
 package mapping
 
 import (
@@ -132,54 +140,13 @@ func emitPermutations(m *Mapping, rankNames []string, visit func(*Mapping)) {
 	}
 }
 
-// SpacePinned enumerates the mapspace like Space but with the first rank's
-// split fixed to first, which lets callers shard the traversal across
-// workers. The Mapping value is reused between visits.
-func SpacePinned(e *einsum.Einsum, first shape.Split, visit func(*Mapping)) {
-	n := len(e.Ranks)
-	if n == 0 {
-		return
-	}
-	if first.Inner*first.Outer != e.Ranks[0].Shape {
-		panic(fmt.Sprintf("mapping: SpacePinned: split %dx%d does not cover rank %s shape %d",
-			first.Inner, first.Outer, e.Ranks[0].Name, e.Ranks[0].Shape))
-	}
-	rankNames := make([]string, n)
-	splitOptions := make([][]shape.Split, n)
-	for i, r := range e.Ranks {
-		rankNames[i] = r.Name
-		splitOptions[i] = shape.Splits(r.Shape)
-	}
-	splitOptions[0] = []shape.Split{first}
-
-	m := &Mapping{Splits: make(map[string]shape.Split, n)}
-	idx := make([]int, n)
-	for {
-		for i, r := range rankNames {
-			m.Splits[r] = splitOptions[i][idx[i]]
-		}
-		emitPermutations(m, rankNames, visit)
-		i := n - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(splitOptions[i]) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
-			return
-		}
-	}
-}
-
 // SpaceSize returns the number of mappings Space will visit for e.
 func SpaceSize(e *einsum.Einsum) int64 {
 	// Group tilings by their number of active (outer > 1) loops.
 	var count func(i int, active int, acc int64) int64
 	count = func(i, active int, acc int64) int64 {
 		if i == len(e.Ranks) {
-			return acc * factorial(active)
+			return acc * shape.Factorial(active)
 		}
 		var total int64
 		for _, s := range shape.Splits(e.Ranks[i].Shape) {
@@ -194,10 +161,15 @@ func SpaceSize(e *einsum.Einsum) int64 {
 	return count(0, 0, 1)
 }
 
-func factorial(n int) int64 {
-	f := int64(1)
-	for i := 2; i <= n; i++ {
-		f *= int64(i)
+// Orders returns the number of distinct outer-loop orders Visit emits for
+// a tiling: active! for its active (outer > 1) ranks. It is the number of
+// mappings a per-tiling evaluation represents.
+func Orders(splits []shape.Split) int64 {
+	active := 0
+	for _, s := range splits {
+		if s.Outer > 1 {
+			active++
+		}
 	}
-	return f
+	return shape.Factorial(active)
 }

@@ -4,21 +4,29 @@
 //
 // Probing the two-level ski-slope curve at each level's capacity (Fig. 7)
 // yields valid per-link bounds, but the Pareto-optimal mappings need not
-// compose across levels (Sec. III-B.1). This package enumerates the full
+// compose across levels (Sec. III-B.1). This package covers the full
 // three-level mapspace — every rank split into an L1 tile, an L2 factor
-// and outer loops, with both loop orders permuted — so each point is one
-// mapping that achieves its DRAM and L2 traffic simultaneously. The DRAM
+// and outer loops, under every outer and mid loop order — so each point is
+// one mapping that achieves its DRAM and L2 traffic simultaneously. The DRAM
 // curve is therefore at least as high as the two-level curve (it carries
 // the extra inner-level constraint), and the gap measures the composed
 // probe's optimism.
 //
 // The traversal runs on the shared engine (internal/traverse): the
-// three-split combinations form a flat index space chunked across workers,
-// with the loop-order permutations expanded per combination inside each
-// chunk; per-worker Pareto builders and joint-entry tables are merged
-// after the traversal, so the curves and MinL2GivenOptimalDRAM answers are
-// byte-identical for every worker count. Transfer counts instantiate the
-// shared product rule (internal/nest) on the composite outer+mid nest.
+// three-split combinations form a flat index space chunked across workers;
+// per-worker Pareto builders and joint-entry tables are merged after the
+// traversal, so the curves and MinL2GivenOptimalDRAM answers are
+// byte-identical for every worker count.
+//
+// The n!×n! outer×mid loop orders of a combination are not enumerated.
+// Transfer counts follow the shared product rule (internal/nest) on the
+// composite outer+mid nest, under which L2 traffic splits into a term
+// that depends only on the mid order (tensors with an iterating relevant
+// mid loop: P_out·midIters) and one that depends only on the outer order
+// (the rest: the outer-nest count, shared with the DRAM term). A mid
+// order DP and a lexicographic (DRAM, L2 share) outer order DP
+// (nest.MinOverOrders) therefore give exactly the per-combination minima
+// the DRAM curve, the L2 curve and the joint table need; see combo.
 package multilevel
 
 import (
@@ -26,7 +34,6 @@ import (
 	"fmt"
 
 	"repro/internal/einsum"
-	"repro/internal/nest"
 	"repro/internal/pareto"
 	"repro/internal/shape"
 	"repro/internal/traverse"
@@ -50,7 +57,10 @@ type Result struct {
 	// L2 is the frontier of (L2 footprint, L2->L1 traffic) over the same
 	// mappings.
 	L2 *pareto.Curve
-	// Mappings is the number of three-level mappings evaluated.
+	// Mappings is the number of three-level mappings represented: n!²
+	// (outer × mid orders of n ranks) per L1-feasible three-split
+	// combination, although each combination is scored once, by the
+	// exact order DP.
 	Mappings int64
 
 	// Stats reports what the traversal did (workers launched, throughput).
@@ -130,20 +140,14 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, l1CapBytes int64, lo, hi
 	}
 
 	n := len(e.Ranks)
-	names := make([]string, n)
 	options := make([][]shape.ThreeSplit, n)
 	for i, r := range e.Ranks {
-		names[i] = r.Name
 		options[i] = shape.ThreeSplits(r.Shape)
 	}
 	combos := hi - lo
 
-	tensors := make([]*einsum.Tensor, len(e.Tensors))
-	for i := range e.Tensors {
-		tensors[i] = &e.Tensors[i]
-	}
 	es := e.ElementSize
-	perms := shape.Permutations(n)
+	orders := shape.Factorial(n) * shape.Factorial(n) // outer x mid orders per combination
 
 	w := traverse.WorkerCount(combos, opts.Workers)
 	states := make([]*derState, w)
@@ -154,16 +158,8 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, l1CapBytes int64, lo, hi
 			joint: map[int64]jointEntry{},
 		}
 		states[wi] = st
-
-		// Per-worker scratch, reused across the worker's chunks.
-		tiles0 := map[string]int64{}
-		tiles1 := map[string]int64{}
-		boundsMid := map[string]int64{}
-		boundsOut := map[string]int64{}
+		c := newCombo(e)
 		idx := make([]int, n)
-		fp0 := make([]int64, len(tensors))
-		fp1 := make([]int64, len(tensors))
-		loops := make([]nest.Loop, 2*n) // outer nest, then mid nest
 
 		return func(clo, chi int64) int64 {
 			// Decode the global start index lo+clo into mixed-radix digits
@@ -177,50 +173,18 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, l1CapBytes int64, lo, hi
 			}
 			var count int64
 			for flat := clo; flat < chi; flat++ {
-				for i, name := range names {
-					ts := options[i][idx[i]]
-					tiles0[name] = ts.L0
-					tiles1[name] = ts.L0 * ts.L1
-					boundsMid[name] = ts.L1
-					boundsOut[name] = ts.L2
+				for i := range c.splits {
+					c.splits[i] = options[i][idx[i]]
 				}
-				// Footprints are per-tile-choice, not per-order: compute
-				// them once per combination, outside the permutation loops.
-				var buf1, buf2 int64
-				for i, t := range tensors {
-					fp0[i] = e.Footprint(t, tiles0)
-					fp1[i] = e.Footprint(t, tiles1)
-					buf1 += fp0[i]
-					buf2 += fp1[i]
-				}
-				if buf1*es <= l1CapBytes {
-					key := buf2 * es
-					// Orders: outer (DRAM-level) enclosing mid (L2-level).
-					for _, pOut := range perms {
-						for i, p := range pOut {
-							loops[i] = nest.Loop{Rank: names[p], Bound: boundsOut[names[p]]}
-						}
-						var dram int64
-						for i, t := range tensors {
-							dram += fp1[i] * nest.Iterations(loops[:n], t.Relevant)
-						}
-						st.dramB.Add(key, dram*es)
-						for _, pMid := range perms {
-							for i, p := range pMid {
-								loops[n+i] = nest.Loop{Rank: names[p], Bound: boundsMid[names[p]]}
-							}
-							var l2traffic int64
-							for i, t := range tensors {
-								l2traffic += fp0[i] * nest.Iterations(loops, t.Relevant)
-							}
-							count++
-							st.l2B.Add(key, l2traffic*es)
-							je, ok := st.joint[key]
-							if !ok || je.better(dram*es, l2traffic*es) {
-								st.joint[key] = jointEntry{dram: dram * es, l2: l2traffic * es}
-							}
-						}
+				if c.l1Elems()*es <= l1CapBytes {
+					key, dram, freeL2, jointL2 := c.best()
+					key, dram, freeL2, jointL2 = key*es, dram*es, freeL2*es, jointL2*es
+					st.dramB.Add(key, dram)
+					st.l2B.Add(key, freeL2)
+					if je, ok := st.joint[key]; !ok || je.better(dram, jointL2) {
+						st.joint[key] = jointEntry{dram: dram, l2: jointL2}
 					}
+					count += orders
 				}
 				for i := n - 1; i >= 0; i-- {
 					idx[i]++

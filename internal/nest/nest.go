@@ -12,7 +12,15 @@
 // (i.e. that advances the tensor's tile). Loops below the innermost
 // relevant loop reuse the resident tile and contribute nothing; loops with
 // bound 1 are transparent at any position.
+//
+// MinOverOrders minimizes a sum of per-tensor costs of that rule over all
+// orders of a nest without enumerating them: a tensor's count depends on
+// the order only through its innermost relevant loop and the set of loops
+// inside it, so a DP over subsets of the loops (placed innermost first)
+// is exact.
 package nest
+
+import "math/bits"
 
 // Loop is one loop of a composite nest, outermost first: the named rank is
 // iterated Bound times at this level. Multi-level evaluators concatenate
@@ -60,4 +68,93 @@ func IterationsGrouped(loops []Loop, relevant func(rank string) bool, innermost 
 		iters *= factor
 	}
 	return iters
+}
+
+// OrderScratch holds the reusable tables of MinOverOrders, so a traversal
+// that solves one order problem per tiling allocates them once per worker.
+type OrderScratch[V any] struct {
+	prod []int64
+	dp   []V
+}
+
+// LoopMask re-indexes a rank relevance mask (bit i: rank i) onto the
+// iterating loops of an order problem, loops[j] being loop j's rank: the
+// rel masks MinOverOrders takes.
+func LoopMask(rankMask uint64, loops []int) uint64 {
+	var m uint64
+	for j, r := range loops {
+		m |= (rankMask >> r & 1) << j
+	}
+	return m
+}
+
+// maxOrderLoops caps MinOverOrders' table at 2^24 states per value.
+const maxOrderLoops = 24
+
+// MinOverOrders returns the best total transfer cost over every order of
+// the iterating loops bounds[0..k) (all bounds > 1), without enumerating
+// the k! orders.
+//
+// By the product rule a tensor's transfer count depends on an order only
+// through its innermost relevant loop r and the set of loops placed
+// outside r: it is above*bounds[r] (or a grouped override of the last
+// factor), with above the product of the outside bounds. So the order is
+// built from the innermost loop outward. Placing loop r directly outside
+// an already-placed inner set S "closes" every tensor that is relevant to
+// r and to nothing in S, and each closing tensor's cost depends on (S, r)
+// alone. The best total over all orders of a set therefore satisfies
+//
+//	best(S ∪ {r}) = better over r of best(S) + Σ costs of tensors closing at (S, r)
+//
+// which the subset DP evaluates in k·2^(k-1) steps instead of k! orders.
+//
+// rel[t] is tensor t's relevance mask over the loops (bit j = loop j).
+// charge(acc, t, r, above) adds tensor t's cost, for innermost relevant
+// loop r under outside product above, to the partial total acc. Tensors
+// with a zero mask are never charged: the caller folds their one-transfer
+// cost into zero, the starting total. better(a, b) combines two candidate
+// totals into the preferred one. The DP is exact when better is
+// associative, commutative and idempotent and charging distributes over
+// it, as it does for min over integer sums, a lexicographic min over
+// pairs, or a tuple of such mins kept componentwise.
+func MinOverOrders[V any](s *OrderScratch[V], bounds []int64, rel []uint64, zero V,
+	charge func(acc V, t, r int, above int64) V, better func(a, b V) V) V {
+	k := len(bounds)
+	if k > maxOrderLoops {
+		panic("nest: MinOverOrders: more than 24 iterating loops")
+	}
+	states := 1 << k
+	if len(s.prod) < states {
+		s.prod = make([]int64, states)
+		s.dp = make([]V, states)
+	}
+	prod, dp := s.prod[:states], s.dp[:states]
+	prod[0] = 1
+	for set := 1; set < states; set++ {
+		low := set & -set
+		prod[set] = prod[set^low] * bounds[bits.TrailingZeros(uint(low))]
+	}
+	full := states - 1
+	dp[0] = zero
+	for set := 1; set < states; set++ {
+		above := prod[full^set]
+		var best V
+		for rest := set; rest != 0; rest &= rest - 1 {
+			r := bits.TrailingZeros(uint(rest))
+			inner := uint64(set &^ (1 << r))
+			acc := dp[inner]
+			for t, m := range rel {
+				if m>>r&1 == 1 && m&inner == 0 {
+					acc = charge(acc, t, r, above)
+				}
+			}
+			if rest == set {
+				best = acc
+			} else {
+				best = better(best, acc)
+			}
+		}
+		dp[set] = best
+	}
+	return dp[full]
 }

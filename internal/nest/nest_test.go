@@ -1,6 +1,12 @@
 package nest
 
-import "testing"
+import (
+	"fmt"
+	"math/rand/v2"
+	"testing"
+
+	"repro/internal/shape"
+)
 
 func relOf(ranks ...string) func(string) bool {
 	set := map[string]bool{}
@@ -87,5 +93,68 @@ func TestIterationsGroupedOverridesInnermostOnly(t *testing.T) {
 	})
 	if got != 2*4 {
 		t.Fatalf("grouped innermost H: got %d, want 8", got)
+	}
+}
+
+// TestMinOverOrdersMatchesEnumeration checks the order DP against the
+// product rule applied to every order, on random nests of up to six
+// iterating loops with random tensor relevance and per-tensor weights.
+func TestMinOverOrdersMatchesEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var s OrderScratch[int64]
+	for trial := 0; trial < 300; trial++ {
+		k := rng.IntN(7)
+		bounds := make([]int64, k)
+		names := make([]string, k)
+		for j := range bounds {
+			bounds[j] = 2 + rng.Int64N(5)
+			names[j] = fmt.Sprint("L", j)
+		}
+		tensors := 1 + rng.IntN(4)
+		rel := make([]uint64, tensors)
+		weight := make([]int64, tensors)
+		var once int64
+		for i := range rel {
+			rel[i] = rng.Uint64() & (1<<k - 1)
+			weight[i] = 1 + rng.Int64N(9)
+			if rel[i] == 0 {
+				once += weight[i]
+			}
+		}
+		got := MinOverOrders(&s, bounds, rel, once,
+			func(acc int64, t, r int, above int64) int64 { return acc + weight[t]*above*bounds[r] },
+			func(a, b int64) int64 { return min(a, b) })
+
+		want := int64(-1)
+		for _, p := range shape.Permutations(k) {
+			loops := make([]Loop, k)
+			for i, j := range p {
+				loops[i] = Loop{Rank: names[j], Bound: bounds[j]}
+			}
+			var total int64
+			for i := range rel {
+				total += weight[i] * Iterations(loops, func(r string) bool {
+					for j, n := range names {
+						if n == r {
+							return rel[i]>>j&1 == 1
+						}
+					}
+					return false
+				})
+			}
+			if want < 0 || total < want {
+				want = total
+			}
+		}
+		if got != want {
+			t.Fatalf("trial %d: bounds %v rel %v weight %v: DP %d, enumeration %d", trial, bounds, rel, weight, got, want)
+		}
+	}
+}
+
+func TestLoopMask(t *testing.T) {
+	// Ranks 1, 3 and 4 iterate; rank mask {0, 3, 4} maps to loops {1, 2}.
+	if got := LoopMask(1<<0|1<<3|1<<4, []int{1, 3, 4}); got != 0b110 {
+		t.Fatalf("LoopMask = %b, want 110", got)
 	}
 }

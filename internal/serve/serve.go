@@ -209,9 +209,11 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	// workerLocks serializes concurrent /v1/shard runs per checkpoint
-	// path (see lockShardPath); workerMu guards the table.
+	// path (see lockShardPath) and workerDirs counts the live shard runs
+	// per digest directory (see holdShardDir); workerMu guards both.
 	workerMu    sync.Mutex
 	workerLocks map[string]*wlock
+	workerDirs  map[string]int
 
 	// fleetReg is the server-lifetime fleet membership: worker health,
 	// circuit breakers, Retry-After holds and throughput scores persist

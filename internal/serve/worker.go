@@ -60,6 +60,35 @@ func (s *Server) lockShardPath(path string) func() {
 	}
 }
 
+// holdShardDir creates a derivation's worker checkpoint directory and
+// pins it for one shard run. The returned release removes the directory
+// once no shard of that derivation is live on this worker any more — and
+// only then, so a finishing shard never deletes it under a sibling that
+// has created it but not yet checkpointed into it. Removal is
+// best-effort: a directory still holding a failed shard's checkpoint is
+// not empty and stays for the retry.
+func (s *Server) holdShardDir(dir string) (release func(), err error) {
+	s.workerMu.Lock()
+	if s.workerDirs == nil {
+		s.workerDirs = make(map[string]int)
+	}
+	s.workerDirs[dir]++
+	s.workerMu.Unlock()
+	release = func() {
+		s.workerMu.Lock()
+		defer s.workerMu.Unlock()
+		if s.workerDirs[dir]--; s.workerDirs[dir] == 0 {
+			delete(s.workerDirs, dir)
+			_ = os.Remove(dir)
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		release()
+		return nil, err
+	}
+	return release, nil
+}
+
 // handleShard is POST /v1/shard: the worker half of the derivation
 // fleet. It compiles the embedded spec for the requested plan slot, runs
 // the slice as a checkpointed shard.Run under the worker spool (so a
@@ -228,7 +257,8 @@ func (s *Server) workerShardPath(job *shard.Job, plan shard.Plan) string {
 // once and the slice re-derived, matching the supervisor's policy. On
 // success the checkpoint is removed — the coordinator owns the durable
 // copy from here on; a response the coordinator never received is simply
-// re-dispatched and re-derived.
+// re-dispatched and re-derived. The digest directory goes with the last
+// live shard of its derivation (holdShardDir).
 func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.Plan, stride int64) (data []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -242,11 +272,13 @@ func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.P
 		}
 	}()
 	path := s.workerShardPath(&job, plan)
-	unlock := s.lockShardPath(path)
-	defer unlock()
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	release, err := s.holdShardDir(filepath.Dir(path))
+	if err != nil {
 		return nil, err
 	}
+	defer release()
+	unlock := s.lockShardPath(path)
+	defer unlock()
 	start := time.Now()
 	run := func() (shard.RunStats, error) {
 		_, rs, err := shard.Run(ctx, job, shard.RunOptions{
@@ -277,11 +309,6 @@ func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.P
 	}
 	if rmErr := os.Remove(path); rmErr != nil {
 		s.logf("serve: cleaning worker checkpoint %s: %v", path, rmErr)
-	} else {
-		// Best-effort: the digest directory goes away with its last shard;
-		// while sibling shards still checkpoint in it, the remove fails
-		// (non-empty) and the directory stays — exactly what we want.
-		_ = os.Remove(filepath.Dir(path))
 	}
 	return data, nil
 }

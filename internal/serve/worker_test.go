@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bound"
 	"repro/internal/einsum"
@@ -243,5 +246,63 @@ func TestWorkerStatsCount(t *testing.T) {
 	}
 	if st.WorkerShards != 1 {
 		t.Fatalf("worker_shards %d, want 1", st.WorkerShards)
+	}
+}
+
+// gateFS holds the first checkpoint temp file of the shard whose path
+// contains hold until release returns, then proceeds on the real
+// filesystem.
+type gateFS struct {
+	shard.FS
+	hold    string
+	release func()
+	once    sync.Once
+}
+
+func (g *gateFS) CreateTemp(dir, pattern string) (shard.File, error) {
+	if strings.Contains(pattern, g.hold) {
+		g.once.Do(g.release)
+	}
+	return g.FS.CreateTemp(dir, pattern)
+}
+
+// TestWorkerSiblingShardKeepsDigestDir is the regression test for the
+// worker checkpoint-directory race: two shards of one spec run
+// concurrently on one worker, and shard 1 finishes before shard 2 writes
+// its first checkpoint. The finishing shard must not remove the shared
+// digest directory under its sibling, so the fleet run needs no retry
+// and the worker answers no 500.
+func TestWorkerSiblingShardKeepsDigestDir(t *testing.T) {
+	var ws *Server
+	gate := &gateFS{FS: shard.OS(), hold: "shard-2-of-2"}
+	gate.release = func() {
+		// Wait (bounded) until the sibling has finished and answered.
+		deadline := time.Now().Add(30 * time.Second)
+		for ws.Snapshot().WorkerShards < 1 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	workerDir := t.TempDir()
+	ws, wts := newTestServer(t, Config{WorkerDir: workerDir, MaxConcurrent: 2, shardFS: gate})
+	cs, ts := newTestServer(t, Config{
+		SpoolDir:       t.TempDir(),
+		FleetWorkers:   []string{wts.URL},
+		FleetPerWorker: 2,
+	})
+	status, data := postCurve(t, ts.URL, `{"gemm":{"m":32,"k":24,"n":16},"shards":2,"timeout_ms":60000}`)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, data)
+	}
+	if want := gemmWant(t, 32, 24, 16); string(decodeEnvelope(t, data).Curve) != want {
+		t.Fatalf("fleet curve differs from bound.Derive\n got %s\nwant %s", decodeEnvelope(t, data).Curve, want)
+	}
+	if st := cs.Snapshot(); st.FleetRetries != 0 || st.FleetDispatches != 2 {
+		t.Fatalf("fleet_retries %d, fleet_dispatches %d; want 0 and 2", st.FleetRetries, st.FleetDispatches)
+	}
+	if st := ws.Snapshot(); st.WorkerRequests != 2 || st.WorkerShards != 2 {
+		t.Fatalf("worker_requests %d, worker_shards %d; want 2 and 2", st.WorkerRequests, st.WorkerShards)
+	}
+	if left, err := filepath.Glob(filepath.Join(workerDir, "*")); err != nil || len(left) != 0 {
+		t.Fatalf("worker directory not cleaned after both shards: %v (err=%v)", left, err)
 	}
 }

@@ -143,6 +143,15 @@ func FormatBytes(b int64) string {
 	}
 }
 
+// Factorial returns n! for n >= 0: the number of orders of n loops.
+func Factorial(n int) int64 {
+	f := int64(1)
+	for i := 2; i <= n; i++ {
+		f *= int64(i)
+	}
+	return f
+}
+
 // Permutations returns all permutations of the integers [0, n). The result
 // is deterministic: lexicographic order. n must be small (<= 8).
 func Permutations(n int) [][]int {

@@ -1,89 +1,118 @@
 package snowcat
 
 import (
+	"math"
+
 	"repro/internal/einsum"
 	"repro/internal/mapping"
 	"repro/internal/nest"
 	"repro/internal/shape"
 )
 
+// Accounting selects the per-tensor cost rule of one of the three
+// evaluators: the paper's one count per transfer (EvaluateCompact),
+// physical spill accounting (EvaluateCompactSpillCharged), or imperfect
+// tiles (EvaluateImperfectCompact).
+type Accounting int
+
+// The Accounting rules, named after the evaluators they select.
+const (
+	Perfect Accounting = iota
+	SpillCharged
+	Imperfect
+)
+
 // Evaluator is a compiled form of an Einsum's Snowcat model. It avoids the
 // per-call map allocations of Evaluate, which matters inside exhaustive
 // mapspace traversals that evaluate hundreds of thousands of mappings.
-// An Evaluator is not safe for concurrent use (it reuses a scratch loop
-// nest between calls); parallel traversals build one per worker.
+// An Evaluator is not safe for concurrent use (it reuses scratch state
+// between calls); parallel traversals build one per worker.
+//
+// Two entry points share one cost model. The Evaluate* methods score one
+// mapping (one outer-loop order). MinCompact scores a whole tiling: the
+// buffer term depends on the inner splits only, so every order of a
+// tiling shares one buffer size and only its cheapest order can reach the
+// Pareto frontier; MinCompact finds that order's access count exactly with
+// the subset DP of nest.MinOverOrders.
 type Evaluator struct {
 	e         *einsum.Einsum
-	rankShape map[string]int64
+	rankIdx   map[string]int
+	rankShape []int64
 	tensors   []compiledTensor
-	nestBuf   []nest.Loop // reusable outer-loop nest, rebuilt per mapping
+
+	// Scratch, rebuilt per call.
+	nestBuf  []nest.Loop   // outer-loop nest of the mapping being scored
+	splitBuf []shape.Split // the mapping's splits, indexed like e.Ranks
+	splits   []shape.Split // the tiling MinCompact is scoring
+	acct     Accounting    // its accounting rule
+	active   []int         // its iterating (outer > 1) ranks
+	bounds   []int64       // their outer bounds
+	rel      []uint64      // per-tensor relevance masks over active
+	orders   nest.OrderScratch[int64]
+	charge   func(acc int64, t, r int, above int64) int64 // ev.chargeTensor
 }
 
 type compiledTensor struct {
 	output   bool
-	grouped  bool // any rank carries a grouping divisor > 1
 	sizeElem int64
 	dims     []compiledDim
-	// relevant[rank] and groupDiv[rank] are keyed by rank name; rank
-	// count is tiny so map lookups are cheap and allocation-free.
-	relevant map[string]bool
-	groupDiv map[string]int64
+	relMask  uint64  // bit i: rank i is relevant
+	groupDiv []int64 // per rank: grouping divisor, 1 if ungrouped
+	grouped  bool    // any rank carries a grouping divisor > 1
+
+	// Footprints of the tiling being scored (see tile).
+	fp    int64
+	fpEff float64
 }
 
 type compiledDim struct {
-	terms      []einsum.Term
+	ranks      []int // term ranks, indexed like e.Ranks
+	coeffs     []int64
 	groupDiv   int64
 	fullExtent int64
 }
 
-// NewEvaluator compiles e. The Einsum must be valid.
+// NewEvaluator compiles e. The Einsum must be valid and have at most 64
+// ranks.
 func NewEvaluator(e *einsum.Einsum) *Evaluator {
 	full := make(map[string]int64, len(e.Ranks))
-	for _, r := range e.Ranks {
+	ev := &Evaluator{e: e, rankIdx: make(map[string]int, len(e.Ranks))}
+	for i, r := range e.Ranks {
 		full[r.Name] = r.Shape
+		ev.rankIdx[r.Name] = i
+		ev.rankShape = append(ev.rankShape, r.Shape)
 	}
-	ev := &Evaluator{e: e, rankShape: full}
 	for i := range e.Tensors {
 		t := &e.Tensors[i]
-		ct := compiledTensor{
-			output:   t.Output,
-			sizeElem: e.TensorSize(t),
-			relevant: map[string]bool{},
-			groupDiv: map[string]int64{},
-		}
-		for _, r := range e.Ranks {
-			ct.relevant[r.Name] = t.Relevant(r.Name)
-			gd := t.GroupDivFor(r.Name)
-			ct.groupDiv[r.Name] = gd
-			if gd > 1 {
-				ct.grouped = true
+		ct := compiledTensor{output: t.Output, sizeElem: e.TensorSize(t)}
+		for j, r := range e.Ranks {
+			if t.Relevant(r.Name) {
+				ct.relMask |= 1 << j
 			}
+			gd := t.GroupDivFor(r.Name)
+			ct.groupDiv = append(ct.groupDiv, gd)
+			ct.grouped = ct.grouped || gd > 1
 		}
 		for j := range t.Dims {
 			d := &t.Dims[j]
-			ct.dims = append(ct.dims, compiledDim{
-				terms:      d.Terms,
-				groupDiv:   d.GroupDiv,
-				fullExtent: d.DimExtent(full),
-			})
+			cd := compiledDim{groupDiv: d.GroupDiv, fullExtent: d.DimExtent(full)}
+			for _, term := range d.Terms {
+				cd.ranks = append(cd.ranks, ev.rankIdx[term.Rank])
+				cd.coeffs = append(cd.coeffs, term.Coeff)
+			}
+			ct.dims = append(ct.dims, cd)
 		}
 		ev.tensors = append(ev.tensors, ct)
 	}
+	ev.rel = make([]uint64, len(ev.tensors))
+	ev.charge = ev.chargeTensor
 	return ev
 }
 
 // EvaluateCompact returns only the buffer requirement and access count in
 // bytes — the two numbers the Orojenesis frontier needs.
 func (ev *Evaluator) EvaluateCompact(m *mapping.Mapping) (bufBytes, accessBytes int64) {
-	es := ev.e.ElementSize
-	loops := ev.loops(m)
-	for i := range ev.tensors {
-		t := &ev.tensors[i]
-		fp := ev.footprint(t, m)
-		bufBytes += fp
-		accessBytes += fp * ev.iterations(t, loops, m)
-	}
-	return bufBytes * es, accessBytes * es
+	return ev.evaluate(Perfect, m)
 }
 
 // EvaluateCompactSpillCharged is EvaluateCompact with physical partial-sum
@@ -92,32 +121,126 @@ func (ev *Evaluator) EvaluateCompact(m *mapping.Mapping) (bufBytes, accessBytes 
 // tensor size is doubled. The paper's model counts each transfer once;
 // this variant supports the spill-accounting ablation.
 func (ev *Evaluator) EvaluateCompactSpillCharged(m *mapping.Mapping) (bufBytes, accessBytes int64) {
-	es := ev.e.ElementSize
+	return ev.evaluate(SpillCharged, m)
+}
+
+// evaluate scores one mapping under acct: the product rule on its outer
+// nest gives each tensor's transfer count, and cost turns it into traffic.
+func (ev *Evaluator) evaluate(acct Accounting, m *mapping.Mapping) (bufBytes, accessBytes int64) {
+	splits := ev.splitBuf[:0]
+	for _, r := range ev.e.Ranks {
+		splits = append(splits, m.Splits[r.Name])
+	}
+	ev.splitBuf = splits
+	buf := ev.tile(acct, splits)
 	loops := ev.loops(m)
 	for i := range ev.tensors {
 		t := &ev.tensors[i]
-		fp := ev.footprint(t, m)
-		bufBytes += fp
-		elems := fp * ev.iterations(t, loops, m)
-		accessBytes += elems
-		if t.output && elems > t.sizeElem {
-			accessBytes += elems - t.sizeElem // reload of spilled partials
-		}
+		accessBytes += ev.cost(acct, t, ev.iterations(t, loops, m))
 	}
-	return bufBytes * es, accessBytes * es
+	es := ev.e.ElementSize
+	return buf * es, accessBytes * es
 }
 
-func (ev *Evaluator) footprint(t *compiledTensor, m *mapping.Mapping) int64 {
+// MinCompact returns the buffer requirement of the tiling splits (indexed
+// like the Einsum's ranks) and the least access count, in bytes, over all
+// of its outer-loop orders under acct. The result equals the minimum of
+// the acct evaluator over every order Enum.Visit emits for the tiling,
+// found in k·2^(k-1) DP steps for k iterating ranks instead of k! orders.
+//
+// Exactness: a tensor's transfer count under an order is P/∏bounds(S),
+// where P is the product of all outer bounds and S the set of loops
+// inside its innermost relevant loop r; with a grouping divisor on r it is
+// P/∏bounds(S∪{r}) times r's grouped factor. Each accounting rule's cost
+// (the plain product, the spill-charged reload, the imperfect
+// max(size, ceil(fpEff·iters))) is a function of that count alone, so of
+// (S, r) alone, which is what nest.MinOverOrders requires. Tensors with
+// no iterating relevant rank cost one transfer under every order.
+func (ev *Evaluator) MinCompact(acct Accounting, splits []shape.Split) (bufBytes, accessBytes int64) {
+	buf := ev.tile(acct, splits)
+	ev.splits, ev.acct = splits, acct
+	ev.active, ev.bounds = ev.active[:0], ev.bounds[:0]
+	for i, s := range splits {
+		if s.Outer > 1 {
+			ev.active = append(ev.active, i)
+			ev.bounds = append(ev.bounds, s.Outer)
+		}
+	}
+	var once int64
+	for i := range ev.tensors {
+		t := &ev.tensors[i]
+		ev.rel[i] = nest.LoopMask(t.relMask, ev.active)
+		if ev.rel[i] == 0 {
+			once += ev.cost(acct, t, 1)
+		}
+	}
+	acc := nest.MinOverOrders(&ev.orders, ev.bounds, ev.rel, once, ev.charge, minInt64)
+	es := ev.e.ElementSize
+	return buf * es, acc * es
+}
+
+// chargeTensor is MinCompact's nest.MinOverOrders hook: tensor ti closes
+// at active loop r with the outside loops multiplying to above.
+func (ev *Evaluator) chargeTensor(acc int64, ti, r int, above int64) int64 {
+	t := &ev.tensors[ti]
+	factor := ev.bounds[r]
+	if gd := t.groupDiv[ev.active[r]]; gd > 1 {
+		factor = groupedFactor(factor, ev.splits[ev.active[r]].Inner, gd)
+	}
+	return acc + ev.cost(ev.acct, t, above*factor)
+}
+
+func minInt64(a, b int64) int64 { return min(a, b) }
+
+// groupedFactor is the transfer factor of a grouped innermost relevant
+// loop: across the loop, consecutive head iterations within a group reuse
+// the same weight tile, so only distinct group tiles are transferred.
+func groupedFactor(bound, inner, groupDiv int64) int64 {
+	return shape.Max(1, shape.CeilDiv(bound*inner, shape.Max(inner, groupDiv)))
+}
+
+// tile caches each tensor's footprints for the tiling splits (the
+// effective one only under Imperfect) and returns the buffer requirement
+// in elements: the sum of the full inner-tile footprints.
+func (ev *Evaluator) tile(acct Accounting, splits []shape.Split) (bufElems int64) {
+	for i := range ev.tensors {
+		t := &ev.tensors[i]
+		t.fp = footprint(t, splits)
+		bufElems += t.fp
+		if acct == Imperfect {
+			t.fpEff = ev.effectiveFootprint(t, splits)
+		}
+	}
+	return bufElems
+}
+
+// cost converts tensor t's transfer count into its access count in
+// elements under acct, using the footprints tile cached.
+func (ev *Evaluator) cost(acct Accounting, t *compiledTensor, iters int64) int64 {
+	switch acct {
+	case SpillCharged:
+		elems := t.fp * iters
+		if t.output && elems > t.sizeElem {
+			elems += elems - t.sizeElem // reload of spilled partials
+		}
+		return elems
+	case Imperfect:
+		return max(int64(math.Ceil(t.fpEff*float64(iters))), t.sizeElem)
+	}
+	return t.fp * iters
+}
+
+func footprint(t *compiledTensor, splits []shape.Split) int64 {
 	fp := int64(1)
 	for i := range t.dims {
 		d := &t.dims[i]
 		var ext int64
 		if d.groupDiv > 1 {
-			ext = shape.CeilDiv(m.Splits[d.terms[0].Rank].Inner, d.groupDiv)
+			ext = shape.CeilDiv(splits[d.ranks[0]].Inner, d.groupDiv)
 		} else {
 			ext = 1
-			for _, term := range d.terms {
-				ext += term.Coeff * (m.Splits[term.Rank].Inner - 1)
+			for j, r := range d.ranks {
+				ext += d.coeffs[j] * (splits[r].Inner - 1)
 			}
 		}
 		if ext > d.fullExtent {
@@ -141,21 +264,17 @@ func (ev *Evaluator) loops(m *mapping.Mapping) []nest.Loop {
 }
 
 // iterations instantiates the shared product rule (internal/nest) for one
-// tensor. Grouped tensors override the innermost relevant factor: across
-// the loop, consecutive head iterations within a group reuse the same
-// weight tile, so only distinct group tiles are transferred.
+// tensor, with groupedFactor overriding a grouped innermost relevant loop.
 func (ev *Evaluator) iterations(t *compiledTensor, loops []nest.Loop, m *mapping.Mapping) int64 {
+	relevant := func(r string) bool { return t.relMask>>ev.rankIdx[r]&1 == 1 }
 	if !t.grouped {
-		return nest.Iterations(loops, func(r string) bool { return t.relevant[r] })
+		return nest.Iterations(loops, relevant)
 	}
-	return nest.IterationsGrouped(loops,
-		func(r string) bool { return t.relevant[r] },
-		func(l nest.Loop) int64 {
-			gd := t.groupDiv[l.Rank]
-			if gd <= 1 {
-				return l.Bound
-			}
-			in := m.Splits[l.Rank].Inner
-			return shape.Max(1, shape.CeilDiv(l.Bound*in, shape.Max(in, gd)))
-		})
+	return nest.IterationsGrouped(loops, relevant, func(l nest.Loop) int64 {
+		gd := t.groupDiv[ev.rankIdx[l.Rank]]
+		if gd <= 1 {
+			return l.Bound
+		}
+		return groupedFactor(l.Bound, m.Splits[l.Rank].Inner, gd)
+	})
 }

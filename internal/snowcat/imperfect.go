@@ -1,9 +1,8 @@
 package snowcat
 
 import (
-	"math"
-
 	"repro/internal/mapping"
+	"repro/internal/shape"
 )
 
 // EvaluateImperfectCompact evaluates a mapping whose splits may use
@@ -17,38 +16,25 @@ import (
 // clamped from below by the tensor's size (every operand is touched at
 // least once), keeping the bound sound.
 func (ev *Evaluator) EvaluateImperfectCompact(m *mapping.Mapping) (bufBytes, accessBytes int64) {
-	es := ev.e.ElementSize
-	loops := ev.loops(m)
-	for i := range ev.tensors {
-		t := &ev.tensors[i]
-		bufBytes += ev.footprint(t, m)
-		fpEff := ev.effectiveFootprint(t, m)
-		iters := ev.iterations(t, loops, m)
-		elems := int64(math.Ceil(fpEff * float64(iters)))
-		if elems < t.sizeElem {
-			elems = t.sizeElem
-		}
-		accessBytes += elems
-	}
-	return bufBytes * es, accessBytes * es
+	return ev.evaluate(Imperfect, m)
 }
 
 // effectiveFootprint computes the tensor's average per-transfer footprint
 // using rational tile extents shape/outer.
-func (ev *Evaluator) effectiveFootprint(t *compiledTensor, m *mapping.Mapping) float64 {
+func (ev *Evaluator) effectiveFootprint(t *compiledTensor, splits []shape.Split) float64 {
 	fp := 1.0
 	for i := range t.dims {
 		d := &t.dims[i]
 		var ext float64
 		if d.groupDiv > 1 {
-			ext = ev.effTile(d.terms[0].Rank, m) / float64(d.groupDiv)
+			ext = ev.effTile(d.ranks[0], splits) / float64(d.groupDiv)
 			if ext < 1 {
 				ext = 1
 			}
 		} else {
 			ext = 1
-			for _, term := range d.terms {
-				ext += float64(term.Coeff) * (ev.effTile(term.Rank, m) - 1)
+			for j, r := range d.ranks {
+				ext += float64(d.coeffs[j]) * (ev.effTile(r, splits) - 1)
 			}
 		}
 		if max := float64(d.fullExtent); ext > max {
@@ -59,12 +45,12 @@ func (ev *Evaluator) effectiveFootprint(t *compiledTensor, m *mapping.Mapping) f
 	return fp
 }
 
-// effTile returns the average tile extent of a rank under the mapping:
+// effTile returns the average tile extent of rank i under the tiling:
 // the rank's full shape spread over its outer iterations, capped by the
 // inner tile and floored at 1.
-func (ev *Evaluator) effTile(rank string, m *mapping.Mapping) float64 {
-	s := m.Splits[rank]
-	eff := float64(ev.rankShape[rank]) / float64(s.Outer)
+func (ev *Evaluator) effTile(i int, splits []shape.Split) float64 {
+	s := splits[i]
+	eff := float64(ev.rankShape[i]) / float64(s.Outer)
 	if eff > float64(s.Inner) {
 		eff = float64(s.Inner)
 	}

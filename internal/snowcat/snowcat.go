@@ -7,6 +7,17 @@
 // backing-store access count per tensor, computed as tile footprint times
 // the product of the outer loop bounds from the outermost loop down to the
 // innermost loop relevant to that tensor (the rule illustrated in Fig. 6).
+//
+// The buffer term depends only on the inner tiles, so every outer-loop
+// order of a tiling has the same buffer size and only the cheapest order
+// matters for the frontier. Evaluator.MinCompact computes that cheapest
+// access count exactly, without enumerating orders: under each accounting
+// rule (paper, spill-charged, imperfect) a tensor's cost is a function of
+// its transfer count, and the count is fixed by the tensor's innermost
+// relevant loop r and the set S of loops inside it — P/∏bounds(S), or
+// P/∏bounds(S∪{r}) times a grouped factor — so nest.MinOverOrders' subset
+// DP over the iterating ranks finds the minimum over all k! orders in
+// k·2^(k-1) steps.
 package snowcat
 
 import (

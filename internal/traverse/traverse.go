@@ -81,10 +81,12 @@ func Recovered(v any) *PanicError {
 // runChunk invokes one chunk function with panic containment: a panic in
 // fn becomes a *PanicError return instead of unwinding the worker
 // goroutine (which would crash the process, since goroutine panics cannot
-// be recovered by anyone else).
-func runChunk(fn RangeFunc, lo, hi int64) (n int64, err error) {
+// be recovered by anyone else). stop runs first on a panic, before the
+// stack capture, so peers stop grabbing chunks while the stack is taken.
+func runChunk(fn RangeFunc, lo, hi int64, stop func()) (n int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			stop()
 			err = Recovered(r)
 		}
 	}()
@@ -198,7 +200,7 @@ func Partition(ctx context.Context, items int64, workerCount int, newWorker func
 			if hi > items {
 				hi = items
 			}
-			cn, cerr := runChunk(fn, lo, hi)
+			cn, cerr := runChunk(fn, lo, hi, func() {})
 			if cerr != nil {
 				return Stats{Workers: 1, Items: lo, Evaluated: n, Elapsed: time.Since(start)}, cerr
 			}
@@ -232,10 +234,9 @@ func Partition(ctx context.Context, items int64, workerCount int, newWorker func
 				if hi > items {
 					hi = items
 				}
-				cn, cerr := runChunk(fn, lo, hi)
+				cn, cerr := runChunk(fn, lo, hi, pcancel)
 				if cerr != nil {
 					panics[i] = cerr
-					pcancel()
 					break
 				}
 				n += cn
