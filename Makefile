@@ -78,13 +78,16 @@ store:
 	go test -race -count=1 ./internal/serve -run 'Store|Restart|Warmer|Corrupt|Degraded206'
 
 # Golden-checked benchmark smoke: short orobench runs of the two
-# in-process derivation workloads (bench/README.md). Every derived curve
-# is compared byte for byte with bench/testdata/golden.json and any
-# mismatch exits non-zero, so this gates curve identity. The timings of
+# in-process derivation workloads and of the sharded fleet
+# (bench/README.md). Every derived curve is compared byte for byte with
+# bench/testdata/golden.json, and every fleet-merged and served curve with
+# its in-process derivation; any mismatch exits non-zero, so this gates
+# curve identity through shard merges as well. The timings of
 # a 2-second run are not evidence; run bench/run.sh at its default length
 # for numbers.
 bench-smoke:
 	bash bench/run.sh --workload derive-conv --seconds 2
 	bash bench/run.sh --workload derive-mixed --seconds 2
+	bash bench/run.sh --workload shard-fleet --seconds 2
 
-ci: vet build test race robust serve fleet chaos store docs
+ci: vet build test race robust serve fleet chaos store docs bench-smoke

@@ -4,6 +4,13 @@
 // plain identity, strided/dilated affine sums (convolution), or grouped
 // integer division (grouped-query attention) — which is enough to express
 // every workload analysed in the paper: GEMM, Conv2D, BMM and grouped BMM.
+//
+// Tile footprints have two forms. Einsum.Footprint takes a map from rank
+// name to tile size and is the readable reference. Compile turns the
+// projections into rank-indexed form once per Einsum, and its Footprint
+// takes a tile slice indexed like Ranks; the Snowcat evaluator and the
+// three-level traversal call it inside their exhaustive loops, where it
+// computes the same numbers without map lookups or allocation.
 package einsum
 
 import (

@@ -27,6 +27,9 @@
 // order DP and a lexicographic (DRAM, L2 share) outer order DP
 // (nest.MinOverOrders) therefore give exactly the per-combination minima
 // the DRAM curve, the L2 curve and the joint table need; see combo.
+// Its L1 and L2 tile footprints come from the Einsum's rank-indexed
+// projections (einsum.Compiled, shared with the Snowcat evaluator), so
+// scoring a combination allocates nothing and hashes no rank names.
 package multilevel
 
 import (

@@ -28,13 +28,12 @@ import (
 // orders) takes the second term lexicographically after DRAM in the same
 // outer DP.
 type combo struct {
-	e      *einsum.Einsum
-	rel    []uint64 // per tensor, bit i: rank i is relevant
+	proj   *einsum.Compiled
 	splits []shape.ThreeSplit
 
-	tiles0, tiles1 map[string]int64 // L1 and L2 tile sizes
-	fp0, fp1       []int64          // per-tensor L1 and L2 footprints
-	l2Elems        int64            // L2 footprint of the combination
+	tiles0, tiles1 []int64 // per-rank L1 and L2 tile sizes
+	fp0, fp1       []int64 // per-tensor L1 and L2 footprints
+	l2Elems        int64   // L2 footprint of the combination
 
 	// Per-order-problem scratch: iterating loops' rank indices and bounds,
 	// and per-tensor relevance masks over them.
@@ -55,24 +54,16 @@ type outerCost struct {
 }
 
 func newCombo(e *einsum.Einsum) *combo {
-	nt := len(e.Tensors)
+	nt, n := len(e.Tensors), len(e.Ranks)
 	c := &combo{
-		e:      e,
-		rel:    make([]uint64, nt),
-		splits: make([]shape.ThreeSplit, len(e.Ranks)),
-		tiles0: map[string]int64{},
-		tiles1: map[string]int64{},
+		proj:   e.Compile(),
+		splits: make([]shape.ThreeSplit, n),
+		tiles0: make([]int64, n),
+		tiles1: make([]int64, n),
 		fp0:    make([]int64, nt),
 		fp1:    make([]int64, nt),
 		midRel: make([]uint64, nt),
 		outRel: make([]uint64, nt),
-	}
-	for i := range e.Tensors {
-		for j, r := range e.Ranks {
-			if e.Tensors[i].Relevant(r.Name) {
-				c.rel[i] |= 1 << j
-			}
-		}
 	}
 	c.chargeMid = c.midCharge
 	c.chargeOut = c.outCharge
@@ -82,19 +73,17 @@ func newCombo(e *einsum.Einsum) *combo {
 // l1Elems computes the footprints of the combination in c.splits and
 // returns its L1 footprint in elements.
 func (c *combo) l1Elems() int64 {
-	for i, r := range c.e.Ranks {
-		ts := c.splits[i]
-		c.tiles0[r.Name] = ts.L0
-		c.tiles1[r.Name] = ts.L0 * ts.L1
+	for i, ts := range c.splits {
+		c.tiles0[i] = ts.L0
+		c.tiles1[i] = ts.L0 * ts.L1
 	}
 	var l1 int64
 	c.l2Elems = 0
-	for i := range c.e.Tensors {
-		t := &c.e.Tensors[i]
-		c.fp0[i] = c.e.Footprint(t, c.tiles0)
-		c.fp1[i] = c.e.Footprint(t, c.tiles1)
-		l1 += c.fp0[i]
-		c.l2Elems += c.fp1[i]
+	for t := range c.fp0 {
+		c.fp0[t] = c.proj.Footprint(t, c.tiles0)
+		c.fp1[t] = c.proj.Footprint(t, c.tiles1)
+		l1 += c.fp0[t]
+		c.l2Elems += c.fp1[t]
 	}
 	return l1
 }
@@ -118,9 +107,10 @@ func (c *combo) best() (l2Elems, dram, freeL2, jointL2 int64) {
 		pOut *= ts.L2
 	}
 	var zero outerCost
-	for t := range c.rel {
-		c.midRel[t] = nest.LoopMask(c.rel[t], c.midAct)
-		c.outRel[t] = nest.LoopMask(c.rel[t], c.outAct)
+	for t := range c.midRel {
+		rel := c.proj.Relevance(t)
+		c.midRel[t] = nest.LoopMask(rel, c.midAct)
+		c.outRel[t] = nest.LoopMask(rel, c.outAct)
 		if c.outRel[t] == 0 {
 			zero.dram += c.fp1[t]
 			if c.midRel[t] == 0 {

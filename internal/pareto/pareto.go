@@ -5,10 +5,17 @@
 // effectual buffer size (Gap 1) — and the curve algebra needed for chains:
 // summation (unfused execution), pointwise minimum (best segmentation),
 // access scaling (batched instances) and buffer shifting (untiled fusion).
+//
+// Every frontier is built online by a Builder, which keeps the staircase
+// sorted as points arrive: a dominated point costs one O(log F) binary
+// search over a frontier of F points, and there is no buffering or
+// compaction pass. FromPoints, Union and curve decoding all reduce through
+// it, so each yields the unique staircase of its input points.
 package pareto
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -182,29 +189,58 @@ func FromPoints(pts []Point) *Curve {
 }
 
 // Builder accumulates (buffer, accesses) observations from a mapspace
-// traversal and compacts them to the Pareto frontier on the fly, so
-// million-point searches keep constant memory.
+// traversal and keeps their Pareto frontier online: its points always form
+// the staircase a Curve holds (ascending buffer, strictly descending
+// accesses), so memory is bounded by the frontier size, not the number of
+// observations, and there is no compaction pass or threshold. An Add
+// binary-searches the staircase; a dominated or duplicate point returns in
+// O(log F) for a frontier of F points without touching memory, and a new
+// optimum replaces the run of points it dominates. The frontier of a set
+// of points is unique, so the result does not depend on the order points
+// arrive in.
 type Builder struct {
-	pts      []Point
-	capLimit int
+	pts []Point
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{capLimit: 1 << 14}
+	return &Builder{}
 }
 
 // Add records one mapping's buffer requirement and access count.
 func (b *Builder) Add(bufBytes, accessBytes int64) {
-	b.pts = append(b.pts, Point{BufferBytes: bufBytes, AccessBytes: accessBytes})
-	if len(b.pts) >= b.capLimit {
-		b.pts = frontier(b.pts)
-		// If the frontier itself is huge, raise the compaction threshold
-		// so we still make forward progress.
-		if len(b.pts)*2 >= b.capLimit {
-			b.capLimit *= 2
+	pts := b.pts
+	// i is the first point with a larger buffer requirement.
+	i, j := 0, len(pts)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if pts[h].BufferBytes <= bufBytes {
+			i = h + 1
+		} else {
+			j = h
 		}
 	}
+	// Only the predecessor can dominate: every point before it moves more.
+	if i > 0 && pts[i-1].AccessBytes <= accessBytes {
+		return
+	}
+	// The new point dominates an equal-buffer predecessor and the run of
+	// larger-buffer points that move at least as much.
+	lo, hi := i, i
+	if i > 0 && pts[i-1].BufferBytes == bufBytes {
+		lo = i - 1
+	}
+	for hi < len(pts) && pts[hi].AccessBytes >= accessBytes {
+		hi++
+	}
+	if lo == hi { // nothing dominated: open a slot
+		pts = append(pts, Point{})
+		copy(pts[lo+1:], pts[lo:])
+	} else { // keep one slot of the dominated run
+		pts = append(pts[:lo+1], pts[hi:]...)
+	}
+	pts[lo] = Point{BufferBytes: bufBytes, AccessBytes: accessBytes}
+	b.pts = pts
 }
 
 // AddCurve merges every point of another curve.
@@ -214,40 +250,9 @@ func (b *Builder) AddCurve(c *Curve) {
 	}
 }
 
-// Curve compacts and returns the accumulated Pareto frontier.
+// Curve returns a copy of the accumulated Pareto frontier.
 func (b *Builder) Curve() *Curve {
-	return &Curve{pts: frontier(b.pts)}
-}
-
-// frontier reduces points to the Pareto-optimal staircase: ascending
-// buffer, strictly descending accesses.
-func frontier(pts []Point) []Point {
-	if len(pts) == 0 {
-		return nil
-	}
-	sorted := make([]Point, len(pts))
-	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].BufferBytes != sorted[j].BufferBytes {
-			return sorted[i].BufferBytes < sorted[j].BufferBytes
-		}
-		return sorted[i].AccessBytes < sorted[j].AccessBytes
-	})
-	out := sorted[:0]
-	for _, p := range sorted {
-		// Drop points dominated by the best-so-far.
-		if n := len(out); n > 0 {
-			if p.AccessBytes >= out[n-1].AccessBytes {
-				continue
-			}
-			if p.BufferBytes == out[n-1].BufferBytes {
-				out[n-1] = p
-				continue
-			}
-		}
-		out = append(out, p)
-	}
-	return append([]Point(nil), out...)
+	return &Curve{pts: append([]Point(nil), b.pts...)}
 }
 
 // Sum composes curves for workloads executed back to back sharing one
@@ -286,28 +291,24 @@ func Sum(curves ...*Curve) *Curve {
 
 // Union merges the points of several curves into a single Pareto frontier
 // — the reduction step of a parallel traversal, where each worker built a
-// frontier over its share of the mapspace. Because dominance over the
-// union is what frontier computes, the result is identical to building
-// one frontier over all underlying points, regardless of how they were
-// partitioned. nil curves are skipped. Annotations are not merged: the
+// frontier over its share of the mapspace. A point dominated within its
+// own share is dominated in the union too, so the result is identical to
+// building one frontier over all underlying points, regardless of how they
+// were partitioned. nil curves are skipped. Annotations are not merged: the
 // partial curves describe shares of one workload, so callers annotate the
 // merged curve themselves.
 func Union(curves ...*Curve) *Curve {
-	total := 0
-	for _, c := range curves {
-		if c != nil {
-			total += len(c.pts)
-		}
-	}
-	pts := make([]Point, 0, total)
+	b := NewBuilder()
 	degraded := false
 	for _, c := range curves {
 		if c != nil {
-			pts = append(pts, c.pts...)
+			b.AddCurve(c)
 			degraded = degraded || c.Degraded
 		}
 	}
-	return &Curve{pts: frontier(pts), Degraded: degraded}
+	out := b.Curve()
+	out.Degraded = degraded
+	return out
 }
 
 // MergeMin composes alternatives (e.g. different segmentation strategies):
@@ -397,6 +398,6 @@ func breakpoints(curves []*Curve) []int64 {
 	for b := range set {
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

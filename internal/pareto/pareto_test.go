@@ -1,10 +1,16 @@
 package pareto
 
 import (
+	"cmp"
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func buildCurve(pts ...Point) *Curve { return FromPoints(pts) }
@@ -204,23 +210,35 @@ func TestBuilderCompaction(t *testing.T) {
 }
 
 func TestBuilderKeepsHugeAllOptimalFrontier(t *testing.T) {
-	// Adversarial input for the on-the-fly compaction: more Pareto-optimal
-	// points than the initial capLimit (1 << 14). Compaction cannot shrink
-	// the slice, so the Builder must raise its threshold instead of
-	// thrashing — and every point must survive to the final curve.
+	// Every point is Pareto-optimal, so the staircase only grows and every
+	// point must survive to the final curve. Ascending buffer order appends
+	// each point at the end; descending order inserts each one at the front,
+	// moving the whole staircase — the worst case for the online Builder,
+	// which must still finish well under a second (without the race
+	// detector).
 	const n = (1 << 14) + 1000
-	b := NewBuilder()
-	for i := int64(0); i < n; i++ {
-		b.Add(i+1, n-i)
-	}
-	c := b.Curve()
-	if c.Len() != n {
-		t.Fatalf("frontier has %d points, want all %d (all were Pareto-optimal)", c.Len(), n)
-	}
-	pts := c.Points()
-	for i := int64(0); i < n; i++ {
-		if pts[i] != (Point{i + 1, n - i}) {
-			t.Fatalf("point %d = %v, want {%d %d}", i, pts[i], i+1, n-i)
+	for _, order := range []string{"ascending", "descending"} {
+		start := time.Now()
+		b := NewBuilder()
+		for k := int64(0); k < n; k++ {
+			i := k
+			if order == "descending" {
+				i = n - 1 - k
+			}
+			b.Add(i+1, n-i)
+		}
+		c := b.Curve()
+		if elapsed := time.Since(start); elapsed > time.Second && !raceEnabled {
+			t.Errorf("%s: %d all-optimal adds took %v", order, n, elapsed)
+		}
+		if c.Len() != n {
+			t.Fatalf("%s: frontier has %d points, want all %d (all were Pareto-optimal)", order, c.Len(), n)
+		}
+		pts := c.Points()
+		for i := int64(0); i < n; i++ {
+			if pts[i] != (Point{i + 1, n - i}) {
+				t.Fatalf("%s: point %d = %v, want {%d %d}", order, i, pts[i], i+1, n-i)
+			}
 		}
 	}
 }
@@ -320,4 +338,150 @@ func TestStringAndTable(t *testing.T) {
 	if (&Curve{}).String() != "pareto.Curve{empty}" {
 		t.Fatal("empty curve String")
 	}
+}
+
+// refFrontier is the sort-based reduction the Builder replaced, kept as the
+// oracle for the online staircase: sort by buffer then accesses, and keep
+// each point that moves strictly less than every point before it.
+func refFrontier(pts []Point) []Point {
+	if len(pts) == 0 {
+		return nil
+	}
+	sorted := make([]Point, len(pts))
+	copy(sorted, pts)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].BufferBytes != sorted[j].BufferBytes {
+			return sorted[i].BufferBytes < sorted[j].BufferBytes
+		}
+		return sorted[i].AccessBytes < sorted[j].AccessBytes
+	})
+	out := sorted[:0]
+	for _, p := range sorted {
+		if n := len(out); n > 0 {
+			if p.AccessBytes >= out[n-1].AccessBytes {
+				continue
+			}
+			if p.BufferBytes == out[n-1].BufferBytes {
+				out[n-1] = p
+				continue
+			}
+		}
+		out = append(out, p)
+	}
+	return append([]Point(nil), out...)
+}
+
+// oracleInputs returns named point sets covering the orders and ties the
+// online Builder must reduce exactly like refFrontier.
+func oracleInputs() map[string][]Point {
+	rng := rand.New(rand.NewSource(13))
+	random := func(n int, bufs, accs int64) []Point {
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Point{rng.Int63n(bufs) + 1, rng.Int63n(accs) + 1}
+		}
+		return pts
+	}
+	sorted := func(pts []Point, desc bool) []Point {
+		out := slices.Clone(pts)
+		slices.SortFunc(out, func(a, b Point) int {
+			return cmp.Or(cmp.Compare(a.BufferBytes, b.BufferBytes), cmp.Compare(a.AccessBytes, b.AccessBytes))
+		})
+		if desc {
+			slices.Reverse(out)
+		}
+		return out
+	}
+	base := random(5000, 1<<12, 1<<20)
+	dups := random(300, 1<<6, 1<<8)
+	dups = append(dups, dups...)
+	rng.Shuffle(len(dups), func(i, j int) { dups[i], dups[j] = dups[j], dups[i] })
+	var bufTies, accTies, staircase []Point
+	for i := int64(1); i <= 200; i++ {
+		for k := int64(0); k < 5; k++ {
+			bufTies = append(bufTies, Point{i * 10, 5000 - i*10 + rng.Int63n(40)})
+			accTies = append(accTies, Point{i*10 + rng.Int63n(40), 5000 - i*10})
+		}
+		staircase = append(staircase, Point{i, 1000 - i})
+	}
+	rng.Shuffle(len(bufTies), func(i, j int) { bufTies[i], bufTies[j] = bufTies[j], bufTies[i] })
+	rng.Shuffle(len(accTies), func(i, j int) { accTies[i], accTies[j] = accTies[j], accTies[i] })
+	return map[string][]Point{
+		"empty":                nil,
+		"single":               {{7, 9}},
+		"random":               base,
+		"ascending":            sorted(base, false),
+		"descending":           sorted(base, true),
+		"duplicates":           dups,
+		"equal-buffer ties":    bufTies,
+		"equal-access ties":    accTies,
+		"staircase ascending":  staircase,
+		"staircase descending": sorted(staircase, true),
+	}
+}
+
+func samePoints(t *testing.T, what string, got, want []Point) {
+	t.Helper()
+	if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+		t.Fatalf("%s: %d points %v, reference %d points %v", what, len(got), trimPts(got), len(want), trimPts(want))
+	}
+}
+
+func trimPts(pts []Point) string {
+	if len(pts) > 8 {
+		return fmt.Sprintf("%v...", pts[:8])
+	}
+	return fmt.Sprint(pts)
+}
+
+func TestBuilderMatchesSortReference(t *testing.T) {
+	for name, pts := range oracleInputs() {
+		t.Run(name, func(t *testing.T) {
+			want := refFrontier(pts)
+			b := NewBuilder()
+			for _, p := range pts {
+				b.Add(p.BufferBytes, p.AccessBytes)
+			}
+			samePoints(t, "Builder", b.Curve().Points(), want)
+			samePoints(t, "FromPoints", FromPoints(pts).Points(), want)
+
+			// Union over an uneven split into per-share frontiers.
+			var parts []*Curve
+			for lo := 0; lo < len(pts); lo += 1 + lo/2 {
+				parts = append(parts, FromPoints(pts[lo:min(len(pts), lo+1+lo/2)]))
+			}
+			samePoints(t, "Union", Union(parts...).Points(), want)
+
+			raw, err := json.Marshal(curveJSON{Points: pts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var c Curve
+			if err := json.Unmarshal(raw, &c); err != nil {
+				t.Fatal(err)
+			}
+			samePoints(t, "UnmarshalJSON", c.Points(), want)
+		})
+	}
+}
+
+var sinkCurveLen int
+
+func TestBuilderAddDominatedDoesNotAllocate(t *testing.T) {
+	b := NewBuilder()
+	for i := int64(1); i <= 1000; i++ {
+		b.Add(i*4, 1<<20-i*16)
+	}
+	// Each run adds enough dominated and duplicate points that any
+	// buffering of them would have to grow or compact its storage.
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := int64(1); i <= 1<<14; i++ {
+			b.Add(i%4000+4, 1<<20) // dominated by {4, 1<<20-16}
+			b.Add(400, 1<<20-1600) // equal to a staircase point
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("dominated Adds allocate %v times per run", allocs)
+	}
+	sinkCurveLen = len(b.pts)
 }

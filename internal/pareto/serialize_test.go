@@ -1,7 +1,9 @@
 package pareto
 
 import (
+	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -170,4 +172,60 @@ func TestAnnotatedRoundTripDerived(t *testing.T) {
 			t.Fatalf("%s: round trip not byte-stable\n a %s\n b %s", name, data, data2)
 		}
 	}
+}
+
+// FuzzCurveUnmarshal feeds arbitrary bytes to the curve decoder, which
+// reads untrusted input from the curve store and the network. Any input it
+// accepts must decode to a strict staircase of positive points equal to
+// the sort-based reference frontier of the encoded points, and the decoded
+// curve must survive a marshal/unmarshal round trip byte for byte.
+func FuzzCurveUnmarshal(f *testing.F) {
+	for _, seed := range []string{
+		`{"algo_min_bytes":50,"total_operand_bytes":800,"points":[{"BufferBytes":100,"AccessBytes":1000},{"BufferBytes":400,"AccessBytes":100}]}`,
+		`{"points":[{"BufferBytes":100,"AccessBytes":1000},{"BufferBytes":200,"AccessBytes":2000},{"BufferBytes":400,"AccessBytes":100}]}`,
+		`{"points":[{"BufferBytes":0,"AccessBytes":10}]}`,
+		`{"degraded":true,"points":[{"BufferBytes":5,"AccessBytes":300}]}`,
+		`{"algo_min_bytes":200,"points":[{"BufferBytes":10,"AccessBytes":500},{"BufferBytes":40,"AccessBytes":100}]}`,
+		`{"algo_min_bytes":100,"total_operand_bytes":300,"points":[{"BufferBytes":10,"AccessBytes":100}]}`,
+		`{"points":null}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c Curve
+		if err := json.Unmarshal(data, &c); err != nil {
+			return
+		}
+		pts := c.Points()
+		for i, p := range pts {
+			if p.BufferBytes < 1 || p.AccessBytes < 1 {
+				t.Fatalf("accepted non-positive point %v", p)
+			}
+			if i > 0 && (p.BufferBytes <= pts[i-1].BufferBytes || p.AccessBytes >= pts[i-1].AccessBytes) {
+				t.Fatalf("not a strict staircase at %d: %v then %v", i, pts[i-1], p)
+			}
+		}
+		var raw curveJSON
+		if err := json.Unmarshal(data, &raw); err != nil {
+			t.Fatalf("curve accepted but raw decode failed: %v", err)
+		}
+		if want := refFrontier(raw.Points); !slices.Equal(pts, want) {
+			t.Fatalf("decoded %v, reference frontier %v", pts, want)
+		}
+		enc, err := json.Marshal(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Curve
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("re-decoding %s: %v", enc, err)
+		}
+		enc2, err := json.Marshal(&back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip not byte-stable\n a %s\n b %s", enc, enc2)
+		}
+	})
 }

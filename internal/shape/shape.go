@@ -7,6 +7,7 @@ package shape
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -74,19 +75,22 @@ func ThreeSplits(n int64) []ThreeSplit {
 	return out
 }
 
-// Product multiplies a slice of bounds, panicking on overflow. Access
-// counts in this code base stay far below 2^63, but a silent wrap would be
-// disastrous for a bounds tool, so we check.
+// Product multiplies a slice of bounds, panicking on overflow past 2^62 or
+// on a negative factor; a zero factor reached first yields 0. Access counts
+// in this code base stay far below 2^62, but a silent wrap would be
+// disastrous for a bounds tool, so we check — with one widening multiply
+// per factor, and without letting xs escape, so calls do not allocate.
 func Product(xs ...int64) int64 {
 	p := int64(1)
 	for _, x := range xs {
 		if x == 0 {
 			return 0
 		}
-		if p > (1<<62)/x {
-			panic(fmt.Sprintf("shape: Product overflow: %v", xs))
+		hi, lo := bits.Mul64(uint64(p), uint64(x))
+		if hi != 0 || lo > 1<<62 {
+			panic(fmt.Sprintf("shape: Product overflow: %v", append([]int64(nil), xs...)))
 		}
-		p *= x
+		p = int64(lo)
 	}
 	return p
 }

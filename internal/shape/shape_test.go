@@ -112,6 +112,53 @@ func TestProductOverflowPanics(t *testing.T) {
 	Product(1<<40, 1<<40)
 }
 
+// TestProductBoundaries pins which inputs panic: products up to 2^62
+// return, anything past it or any negative factor panics, and a zero
+// factor returns 0 only if no overflow happened before it.
+func TestProductBoundaries(t *testing.T) {
+	cases := []struct {
+		xs    []int64
+		want  int64
+		panic bool
+	}{
+		{[]int64{1 << 31, 1 << 31}, 1 << 62, false},
+		{[]int64{1<<31 + 1, 1 << 31}, 0, true},
+		{[]int64{1 << 62}, 1 << 62, false},
+		{[]int64{1<<62 + 1}, 0, true},
+		{[]int64{2, 1 << 61}, 1 << 62, false},
+		{[]int64{4, 1<<60 + 1}, 0, true},
+		{[]int64{1 << 32, 1 << 32}, 0, true},
+		{[]int64{-1}, 0, true},
+		{[]int64{3, -2}, 0, true},
+		{[]int64{-1 << 63}, 0, true},
+		{[]int64{5, 0, 1 << 62, 1 << 62}, 0, false},
+		{[]int64{0, -1}, 0, false},
+		{[]int64{1 << 40, 1 << 40, 0}, 0, true},
+	}
+	for _, c := range cases {
+		got, panicked := func() (p int64, panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			return Product(c.xs...), false
+		}()
+		if panicked != c.panic || got != c.want {
+			t.Errorf("Product(%v) = %d, panic %v; want %d, panic %v", c.xs, got, panicked, c.want, c.panic)
+		}
+	}
+}
+
+var sinkProduct int64
+
+func TestProductDoesNotAllocate(t *testing.T) {
+	a, b, c := int64(3), int64(5), int64(7)
+	allocs := testing.AllocsPerRun(100, func() {
+		sinkProduct = Product(a, b, c)
+		a++
+	})
+	if allocs != 0 {
+		t.Fatalf("Product allocates %v times per call", allocs)
+	}
+}
+
 func TestCeilDiv(t *testing.T) {
 	cases := []struct{ a, b, want int64 }{
 		{10, 5, 2}, {11, 5, 3}, {1, 5, 1}, {5, 5, 1}, {0, 5, 0},

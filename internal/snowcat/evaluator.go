@@ -24,7 +24,9 @@ const (
 
 // Evaluator is a compiled form of an Einsum's Snowcat model. It avoids the
 // per-call map allocations of Evaluate, which matters inside exhaustive
-// mapspace traversals that evaluate hundreds of thousands of mappings.
+// mapspace traversals that evaluate hundreds of thousands of mappings:
+// tile footprints come from the Einsum's shared rank-indexed projections
+// (einsum.Compiled), the same primitive the three-level traversal uses.
 // An Evaluator is not safe for concurrent use (it reuses scratch state
 // between calls); parallel traversals build one per worker.
 //
@@ -36,6 +38,7 @@ const (
 // the subset DP of nest.MinOverOrders.
 type Evaluator struct {
 	e         *einsum.Einsum
+	proj      *einsum.Compiled
 	rankIdx   map[string]int
 	rankShape []int64
 	tensors   []compiledTensor
@@ -43,6 +46,8 @@ type Evaluator struct {
 	// Scratch, rebuilt per call.
 	nestBuf  []nest.Loop   // outer-loop nest of the mapping being scored
 	splitBuf []shape.Split // the mapping's splits, indexed like e.Ranks
+	inner    []int64       // the tiling's inner tiles, indexed like e.Ranks
+	effTile  []float64     // its average tiles, under Imperfect
 	splits   []shape.Split // the tiling MinCompact is scoring
 	acct     Accounting    // its accounting rule
 	active   []int         // its iterating (outer > 1) ranks
@@ -55,7 +60,6 @@ type Evaluator struct {
 type compiledTensor struct {
 	output   bool
 	sizeElem int64
-	dims     []compiledDim
 	relMask  uint64  // bit i: rank i is relevant
 	groupDiv []int64 // per rank: grouping divisor, 1 if ungrouped
 	grouped  bool    // any rank carries a grouping divisor > 1
@@ -65,42 +69,28 @@ type compiledTensor struct {
 	fpEff float64
 }
 
-type compiledDim struct {
-	ranks      []int // term ranks, indexed like e.Ranks
-	coeffs     []int64
-	groupDiv   int64
-	fullExtent int64
-}
-
 // NewEvaluator compiles e. The Einsum must be valid and have at most 64
 // ranks.
 func NewEvaluator(e *einsum.Einsum) *Evaluator {
-	full := make(map[string]int64, len(e.Ranks))
-	ev := &Evaluator{e: e, rankIdx: make(map[string]int, len(e.Ranks))}
+	n := len(e.Ranks)
+	ev := &Evaluator{
+		e:       e,
+		proj:    e.Compile(),
+		rankIdx: make(map[string]int, n),
+		inner:   make([]int64, n),
+		effTile: make([]float64, n),
+	}
 	for i, r := range e.Ranks {
-		full[r.Name] = r.Shape
 		ev.rankIdx[r.Name] = i
 		ev.rankShape = append(ev.rankShape, r.Shape)
 	}
 	for i := range e.Tensors {
 		t := &e.Tensors[i]
-		ct := compiledTensor{output: t.Output, sizeElem: e.TensorSize(t)}
-		for j, r := range e.Ranks {
-			if t.Relevant(r.Name) {
-				ct.relMask |= 1 << j
-			}
+		ct := compiledTensor{output: t.Output, sizeElem: ev.proj.Size(i), relMask: ev.proj.Relevance(i)}
+		for _, r := range e.Ranks {
 			gd := t.GroupDivFor(r.Name)
 			ct.groupDiv = append(ct.groupDiv, gd)
 			ct.grouped = ct.grouped || gd > 1
-		}
-		for j := range t.Dims {
-			d := &t.Dims[j]
-			cd := compiledDim{groupDiv: d.GroupDiv, fullExtent: d.DimExtent(full)}
-			for _, term := range d.Terms {
-				cd.ranks = append(cd.ranks, ev.rankIdx[term.Rank])
-				cd.coeffs = append(cd.coeffs, term.Coeff)
-			}
-			ct.dims = append(ct.dims, cd)
 		}
 		ev.tensors = append(ev.tensors, ct)
 	}
@@ -203,12 +193,18 @@ func groupedFactor(bound, inner, groupDiv int64) int64 {
 // effective one only under Imperfect) and returns the buffer requirement
 // in elements: the sum of the full inner-tile footprints.
 func (ev *Evaluator) tile(acct Accounting, splits []shape.Split) (bufElems int64) {
+	for i, s := range splits {
+		ev.inner[i] = s.Inner
+	}
+	if acct == Imperfect {
+		ev.effectiveTiles(splits)
+	}
 	for i := range ev.tensors {
 		t := &ev.tensors[i]
-		t.fp = footprint(t, splits)
+		t.fp = ev.proj.Footprint(i, ev.inner)
 		bufElems += t.fp
 		if acct == Imperfect {
-			t.fpEff = ev.effectiveFootprint(t, splits)
+			t.fpEff = ev.proj.MeanFootprint(i, ev.effTile)
 		}
 	}
 	return bufElems
@@ -228,27 +224,6 @@ func (ev *Evaluator) cost(acct Accounting, t *compiledTensor, iters int64) int64
 		return max(int64(math.Ceil(t.fpEff*float64(iters))), t.sizeElem)
 	}
 	return t.fp * iters
-}
-
-func footprint(t *compiledTensor, splits []shape.Split) int64 {
-	fp := int64(1)
-	for i := range t.dims {
-		d := &t.dims[i]
-		var ext int64
-		if d.groupDiv > 1 {
-			ext = shape.CeilDiv(splits[d.ranks[0]].Inner, d.groupDiv)
-		} else {
-			ext = 1
-			for j, r := range d.ranks {
-				ext += d.coeffs[j] * (splits[r].Inner - 1)
-			}
-		}
-		if ext > d.fullExtent {
-			ext = d.fullExtent
-		}
-		fp *= ext
-	}
-	return fp
 }
 
 // loops assembles the mapping's outer-loop nest into the Evaluator's

@@ -19,43 +19,19 @@ func (ev *Evaluator) EvaluateImperfectCompact(m *mapping.Mapping) (bufBytes, acc
 	return ev.evaluate(Imperfect, m)
 }
 
-// effectiveFootprint computes the tensor's average per-transfer footprint
-// using rational tile extents shape/outer.
-func (ev *Evaluator) effectiveFootprint(t *compiledTensor, splits []shape.Split) float64 {
-	fp := 1.0
-	for i := range t.dims {
-		d := &t.dims[i]
-		var ext float64
-		if d.groupDiv > 1 {
-			ext = ev.effTile(d.ranks[0], splits) / float64(d.groupDiv)
-			if ext < 1 {
-				ext = 1
-			}
-		} else {
-			ext = 1
-			for j, r := range d.ranks {
-				ext += float64(d.coeffs[j]) * (ev.effTile(r, splits) - 1)
-			}
+// effectiveTiles fills ev.effTile with each rank's average tile extent
+// under the tiling: the rank's full shape spread over its outer
+// iterations, capped by the inner tile and floored at 1. The tensors'
+// effective footprints are the MeanFootprint of these tiles.
+func (ev *Evaluator) effectiveTiles(splits []shape.Split) {
+	for i, s := range splits {
+		eff := float64(ev.rankShape[i]) / float64(s.Outer)
+		if eff > float64(s.Inner) {
+			eff = float64(s.Inner)
 		}
-		if max := float64(d.fullExtent); ext > max {
-			ext = max
+		if eff < 1 {
+			eff = 1
 		}
-		fp *= ext
+		ev.effTile[i] = eff
 	}
-	return fp
-}
-
-// effTile returns the average tile extent of rank i under the tiling:
-// the rank's full shape spread over its outer iterations, capped by the
-// inner tile and floored at 1.
-func (ev *Evaluator) effTile(i int, splits []shape.Split) float64 {
-	s := splits[i]
-	eff := float64(ev.rankShape[i]) / float64(s.Outer)
-	if eff > float64(s.Inner) {
-		eff = float64(s.Inner)
-	}
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
 }
