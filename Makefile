@@ -15,7 +15,7 @@ RACE_PKGS := ./internal/bound ./internal/pareto ./internal/fusion \
 # already shortened to milliseconds.
 ROBUST_PKGS := ./internal/shard ./internal/supervise ./internal/traverse
 
-.PHONY: all vet build test race robust serve fleet chaos store bench-smoke docs ci
+.PHONY: all vet build test race robust serve fleet chaos store fuzz bench-smoke docs ci
 
 all: ci
 
@@ -77,6 +77,14 @@ store:
 	go test -race -count=1 ./internal/cliutil -run 'Store|Warm'
 	go test -race -count=1 ./internal/serve -run 'Store|Restart|Warmer|Corrupt|Degraded206'
 
+# A timed fuzz pass over the curve decoder, the parser every served,
+# stored and merged curve goes through: arbitrary bytes must be rejected
+# or decode to a valid staircase that round-trips byte for byte. A failing
+# input is written under internal/pareto/testdata/fuzz and replays in
+# every later go test.
+fuzz:
+	go test ./internal/pareto -run '^$$' -fuzz '^FuzzCurveUnmarshal$$' -fuzztime 10s
+
 # Golden-checked benchmark smoke: short orobench runs of the two
 # in-process derivation workloads and of the sharded fleet
 # (bench/README.md). Every derived curve is compared byte for byte with
@@ -90,4 +98,4 @@ bench-smoke:
 	bash bench/run.sh --workload derive-mixed --seconds 2
 	bash bench/run.sh --workload shard-fleet --seconds 2
 
-ci: vet build test race robust serve fleet chaos store docs bench-smoke
+ci: vet build test race robust serve fleet chaos store fuzz docs bench-smoke

@@ -589,7 +589,7 @@ func (c *coord) runShard(ctx context.Context, k int) ShardState {
 		}
 		avoid = worker
 		c.retries.Add(1)
-		delay := backoffDelay(base, maxb, attempt, rng)
+		delay := supervise.BackoffDelay(base, maxb, attempt, rng)
 		attempt++
 		c.opts.logf("fleet: shard %s dispatch failed (%v); retrying in %v", plan, aerr, delay)
 		select {
@@ -724,22 +724,4 @@ func expectedManifest(job *shard.Job) shard.Manifest {
 		CompletedThrough: lo,
 		Spec:             job.Spec,
 	}
-}
-
-// backoffDelay computes attempt k's wait: base·2^k capped at max, with
-// ±50% jitter from the shard's deterministic stream (supervise
-// semantics).
-func backoffDelay(base, max time.Duration, attempt int, rng *rand.Rand) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	j := d/2 + time.Duration(rng.Int63n(int64(d)+1))
-	if j < time.Millisecond {
-		j = time.Millisecond
-	}
-	return j
 }

@@ -17,7 +17,10 @@
 // orders of a nest without enumerating them: a tensor's count depends on
 // the order only through its innermost relevant loop and the set of loops
 // inside it, so a DP over subsets of the loops (placed innermost first)
-// is exact.
+// is exact. Reduce shrinks that problem first by two exchange arguments
+// on loop relevance: loops relevant to the same tensors merge into one,
+// and a loop relevant to every tensor leaves the DP as a factor of every
+// count. Loops that carry a grouping divisor take part in neither rule.
 package nest
 
 import "math/bits"
@@ -157,4 +160,72 @@ func MinOverOrders[V any](s *OrderScratch[V], bounds []int64, rel []uint64, zero
 		dp[set] = best
 	}
 	return dp[full]
+}
+
+// Reduce shrinks the order problem of the iterating loops ranks[j] (with
+// bounds[j] > 1) before MinOverOrders, by two exact rules over the ranks'
+// relevance signatures: sig[r] is the set of tensors rank r is relevant to
+// (bit t), and all the set of every tensor. Ranks in pinned (bit r: rank r
+// carries a grouping divisor for some tensor) take part in neither rule.
+//
+//   - Merge: loops whose ranks share a signature become one loop whose
+//     bound is the product of theirs, kept at the first one's position.
+//   - Hoist: a loop whose rank is relevant to every tensor leaves the
+//     problem; the product of the hoisted bounds is returned as hoist,
+//     and every tensor's count in the reduced problem, the one transfer
+//     of a tensor with no relevant loop left included, is multiplied by it.
+//
+// Reduce rewrites ranks and bounds in place and returns the reduced loop
+// count n: the reduced problem is ranks[:n], bounds[:n].
+//
+// Both rules hold for any cost that is nondecreasing in the transfer
+// count, by exchange arguments on an optimal order.
+//
+// Merge. Let a and b share a signature, a outside b. Move a inward until
+// it sits directly outside b. For a tensor relevant to both, a and b stay
+// at or outside its innermost relevant loop, which does not change, so
+// neither does its count. For any other tensor, a can only pass from
+// outside its innermost relevant loop to inside it, so its count can only
+// fall. So some optimal order keeps a and b adjacent, and an adjacent
+// pair costs exactly what one loop with the product bound costs: every
+// tensor sees both loops on the same side of its innermost relevant loop.
+// A grouped loop is excluded because its own factor replaces its bound
+// when it is a tensor's innermost relevant loop, so it does not behave as
+// a factor of a product bound.
+//
+// Hoist. A loop h relevant to every tensor sits at or outside every
+// tensor's innermost relevant loop in every order. Moving it outermost
+// keeps it outside every innermost relevant loop it was outside of. For a
+// tensor whose innermost relevant loop was h itself, the count was
+// bounds[h] times the product of every loop outside h. Afterwards its
+// innermost relevant loop is the next relevant loop r outward of h's old
+// place, and its count is bounds[h] times r's factor times the loops
+// outside r (bounds[h] alone if there is no such r). That is no more,
+// since r and the loops outside it all lay outside h and r's factor (its
+// bound, or a grouped factor) is at most its bound. So some
+// optimal order has every hoistable loop outermost, where each multiplies
+// every count, one-transfer counts included. A grouped loop is excluded
+// because, as a tensor's innermost relevant loop, it contributes its
+// grouped factor rather than its bound.
+func Reduce(ranks []int, bounds []int64, sig []uint64, pinned, all uint64) (n int, hoist int64) {
+	hoist = 1
+next:
+	for j, r := range ranks {
+		b := bounds[j]
+		if pinned>>r&1 == 0 {
+			if sig[r] == all {
+				hoist *= b
+				continue
+			}
+			for i, q := range ranks[:n] {
+				if pinned>>q&1 == 0 && sig[q] == sig[r] {
+					bounds[i] *= b
+					continue next
+				}
+			}
+		}
+		ranks[n], bounds[n] = r, b
+		n++
+	}
+	return n, hoist
 }

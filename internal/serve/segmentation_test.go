@@ -234,3 +234,38 @@ func TestServedSegmentationDegraded206(t *testing.T) {
 		t.Fatalf("degraded result entered the cache (%d entries)", got)
 	}
 }
+
+// TestServedSegmentationSpaceOverflowIs400: a 64-op segmentation chain
+// passes validation but its mask space overflows fusion.SegmentationSpace.
+// The server sizes the mapspace only on a memory miss, before joining a
+// flight, and must still answer that error as 400 invalid_workload with
+// no flight started.
+func TestServedSegmentationSpaceOverflowIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	name := func(prefix string, i int) string { return fmt.Sprintf("%s%c%c", prefix, 'a'+i/26, 'a'+i%26) }
+	var exprs []string
+	for i := 0; i < 64; i++ {
+		exprs = append(exprs, fmt.Sprintf("%q", fmt.Sprintf("%s[m,n] = %s[m,k] * %s[k,n] {M=2,K=2,N=2}",
+			name("X", i+1), name("X", i), name("W", i))))
+	}
+	body := fmt.Sprintf(`{"segmentation":{"einsums":[%s]}}`, strings.Join(exprs, ","))
+	status, data := postCurve(t, ts.URL, body)
+	if status != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", status, data)
+	}
+	if e := decodeError(t, data); e.Code != "invalid_workload" || !strings.Contains(e.Message, "overflows") {
+		t.Fatalf("error %+v, want invalid_workload naming the overflow", e)
+	}
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheMisses != 0 || st.Derivations != 0 {
+		t.Fatalf("misses=%d derivations=%d, want 0 and 0: a rejected request must not fly", st.CacheMisses, st.Derivations)
+	}
+}

@@ -497,6 +497,12 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Sizing the mapspace builds its enumeration, so only a miss pays for
+	// it: a cached key was derived, so its Space succeeded.
+	if _, err := d.spec.Space(); err != nil {
+		writeError(w, http.StatusBadRequest, "invalid_workload", err.Error(), 0)
+		return
+	}
 	s.stats.misses.Add(1)
 
 	f, leader := s.mem.join(s.base, d.key)

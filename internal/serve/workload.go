@@ -162,7 +162,6 @@ type derivation struct {
 	label  string
 	key    string
 	digest string
-	space  int64
 	run    deriveFn
 	mkJob  func(shard.Plan) (shard.Job, error)
 
@@ -285,16 +284,11 @@ func derivationFromSpec(spec *workload.Spec, workers int) (*derivation, error) {
 	if err != nil {
 		return nil, err
 	}
-	space, err := spec.Space()
-	if err != nil {
-		return nil, err
-	}
 	d := &derivation{
 		kind:   spec.Kind,
 		label:  spec.Describe(),
 		key:    key,
 		digest: digest,
-		space:  space,
 		spec:   spec,
 		mspec:  spec,
 	}

@@ -35,13 +35,21 @@ const (
 // buffer term depends on the inner splits only, so every order of a
 // tiling shares one buffer size and only its cheapest order can reach the
 // Pareto frontier; MinCompact finds that order's access count exactly with
-// the subset DP of nest.MinOverOrders.
+// the subset DP of nest.MinOverOrders, after nest.Reduce has merged the
+// loops relevant to the same tensors and hoisted those relevant to all.
 type Evaluator struct {
 	e         *einsum.Einsum
 	proj      *einsum.Compiled
 	rankIdx   map[string]int
 	rankShape []int64
 	tensors   []compiledTensor
+
+	// The ranks' relevance signatures for nest.Reduce: sig[i] has bit t
+	// set when rank i is relevant to tensor t, pinned bit i when rank i
+	// carries a grouping divisor, and all is the set of every tensor.
+	sig    []uint64
+	pinned uint64
+	all    uint64
 
 	// Scratch, rebuilt per call.
 	nestBuf  []nest.Loop   // outer-loop nest of the mapping being scored
@@ -50,8 +58,9 @@ type Evaluator struct {
 	effTile  []float64     // its average tiles, under Imperfect
 	splits   []shape.Split // the tiling MinCompact is scoring
 	acct     Accounting    // its accounting rule
-	active   []int         // its iterating (outer > 1) ranks
-	bounds   []int64       // their outer bounds
+	active   []int         // its reduced loops: iterating ranks, one per merged class
+	bounds   []int64       // their outer bounds (a class's product)
+	hoist    int64         // product of the hoisted all-tensor bounds
 	rel      []uint64      // per-tensor relevance masks over active
 	orders   nest.OrderScratch[int64]
 	charge   func(acc int64, t, r int, above int64) int64 // ev.chargeTensor
@@ -70,13 +79,15 @@ type compiledTensor struct {
 }
 
 // NewEvaluator compiles e. The Einsum must be valid and have at most 64
-// ranks.
+// ranks and 64 tensors.
 func NewEvaluator(e *einsum.Einsum) *Evaluator {
 	n := len(e.Ranks)
 	ev := &Evaluator{
 		e:       e,
 		proj:    e.Compile(),
 		rankIdx: make(map[string]int, n),
+		sig:     make([]uint64, n),
+		all:     1<<len(e.Tensors) - 1,
 		inner:   make([]int64, n),
 		effTile: make([]float64, n),
 	}
@@ -87,10 +98,14 @@ func NewEvaluator(e *einsum.Einsum) *Evaluator {
 	for i := range e.Tensors {
 		t := &e.Tensors[i]
 		ct := compiledTensor{output: t.Output, sizeElem: ev.proj.Size(i), relMask: ev.proj.Relevance(i)}
-		for _, r := range e.Ranks {
+		for j, r := range e.Ranks {
 			gd := t.GroupDivFor(r.Name)
 			ct.groupDiv = append(ct.groupDiv, gd)
 			ct.grouped = ct.grouped || gd > 1
+			ev.sig[j] |= (ct.relMask >> j & 1) << i
+			if gd > 1 {
+				ev.pinned |= 1 << j
+			}
 		}
 		ev.tensors = append(ev.tensors, ct)
 	}
@@ -144,8 +159,15 @@ func (ev *Evaluator) evaluate(acct Accounting, m *mapping.Mapping) (bufBytes, ac
 // P/∏bounds(S∪{r}) times r's grouped factor. Each accounting rule's cost
 // (the plain product, the spill-charged reload, the imperfect
 // max(size, ceil(fpEff·iters))) is a function of that count alone, so of
-// (S, r) alone, which is what nest.MinOverOrders requires. Tensors with
-// no iterating relevant rank cost one transfer under every order.
+// (S, r) alone, which is what nest.MinOverOrders requires. Each is also
+// nondecreasing in the count, which is what nest.Reduce's two exchange
+// rules require: ranks relevant to the same tensors merge into one loop
+// (the Fig. 12 convolutions' six ranks form three such classes), and
+// ranks relevant to every tensor (a BMM's H) leave the DP as a factor
+// of every count. Ranks with a grouping divisor are never merged or
+// hoisted: their grouped factor is not a plain bound. Tensors with no
+// iterating relevant rank left cost one transfer times the hoisted
+// factor under every order.
 func (ev *Evaluator) MinCompact(acct Accounting, splits []shape.Split) (bufBytes, accessBytes int64) {
 	buf := ev.tile(acct, splits)
 	ev.splits, ev.acct = splits, acct
@@ -156,12 +178,14 @@ func (ev *Evaluator) MinCompact(acct Accounting, splits []shape.Split) (bufBytes
 			ev.bounds = append(ev.bounds, s.Outer)
 		}
 	}
+	n, hoist := nest.Reduce(ev.active, ev.bounds, ev.sig, ev.pinned, ev.all)
+	ev.active, ev.bounds, ev.hoist = ev.active[:n], ev.bounds[:n], hoist
 	var once int64
 	for i := range ev.tensors {
 		t := &ev.tensors[i]
 		ev.rel[i] = nest.LoopMask(t.relMask, ev.active)
 		if ev.rel[i] == 0 {
-			once += ev.cost(acct, t, 1)
+			once += ev.cost(acct, t, hoist)
 		}
 	}
 	acc := nest.MinOverOrders(&ev.orders, ev.bounds, ev.rel, once, ev.charge, minInt64)
@@ -170,14 +194,16 @@ func (ev *Evaluator) MinCompact(acct Accounting, splits []shape.Split) (bufBytes
 }
 
 // chargeTensor is MinCompact's nest.MinOverOrders hook: tensor ti closes
-// at active loop r with the outside loops multiplying to above.
+// at reduced loop r with the outside loops multiplying to above, under the
+// hoisted loops. A grouped rank is never merged, so its loop's bound is
+// its own.
 func (ev *Evaluator) chargeTensor(acc int64, ti, r int, above int64) int64 {
 	t := &ev.tensors[ti]
 	factor := ev.bounds[r]
 	if gd := t.groupDiv[ev.active[r]]; gd > 1 {
 		factor = groupedFactor(factor, ev.splits[ev.active[r]].Inner, gd)
 	}
-	return acc + ev.cost(ev.acct, t, above*factor)
+	return acc + ev.cost(ev.acct, t, ev.hoist*above*factor)
 }
 
 func minInt64(a, b int64) int64 { return min(a, b) }

@@ -18,6 +18,22 @@
 // P/∏bounds(S∪{r}) times a grouped factor — so nest.MinOverOrders' subset
 // DP over the iterating ranks finds the minimum over all k! orders in
 // k·2^(k-1) steps.
+//
+// Because every rule's cost is also nondecreasing in the transfer count,
+// nest.Reduce first shrinks the DP by two exchange arguments on the ranks'
+// relevance. Ranks relevant to exactly the same tensors are
+// interchangeable: some optimal order keeps them adjacent (moving one next
+// to the other leaves the counts of tensors relevant to both unchanged and
+// can only lower the others), and an adjacent pair costs what one loop
+// with the product bound costs, so they merge. A rank relevant to every
+// tensor multiplies every count in every order once it is outermost, and
+// moving it there never raises a count, so it leaves the DP as a factor.
+// The Fig. 12 convolutions' six ranks thus reach the DP as three classes
+// ({P,Q}, {C,R,S}, {N}), and a BMM's H is hoisted. A rank with a grouping
+// divisor (grouped BMM's H) is excluded from both rules: as a tensor's
+// innermost relevant loop it contributes its grouped factor, not its
+// bound, so it is neither a factor of a merged bound nor a plain
+// multiplier of every count.
 package snowcat
 
 import (

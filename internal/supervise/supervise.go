@@ -350,7 +350,7 @@ func superviseShard(ctx context.Context, plan shard.Plan, mkJob func(shard.Plan)
 			st.Err = fmt.Errorf("supervise: shard %s failed after %d attempts: %w", plan, st.Attempts, err)
 			return st
 		}
-		delay := backoffDelay(base, maxb, attempt, rng)
+		delay := BackoffDelay(base, maxb, attempt, rng)
 		opts.logf("supervise: shard %s attempt %d failed (%v); retrying in %v", plan, st.Attempts, err, delay)
 		select {
 		case <-time.After(delay):
@@ -361,9 +361,10 @@ func superviseShard(ctx context.Context, plan shard.Plan, mkJob func(shard.Plan)
 	}
 }
 
-// backoffDelay computes attempt k's wait: base·2^k capped at max, with
-// ±50% jitter drawn from the shard's deterministic stream.
-func backoffDelay(base, max time.Duration, attempt int, rng *rand.Rand) time.Duration {
+// BackoffDelay computes attempt k's wait: base·2^k capped at max, with
+// ±50% jitter drawn from the shard's deterministic stream rng. It is the
+// retry schedule of Supervise and of the fleet's dispatch loop.
+func BackoffDelay(base, max time.Duration, attempt int, rng *rand.Rand) time.Duration {
 	d := base
 	for i := 0; i < attempt && d < max; i++ {
 		d *= 2

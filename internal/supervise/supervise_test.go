@@ -263,7 +263,7 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		var ds []time.Duration
 		for attempt := 0; attempt < 8; attempt++ {
-			ds = append(ds, backoffDelay(100*time.Millisecond, time.Second, attempt, rng))
+			ds = append(ds, BackoffDelay(100*time.Millisecond, time.Second, attempt, rng))
 		}
 		return ds
 	}
