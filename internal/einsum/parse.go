@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
 )
 
 // Parse builds an Einsum from the textual notation used throughout the
@@ -17,10 +16,10 @@ import (
 //	B[p,q,n] = A[2p+2r, 2q+2s, c] * W[c,n,r,s] {P=16,Q=16,N=64,C=64,R=3,S=3}
 //	B[h,m,n] = A[h,m,k] * W[h/4,k,n] {H=32,M=4096,K=128,N=4096}
 //
-// Rank names are case-insensitive (canonicalized to upper case); every
-// referenced rank must be given a shape in the trailing {...} block. The
-// left-hand tensor is the output. Element size defaults to
-// DefaultElementSize.
+// Names are ASCII letters and underscores. Rank names are case-insensitive
+// (canonicalized to upper case); every referenced rank must be given a
+// shape in the trailing {...} block. The left-hand tensor is the output.
+// Element size defaults to DefaultElementSize.
 func Parse(s string) (*Einsum, error) {
 	p := &parser{src: s}
 	e, err := p.parse()
@@ -229,7 +228,7 @@ func (p *parser) eat(tok string) bool {
 	p.ws()
 	if strings.HasPrefix(p.src[p.pos:], tok) {
 		// "x" doubles as a multiply sign only when it stands alone.
-		if tok == "x" && p.pos+1 < len(p.src) && isIdent(rune(p.src[p.pos+1])) {
+		if tok == "x" && p.pos+1 < len(p.src) && isIdent(p.src[p.pos+1]) {
 			return false
 		}
 		p.pos += len(tok)
@@ -241,7 +240,7 @@ func (p *parser) eat(tok string) bool {
 func (p *parser) ident() string {
 	p.ws()
 	start := p.pos
-	for p.pos < len(p.src) && isIdent(rune(p.src[p.pos])) {
+	for p.pos < len(p.src) && isIdent(p.src[p.pos]) {
 		p.pos++
 	}
 	return p.src[start:p.pos]
@@ -250,7 +249,7 @@ func (p *parser) ident() string {
 func (p *parser) number() int64 {
 	p.ws()
 	start := p.pos
-	for p.pos < len(p.src) && unicode.IsDigit(rune(p.src[p.pos])) {
+	for p.pos < len(p.src) && '0' <= p.src[p.pos] && p.src[p.pos] <= '9' {
 		p.pos++
 	}
 	if start == p.pos {
@@ -263,8 +262,11 @@ func (p *parser) number() int64 {
 	return v
 }
 
-func isIdent(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
+// isIdent reports whether byte c may appear in a tensor or rank name:
+// ASCII letters and '_' only, so that upper- and lower-casing a name (as
+// rank canonicalization and String do) round-trips.
+func isIdent(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_'
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {

@@ -101,7 +101,9 @@ func TestParseErrors(t *testing.T) {
 		"B[m,n] = A[m,k] * W[2k/4,n] {M=4,K=4,N=4}",  // coeff on grouped
 		"B[m,n = A[m,k] * W[k,n] {M=4,K=4,N=4}",      // missing ']'
 		"B[m,n] = A[m,k] * W[k,n] {M=4,K=4,N=4} garbage",
-		"B[m,n] = A[m,k] * W[k,n] {M=4,K=4,N=4,M=8}", // duplicate shape
+		"B[m,n] = A[m,k] * W[k,n] {M=4,K=4,N=4,M=8}",   // duplicate shape
+		"B[m,\xe9] = A[m,\xe9] * W[\xe9] {M=4,\xe9=4}", // non-ASCII rank (invalid UTF-8)
+		"B[m,Ī] = A[m,Ī] * W[Ī] {M=4,Ī=4}",             // non-ASCII rank
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
@@ -130,4 +132,48 @@ func TestParseRoundTripThroughString(t *testing.T) {
 	if back.MACs() != orig.MACs() || back.AlgorithmicMinElements() != orig.AlgorithmicMinElements() {
 		t.Fatal("round trip changed the workload")
 	}
+}
+
+// FuzzEinsumParse feeds arbitrary text to the parser, which reads
+// untrusted input from every served einsum and chain request. Any input
+// it accepts (Parse validates) must re-parse from its String() rendering
+// to the same rendering, MAC count and algorithmic minimum; a shape
+// product that overflows must overflow again. The seed corpus under
+// testdata/fuzz/FuzzEinsumParse holds the GEMM, strided/dilated conv and
+// grouped-BMM strings of the tests above and a non-ASCII rank name, which
+// the parser once accepted but could not re-read from its rendering.
+func FuzzEinsumParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		e, err := Parse(s)
+		if err != nil {
+			return
+		}
+		str := e.String()
+		back, err := Parse(str)
+		if err != nil {
+			t.Fatalf("%q parsed, but its rendering %q does not: %v", s, str, err)
+		}
+		if got := back.String(); got != str {
+			t.Fatalf("%q renders %q, which re-parses to %q", s, str, got)
+		}
+		if m, bm := sizes(e), sizes(back); m != bm {
+			t.Fatalf("%q: MACs and algorithmic minimum %v, after re-parsing %q %v", s, m, str, bm)
+		}
+	})
+}
+
+// sizes returns e's MAC count and algorithmic minimum in elements, or
+// overflow set when a shape product does not fit (shape.Product panics).
+func sizes(e *Einsum) (out struct {
+	macs, algoMin int64
+	overflow      bool
+}) {
+	defer func() {
+		if recover() != nil {
+			out.overflow = true
+		}
+	}()
+	out.macs = e.MACs()
+	out.algoMin = e.AlgorithmicMinElements()
+	return out
 }

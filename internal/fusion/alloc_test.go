@@ -25,24 +25,29 @@ func gpt3SixEinsumChain() *Chain {
 	)
 }
 
-func TestEvalTemplateDoesNotAllocate(t *testing.T) {
+// TestTiledBlockDoesNotAllocate pins the sweep's inner loop: rebuilding a
+// (M0, N2(0)) block and adding its subsets' candidates allocates nothing.
+func TestTiledBlockDoesNotAllocate(t *testing.T) {
 	c := gpt3SixEinsumChain()
 	sp, err := newTiledSpace(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := pareto.NewBuilder()
-	m0 := sp.m0Options[len(sp.m0Options)/2]
-	n2 := sp.n2Options[len(sp.n2Options)/2]
-	f := int(sp.subsets - 1)
-	var count int64
+	blk := newTiledBlock(c)
+	blocks := sp.items / sp.subsets
+	var k, count int64
 	allocs := testing.AllocsPerRun(100, func() {
-		count += evalTemplate(c, b, m0, n2, f, sp.lastTileOptions)
+		blk.build(&sp, k%blocks)
+		k++
+		for f := int64(0); f < sp.subsets; f++ {
+			count += blk.add(b, f)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("evalTemplate allocates %v times per call", allocs)
+		t.Fatalf("tiled block build and add allocate %v times per block", allocs)
 	}
 	if count == 0 {
-		t.Fatal("template point evaluated no candidates")
+		t.Fatal("block evaluated no candidates")
 	}
 }

@@ -107,3 +107,12 @@ func BenchmarkSegmentationStudy(b *testing.B) {
 		})
 	}
 }
+
+func BenchmarkTiledFusion(b *testing.B) {
+	c := gpt3SixEinsumChain()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := TiledFusionStats(c, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

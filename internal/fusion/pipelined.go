@@ -94,7 +94,7 @@ func TiledFusionWithPartialSpill(c *Chain) (*pareto.Curve, error) {
 				continue // no partials to spill
 			}
 			for f := 0; f < subsets; f++ {
-				acc, wbuf, _ := weightTerms(c, m0, m1, f)
+				acc, wbuf := weightTerms(c, m0, m1, f)
 				acc += shape.Product(n2, c.M, e0.InW)
 				// Spilled partials: N2 writes + (N2-1) reloads of the
 				// full output.

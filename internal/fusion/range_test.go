@@ -3,6 +3,8 @@ package fusion
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/pareto"
@@ -72,5 +74,46 @@ func TestChainCanonicalDistinguishesShapes(t *testing.T) {
 	}
 	if a.Canonical() != a.Canonical() {
 		t.Fatal("canonical encoding not deterministic")
+	}
+}
+
+// TestTiledFusionSpaceOverflow: a chain whose template space does not fit
+// an int64 — from the 2^E residency subsets alone at 63 and 64 ops, or
+// from their product with the M0 and N2(0) options below that — is an
+// error, never a wrapped space that derives an empty curve.
+func TestTiledFusionSpaceOverflow(t *testing.T) {
+	chain := func(n int, m int64) *Chain {
+		ops := make([]Op, n)
+		for i := range ops {
+			ops[i] = GEMMOp(fmt.Sprintf("g%d", i), m, 1, 1)
+		}
+		return MustChain("long", m, ops...)
+	}
+	for _, tc := range []struct {
+		ops   int
+		m     int64
+		space int64 // 0: overflow
+	}{
+		{62, 1, 1 << 62},
+		{61, 4, 3 << 61},
+		{61, 8, 0}, // 4 * 2^61
+		{62, 2, 0}, // 2 * 2^62
+		{63, 1, 0},
+		{64, 1, 0},
+	} {
+		c := chain(tc.ops, tc.m)
+		space, err := TiledFusionSpace(c)
+		if tc.space != 0 {
+			if err != nil || space != tc.space {
+				t.Errorf("%d ops, M=%d: space %d, %v; want %d", tc.ops, tc.m, space, err, tc.space)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("%d ops, M=%d: space %d, %v; want an overflow error", tc.ops, tc.m, space, err)
+		}
+		if cv, _, err := TiledFusionStats(c, 1); err == nil {
+			t.Errorf("%d ops, M=%d: TiledFusionStats returned %d points and no error", tc.ops, tc.m, cv.Len())
+		}
 	}
 }

@@ -27,7 +27,7 @@ func (s Segmentation) Segments(n int) [][2]int {
 	return out
 }
 
-// String renders e.g. "[0:2)[2:6)".
+// render labels the segmentation of an n-op chain, e.g. "[0:2)[2:6)".
 func (s Segmentation) render(n int) string {
 	str := ""
 	for _, seg := range s.Segments(n) {

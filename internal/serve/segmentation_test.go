@@ -235,20 +235,24 @@ func TestServedSegmentationDegraded206(t *testing.T) {
 	}
 }
 
-// TestServedSegmentationSpaceOverflowIs400: a 64-op segmentation chain
-// passes validation but its mask space overflows fusion.SegmentationSpace.
-// The server sizes the mapspace only on a memory miss, before joining a
-// flight, and must still answer that error as 400 invalid_workload with
-// no flight started.
-func TestServedSegmentationSpaceOverflowIs400(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+// longChainEinsums renders an n-op chain of 2x2 GEMMs as a JSON list of
+// einsum strings.
+func longChainEinsums(n int) string {
 	name := func(prefix string, i int) string { return fmt.Sprintf("%s%c%c", prefix, 'a'+i/26, 'a'+i%26) }
 	var exprs []string
-	for i := 0; i < 64; i++ {
+	for i := 0; i < n; i++ {
 		exprs = append(exprs, fmt.Sprintf("%q", fmt.Sprintf("%s[m,n] = %s[m,k] * %s[k,n] {M=2,K=2,N=2}",
 			name("X", i+1), name("X", i), name("W", i))))
 	}
-	body := fmt.Sprintf(`{"segmentation":{"einsums":[%s]}}`, strings.Join(exprs, ","))
+	return "[" + strings.Join(exprs, ",") + "]"
+}
+
+// expectOverflow400 posts body to a fresh server and requires a 400
+// invalid_workload naming the overflow, with no miss and no derivation
+// counted.
+func expectOverflow400(t *testing.T, body string) {
+	t.Helper()
+	_, ts := newTestServer(t, Config{})
 	status, data := postCurve(t, ts.URL, body)
 	if status != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", status, data)
@@ -267,5 +271,26 @@ func TestServedSegmentationSpaceOverflowIs400(t *testing.T) {
 	}
 	if st.CacheMisses != 0 || st.Derivations != 0 {
 		t.Fatalf("misses=%d derivations=%d, want 0 and 0: a rejected request must not fly", st.CacheMisses, st.Derivations)
+	}
+}
+
+// TestServedSegmentationSpaceOverflowIs400: a 64-op segmentation chain
+// passes validation but its mask space overflows fusion.SegmentationSpace.
+// The server sizes the mapspace only on a memory miss, before joining a
+// flight, and must still answer that error as 400 invalid_workload with
+// no flight started.
+func TestServedSegmentationSpaceOverflowIs400(t *testing.T) {
+	expectOverflow400(t, fmt.Sprintf(`{"segmentation":{"einsums":%s}}`, longChainEinsums(64)))
+}
+
+// TestServedTiledFusionSpaceOverflowIs400: 63- and 64-op chains overflow
+// fusion.TiledFusionSpace's 2^E residency subsets. They must be refused
+// like an overflowing segmentation, never served (and cached) as an empty
+// curve.
+func TestServedTiledFusionSpaceOverflowIs400(t *testing.T) {
+	for _, n := range []int{63, 64} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			expectOverflow400(t, fmt.Sprintf(`{"chain":{"einsums":%s}}`, longChainEinsums(n)))
+		})
 	}
 }
