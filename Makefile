@@ -5,15 +5,15 @@
 RACE_PKGS := ./internal/bound ./internal/pareto ./internal/fusion \
              ./internal/traverse ./internal/mapping \
              ./internal/multilevel ./internal/simba \
-             ./internal/shard ./internal/supervise ./internal/serve \
+             ./internal/shard ./internal/serve \
              ./internal/workload ./internal/fleet ./internal/cliutil \
              ./internal/store
 
-# The fault-injection and supervision suites: every scripted I/O failure,
+# The fault-injection and scheduling suites: every scripted I/O failure,
 # kill and cancellation must end in a successful retry or a named,
 # resumable error — never a corrupt artifact. Backoffs in these tests are
 # already shortened to milliseconds.
-ROBUST_PKGS := ./internal/shard ./internal/supervise ./internal/traverse
+ROBUST_PKGS := ./internal/shard ./internal/fleet ./internal/traverse
 
 .PHONY: all vet build test race robust serve fleet chaos store fuzz bench-smoke docs ci
 

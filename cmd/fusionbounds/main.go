@@ -31,7 +31,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,7 +41,6 @@ import (
 	orojenesis "repro"
 	"repro/internal/cliutil"
 	"repro/internal/pareto"
-	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -86,7 +84,7 @@ func main() {
 	}
 
 	if sf.Active() {
-		spec, err := buildSpec(chain, *path, *workers)
+		spec, err := buildSpec(chain, *path)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -101,17 +99,7 @@ func main() {
 			Stats:     *stats,
 			Summarize: func(c *pareto.Curve) { summarize(name, c) },
 		}
-		if sf.Fleet != "" {
-			cliutil.RunFleet(cfg, sf, spec, *workers)
-			return
-		}
-		exec := workload.Exec{Workers: *workers}
-		mkJob := func(p shard.Plan) (shard.Job, error) { return spec.Compile(p, exec) }
-		if sf.Supervise > 0 {
-			cliutil.RunSupervised(cfg, sf, mkJob)
-			return
-		}
-		cliutil.RunShard(cfg, sf, mkJob)
+		cliutil.RunSharded(cfg, sf, spec, *workers)
 		return
 	}
 	a, err := orojenesis.AnalyzeChain(chain, opts)
@@ -160,22 +148,18 @@ func main() {
 	}
 }
 
-// buildSpec returns the materialized workload Spec of the selected
-// derivation path — the value every sharded mode compiles its jobs from
-// (and the fleet mode ships to remote workers verbatim), so every
-// checkpoint manifest embeds it and stays resumable by shardmerge
-// -resume alone. The segmentation path derives each op's standalone
-// ski-slope curve up front (Materialize): those curves are inputs of the
-// study and part of the workload digest, so every shard of a run — and
-// every resume, on any machine — must be built from the same
-// deterministic set.
-func buildSpec(chain *orojenesis.Chain, path string, workers int) (*workload.Spec, error) {
+// buildSpec returns the workload Spec of the selected derivation path —
+// the value every sharded mode compiles its jobs from (and the fleet mode
+// ships to remote workers verbatim), so every checkpoint manifest embeds
+// it and stays resumable by shardmerge -resume alone. The segmentation
+// path's per-op curves are derived by cliutil.RunSharded (Materialize)
+// before any shard job is compiled.
+func buildSpec(chain *orojenesis.Chain, path string) (*workload.Spec, error) {
 	switch path {
 	case "tiled":
 		return workload.NewFusionTiled(chain), nil
 	case "segmentation":
-		exec := workload.Exec{Workers: workers}
-		return workload.NewSegmentation(chain, nil).Materialize(context.Background(), exec)
+		return workload.NewSegmentation(chain, nil), nil
 	default:
 		return nil, fmt.Errorf("unknown -path %q (want tiled or segmentation)", path)
 	}

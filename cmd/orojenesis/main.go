@@ -42,7 +42,6 @@ import (
 	orojenesis "repro"
 	"repro/internal/cliutil"
 	"repro/internal/pareto"
-	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -100,17 +99,7 @@ func main() {
 		// directly, so every checkpoint manifest embeds the spec and
 		// stays resumable by shardmerge -resume alone.
 		spec := workload.NewBound(e, opts)
-		if sf.Fleet != "" {
-			cliutil.RunFleet(cfg, sf, spec, *workers)
-			return
-		}
-		exec := workload.Exec{Workers: *workers}
-		mkJob := func(p shard.Plan) (shard.Job, error) { return spec.Compile(p, exec) }
-		if sf.Supervise > 0 {
-			cliutil.RunSupervised(cfg, sf, mkJob)
-			return
-		}
-		cliutil.RunShard(cfg, sf, mkJob)
+		cliutil.RunSharded(cfg, sf, spec, *workers)
 		return
 	}
 	var a *orojenesis.Analysis

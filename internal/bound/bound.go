@@ -150,7 +150,7 @@ func Derive(e *einsum.Einsum, opts Options) Result {
 //
 // Cancelling ctx aborts the traversal within about one worker chunk and
 // returns the context's error with no curve — the cancellation path a
-// supervised shard run (internal/supervise) relies on to stop inside a
+// scheduled shard run (internal/fleet) relies on to stop inside a
 // checkpoint block rather than after it.
 func DeriveRange(ctx context.Context, e *einsum.Einsum, opts Options, lo, hi int64) (Result, error) {
 	if err := opts.Validate(); err != nil {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/pareto"
 	"repro/internal/shard"
 	"repro/internal/store"
-	"repro/internal/supervise"
 	"repro/internal/workload"
 )
 
@@ -24,7 +23,7 @@ import (
 // -shard k/N, a whole supervised run with -supervise N, or a distributed
 // run with -supervise N -fleet URL,... dispatching shards to remote
 // workers, plus the knobs the modes share. Register it with
-// AddShardFlags; dispatch with RunShard / RunSupervised / RunFleet.
+// AddShardFlags; dispatch with RunSharded.
 type ShardFlags struct {
 	// Shard is the "k/N" plan of a single-slice run ("" = off).
 	Shard string
@@ -109,11 +108,34 @@ func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// RunShard derives one slice of the job's index space into a resumable
-// partial-frontier file (the -shard k/N -out FILE mode). SIGINT/SIGTERM
-// flush a final checkpoint and exit with status 130; rerunning the same
-// command resumes. Fatal on any other error.
-func RunShard(cfg ShardRunConfig, f *ShardFlags, mkJob func(shard.Plan) (shard.Job, error)) {
+// RunSharded runs spec under the shard flags: one slice into a
+// resumable partial-frontier file with -shard k/N, or all N shards with
+// -supervise N -shard-dir DIR — in process, or dispatched to the -fleet
+// workers over HTTP (docs/fleet-protocol.md) — merged into one curve.
+// The spec is materialized first: shard jobs need derived inputs (e.g.
+// the segmentation study's per-op curves) up front so every shard — and
+// every resume — hashes the same workload digest. SIGINT/SIGTERM flush
+// final checkpoints and exit with status 130; rerunning the same command
+// resumes. Fatal on any other error.
+func RunSharded(cfg ShardRunConfig, f *ShardFlags, spec *workload.Spec, workers int) {
+	ctx, stop := signalContext()
+	defer stop()
+	exec := workload.Exec{Workers: workers}
+	mspec, err := spec.Materialize(ctx, exec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mkJob := func(p shard.Plan) (shard.Job, error) { return mspec.Compile(p, exec) }
+	if f.Supervise <= 0 && f.Fleet == "" {
+		runShard(ctx, cfg, f, mkJob)
+		return
+	}
+	runPlan(ctx, cfg, f, mkJob)
+}
+
+// runShard derives one slice of the job's index space into a resumable
+// partial-frontier file (the -shard k/N -out FILE mode).
+func runShard(ctx context.Context, cfg ShardRunConfig, f *ShardFlags, mkJob func(shard.Plan) (shard.Job, error)) {
 	if f.Out == "" {
 		log.Fatal("-shard requires -out FILE for the partial frontier")
 	}
@@ -132,8 +154,6 @@ func RunShard(cfg ShardRunConfig, f *ShardFlags, mkJob func(shard.Plan) (shard.J
 				m.CompletedThrough-m.RangeLo, m.RangeHi-m.RangeLo, cfg.IndexNoun, plan)
 		}
 	}
-	ctx, stop := signalContext()
-	defer stop()
 	p, rs, err := shard.Run(ctx, job, ropts)
 	if err != nil {
 		if ctx.Err() != nil && p != nil {
@@ -153,35 +173,43 @@ func RunShard(cfg ShardRunConfig, f *ShardFlags, mkJob func(shard.Plan) (shard.J
 	fmt.Printf("partial frontier: %d points -> %s\n", p.Curve.Len(), f.Out)
 }
 
-// RunSupervised derives all N shards of the job's index space under one
-// supervisor (the -supervise N -shard-dir DIR mode): retried with
-// backoff on transient failures, corrupt checkpoints quarantined and
-// re-derived, SIGINT/SIGTERM resumable by rerunning. The merged curve —
-// exact, or degraded under -allow-partial — is summarized and optionally
-// written to -out.
-func RunSupervised(cfg ShardRunConfig, f *ShardFlags, mkJob func(shard.Plan) (shard.Job, error)) {
+// runPlan derives all N shards under fleet.Run (the -supervise N
+// -shard-dir DIR mode, with -fleet URL,... dispatching them): retried
+// with backoff on transient failures, corrupt checkpoints and invalid
+// responses quarantined, SIGINT/SIGTERM resumable by rerunning. The
+// merged curve — exact, or degraded under -allow-partial — is summarized
+// and optionally written to -out.
+func runPlan(ctx context.Context, cfg ShardRunConfig, f *ShardFlags, mkJob func(shard.Plan) (shard.Job, error)) {
+	if f.Supervise <= 0 {
+		log.Fatal("-fleet requires -supervise N (the shard count to dispatch)")
+	}
 	if f.ShardDir == "" {
 		log.Fatal("-supervise requires -shard-dir DIR for the per-shard checkpoint files")
 	}
-	if err := os.MkdirAll(f.ShardDir, 0o755); err != nil {
-		log.Fatal(err)
+	urls := ParseWorkerURLs(f.Fleet)
+	if f.Fleet != "" && len(urls) == 0 {
+		log.Fatal("-fleet lists no worker URLs")
 	}
-	ctx, stop := signalContext()
-	defer stop()
-	sopts := supervise.Options{
+	opts := fleet.Options{
 		Dir:             f.ShardDir,
 		CheckpointEvery: f.Checkpoint,
 		MaxRetries:      f.Retries,
 		AllowPartial:    f.AllowPartial,
 		Logf:            log.Printf,
+		Workers:         urls,
+		ProbeInterval:   f.FleetProbe,
+		Breaker: fleet.BreakerConfig{
+			Failures: f.FleetBreakerFailures,
+			Cooldown: f.FleetBreakerCooldown,
+		},
 	}
 	if cfg.Stats {
-		sopts.OnCheckpoint = func(m shard.Manifest) {
+		opts.OnCheckpoint = func(m shard.Manifest) {
 			fmt.Printf("checkpoint: shard %d/%d at %d / %d %s\n",
 				m.ShardIndex+1, m.ShardCount, m.CompletedThrough-m.RangeLo, m.RangeHi-m.RangeLo, cfg.IndexNoun)
 		}
 	}
-	report, err := supervise.Run(ctx, f.Supervise, mkJob, sopts)
+	report, err := fleet.Run(ctx, f.Supervise, mkJob, opts)
 	if report != nil && report.Interrupted {
 		log.Printf("interrupted; shard checkpoints flushed under %s — rerun the same command to resume", f.ShardDir)
 		os.Exit(130)
@@ -195,74 +223,20 @@ func RunSupervised(cfg ShardRunConfig, f *ShardFlags, mkJob func(shard.Plan) (sh
 	for _, st := range report.Shards {
 		attempts += st.Attempts
 		for _, q := range st.Quarantined {
-			fmt.Printf("shard %s: quarantined corrupt checkpoint -> %s\n", st.Plan, q)
+			fmt.Printf("shard %s: quarantined -> %s\n", st.Plan, q)
 		}
 	}
-	fmt.Printf("supervised %d shards in %d attempts\n", f.Supervise, attempts)
-	emitMerged(cfg, f, report.Curve, report.Degraded)
-}
-
-// RunFleet dispatches all N shards of a materialized workload Spec to
-// remote workers over HTTP (the -fleet URL,... mode layered on
-// -supervise N -shard-dir DIR; see docs/fleet-protocol.md): the
-// coordinator policy of internal/fleet — per-worker caps, retries with
-// backoff, quarantine of invalid responses — over the same spool layout
-// as RunSupervised, so an interrupted run resumes by rerunning and the
-// merged curve is byte-identical to deriving locally.
-func RunFleet(cfg ShardRunConfig, f *ShardFlags, spec *workload.Spec, workers int) {
-	if f.Supervise <= 0 {
-		log.Fatal("-fleet requires -supervise N (the shard count to dispatch)")
+	if len(urls) > 0 {
+		fmt.Printf("fleet of %d workers derived %d shards in %d dispatches (%d retries, %d speculations, %d deferrals)\n",
+			len(urls), f.Supervise, report.Dispatches, report.Retries, report.Speculations, report.Deferrals)
+	} else {
+		fmt.Printf("supervised %d shards in %d attempts\n", f.Supervise, attempts)
 	}
-	if f.ShardDir == "" {
-		log.Fatal("-fleet requires -shard-dir DIR for the spooled partial frontiers")
-	}
-	urls := ParseWorkerURLs(f.Fleet)
-	if len(urls) == 0 {
-		log.Fatal("-fleet lists no worker URLs")
-	}
-	ctx, stop := signalContext()
-	defer stop()
-	exec := workload.Exec{Workers: workers}
-	mspec, err := spec.Materialize(ctx, exec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	report, err := fleet.Run(ctx, mspec, f.Supervise, fleet.Options{
-		Workers:         urls,
-		Dir:             f.ShardDir,
-		MaxRetries:      f.Retries,
-		CheckpointEvery: f.Checkpoint,
-		AllowPartial:    f.AllowPartial,
-		ProbeInterval:   f.FleetProbe,
-		Breaker: fleet.BreakerConfig{
-			Failures: f.FleetBreakerFailures,
-			Cooldown: f.FleetBreakerCooldown,
-		},
-		Exec: exec,
-		Logf: log.Printf,
-	})
-	if report != nil && report.Interrupted {
-		log.Printf("interrupted; completed shard partials are spooled under %s — rerun the same command to resume", f.ShardDir)
-		os.Exit(130)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println(cfg.Header)
-	for _, st := range report.Shards {
-		for _, q := range st.Quarantined {
-			fmt.Printf("shard %s: quarantined invalid response/partial -> %s\n", st.Plan, q)
-		}
-	}
-	fmt.Printf("fleet of %d workers derived %d shards in %d dispatches (%d retries, %d speculations, %d deferrals)\n",
-		len(urls), f.Supervise, report.Dispatches, report.Retries, report.Speculations, report.Deferrals)
 	emitMerged(cfg, f, report.Curve, report.Degraded)
 }
 
 // emitMerged renders a sharded run's merged result — exact curve or
-// annotated degraded envelope — and writes -out; the shared tail of
-// RunSupervised and RunFleet.
+// annotated degraded envelope — and writes -out; the tail of runPlan.
 func emitMerged(cfg ShardRunConfig, f *ShardFlags, curve *pareto.Curve, degraded *shard.Degraded) {
 	if degraded != nil {
 		curve = degraded.Curve
@@ -293,8 +267,8 @@ func emitMerged(cfg ShardRunConfig, f *ShardFlags, curve *pareto.Curve, degraded
 }
 
 // RunSpec loads a serialized workload Spec (see docs/workload-spec.md)
-// and runs it under the shared shard flags: in-process by default, one
-// shard slice with -shard, a supervised fleet with -supervise. This is
+// and runs it under the shared shard flags: in-process by default, or
+// sharded through RunSharded. This is
 // the -spec FILE mode of the derivation CLIs — any CLI can run any kind,
 // because everything after decoding is registry dispatch. st, when
 // non-nil, is the durable curve store the in-process path checks and
@@ -325,26 +299,7 @@ func RunSpec(path string, f *ShardFlags, st *store.Store, workers int, stats boo
 	}
 
 	if f.Active() {
-		// Sharded modes compile shard jobs, which need derived inputs
-		// (e.g. the segmentation study's per-op curves) materialized
-		// up front so every shard — and every resume — hashes the same
-		// workload digest.
-		ctx, stop := signalContext()
-		mspec, err := spec.Materialize(ctx, exec)
-		stop()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if f.Fleet != "" {
-			RunFleet(cfg, f, mspec, workers)
-			return
-		}
-		mkJob := func(p shard.Plan) (shard.Job, error) { return mspec.Compile(p, exec) }
-		if f.Supervise > 0 {
-			RunSupervised(cfg, f, mkJob)
-			return
-		}
-		RunShard(cfg, f, mkJob)
+		RunSharded(cfg, f, spec, workers)
 		return
 	}
 

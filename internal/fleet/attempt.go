@@ -118,20 +118,123 @@ type errorEnvelope struct {
 // reads; structured error payloads are tiny.
 const maxErrorBody = 64 << 10
 
-// post runs one dispatch: POST the spec and plan slot to worker's
+// runRemote is the HTTP attempt: one dispatch round (attemptWithSpeculation)
+// shipping the job's embedded canonical spec, whose validated winning
+// response is spooled atomically into the shard's slot. Returns the
+// worker the round ended on, so a retry can avoid it.
+func (c *coord) runRemote(ctx context.Context, st *ShardState, job *shard.Job, expected *shard.Manifest, avoid string) (string, error) {
+	if len(job.Spec) == 0 {
+		return "", fmt.Errorf("fleet: job carries no workload spec to dispatch (%w)", errNotRetryable)
+	}
+	data, worker, err := c.attemptWithSpeculation(ctx, st, job, expected, avoid)
+	if err != nil {
+		return worker, err
+	}
+	if err := shard.WriteFileAtomic(c.opts.FS, st.Path, data); err != nil {
+		return worker, fmt.Errorf("fleet: spooling response (%w): %w", errNotRetryable, err)
+	}
+	st.Worker = worker
+	st.Evaluated = expected.RangeHi - expected.RangeLo
+	return worker, nil
+}
+
+// attemptResult is one dispatch's outcome.
+type attemptResult struct {
+	data   []byte // the validated partial-frontier file bytes
+	worker string
+	qpath  string // quarantine file holding an invalid response, if any
+	err    error
+}
+
+// attemptWithSpeculation runs one retry round: a primary dispatch, plus —
+// after Options.SpeculateAfter with no result yet — at most one
+// speculative duplicate on an idle different worker. The first valid
+// response wins (the duplicate's context is cancelled; its late response
+// is discarded). Returns the winning response bytes and worker, or — when
+// every launched dispatch failed — the last failed worker and the first
+// error.
+func (c *coord) attemptWithSpeculation(ctx context.Context, st *ShardState, job *shard.Job, expected *shard.Manifest, avoid string) ([]byte, string, error) {
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	primary, err := c.reg.acquire(actx, avoid)
+	if err != nil {
+		return nil, "", err
+	}
+	results := make(chan attemptResult, 2)
+	inFlight := map[string]bool{primary: true}
+	launch := func(worker string) {
+		st.Dispatches++
+		c.dispatches.Add(1)
+		go func() {
+			defer c.reg.release(worker)
+			start := time.Now()
+			data, qpath, aerr := c.post(actx, st.Path, job, expected, worker)
+			// Health accounting happens here, in the dispatch goroutine, so
+			// speculation losers' outcomes reach the breaker and the
+			// throughput estimate too.
+			c.record(worker, time.Since(start), aerr)
+			results <- attemptResult{data: data, worker: worker, qpath: qpath, err: aerr}
+		}()
+	}
+	launch(primary)
+
+	var spec <-chan time.Time
+	if c.opts.SpeculateAfter > 0 {
+		t := time.NewTimer(c.opts.SpeculateAfter)
+		defer t.Stop()
+		spec = t.C
+	}
+	var firstErr error
+	lastWorker := primary
+	pending := 1
+	for {
+		select {
+		case r := <-results:
+			pending--
+			if r.qpath != "" {
+				st.Quarantined = append(st.Quarantined, r.qpath)
+			}
+			if r.err == nil {
+				return r.data, r.worker, nil
+			}
+			lastWorker = r.worker
+			if firstErr == nil {
+				firstErr = r.err
+			}
+			if pending == 0 {
+				return nil, lastWorker, firstErr
+			}
+		case <-spec:
+			spec = nil
+			if w, ok := c.reg.tryAcquire(inFlight); ok {
+				inFlight[w] = true
+				pending++
+				st.Speculated++
+				c.speculations.Add(1)
+				c.opts.logf("fleet: shard %s straggling; speculating on %s", job.Plan, w)
+				launch(w)
+			}
+		case <-ctx.Done():
+			return nil, lastWorker, ctx.Err()
+		}
+	}
+}
+
+// post runs one dispatch: POST the job's spec and plan slot to worker's
 // /v1/shard, then validate the response against the locally built
 // expected manifest before anything is trusted. Returns the validated
-// partial; or the path of a quarantined invalid response plus a
+// response bytes; or the path of a quarantined invalid response plus a
 // retryable error; or a *PermanentError for deterministic rejections; or
 // the context error when cancelled.
-func (c *coord) post(ctx context.Context, slotPath string, plan shard.Plan, expected *shard.Manifest, worker string) (*shard.Partial, string, error) {
+func (c *coord) post(ctx context.Context, slotPath string, job *shard.Job, expected *shard.Manifest, worker string) ([]byte, string, error) {
+	plan := job.Plan
 	if c.opts.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.opts.AttemptTimeout)
 		defer cancel()
 	}
 	body, err := json.Marshal(ShardRequest{
-		Spec:             c.data,
+		Spec:             job.Spec,
 		ShardIndex:       plan.Index,
 		ShardCount:       plan.Count,
 		CheckpointEvery:  c.opts.CheckpointEvery,
@@ -184,12 +287,11 @@ func (c *coord) post(ctx context.Context, slotPath string, plan shard.Plan, expe
 		}
 		return nil, "", fmt.Errorf("fleet: reading response from %s: %w", worker, err)
 	}
-	p, verr := validatePartial(data, plan, expected)
-	if verr != nil {
+	if verr := validatePartial(data, plan, expected); verr != nil {
 		qpath := c.quarantineBytes(slotPath, data)
 		return nil, qpath, fmt.Errorf("%w from %s: %v", ErrInvalidResponse, worker, verr)
 	}
-	return p, "", nil
+	return data, "", nil
 }
 
 // validatePartial parses and validates response bytes against the
@@ -198,27 +300,27 @@ func (c *coord) post(ctx context.Context, slotPath string, plan shard.Plan, expe
 // digests, space size, shard count), the right shard slot, completeness,
 // and a present curve. Exactly the checks a merge would apply, applied
 // before the bytes can touch the spool.
-func validatePartial(data []byte, plan shard.Plan, expected *shard.Manifest) (*shard.Partial, error) {
+func validatePartial(data []byte, plan shard.Plan, expected *shard.Manifest) error {
 	var p shard.Partial
 	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("parsing partial: %w", err)
+		return fmt.Errorf("parsing partial: %w", err)
 	}
 	if err := p.Manifest.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := expected.CompatibleWith(&p.Manifest); err != nil {
-		return nil, fmt.Errorf("digest mismatch: %v", err)
+		return fmt.Errorf("digest mismatch: %v", err)
 	}
 	if p.Manifest.ShardIndex != plan.Index {
-		return nil, fmt.Errorf("shard %d/%d answered for slot %s", p.Manifest.ShardIndex+1, p.Manifest.ShardCount, plan)
+		return fmt.Errorf("shard %d/%d answered for slot %s", p.Manifest.ShardIndex+1, p.Manifest.ShardCount, plan)
 	}
 	if !p.Manifest.Complete() {
-		return nil, fmt.Errorf("incomplete: completed through %d of [%d, %d)", p.Manifest.CompletedThrough, p.Manifest.RangeLo, p.Manifest.RangeHi)
+		return fmt.Errorf("incomplete: completed through %d of [%d, %d)", p.Manifest.CompletedThrough, p.Manifest.RangeLo, p.Manifest.RangeHi)
 	}
 	if p.Curve == nil {
-		return nil, fmt.Errorf("missing curve")
+		return fmt.Errorf("missing curve")
 	}
-	return &p, nil
+	return nil
 }
 
 // quarantineBytes writes an invalid response's bytes to the first free

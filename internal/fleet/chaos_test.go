@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/fleet/chaos"
 	"repro/internal/shard"
-	"repro/internal/supervise"
 	"repro/internal/workload"
 )
 
@@ -35,7 +34,7 @@ func chaosRun(t *testing.T, n int, tr *chaos.Transport, opts Options) *Report {
 	if opts.MaxBackoff == 0 {
 		opts.MaxBackoff = 4 * time.Millisecond
 	}
-	report, err := Run(context.Background(), testSpec(), n, opts)
+	report, err := Run(context.Background(), n, jobsOf(testSpec()), opts)
 	if err != nil {
 		t.Fatalf("fleet run under fault: %v", err)
 	}
@@ -242,7 +241,7 @@ func TestChaosWorkerJoins(t *testing.T) {
 	dir := t.TempDir()
 	done := make(chan *Report, 1)
 	go func() {
-		report, err := Run(context.Background(), testSpec(), 6, Options{
+		report, err := Run(context.Background(), 6, jobsOf(testSpec()), Options{
 			Registry: reg,
 			Dir:      dir,
 			Client:   tr.Client(),
@@ -284,7 +283,7 @@ func TestChaosLastWorkerDies(t *testing.T) {
 		worker := newWorker(t, nil)
 		tr := chaos.NewTransport(nil)
 		tr.Always(worker.URL, chaos.Refuse())
-		_, err := Run(context.Background(), testSpec(), 2, Options{
+		_, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
 			Workers:     []string{worker.URL},
 			Dir:         t.TempDir(),
 			Client:      tr.Client(),
@@ -305,7 +304,7 @@ func TestChaosLastWorkerDies(t *testing.T) {
 		reg := NewRegistry([]string{worker.URL}, RegistryConfig{})
 		errc := make(chan error, 1)
 		go func() {
-			_, err := Run(context.Background(), testSpec(), 2, Options{
+			_, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
 				Registry:       reg,
 				Dir:            t.TempDir(),
 				Client:         tr.Client(),
@@ -337,7 +336,7 @@ func TestChaosLastWorkerDies(t *testing.T) {
 		worker := newWorker(t, nil)
 		tr := chaos.NewTransport(nil)
 		tr.Always(worker.URL, chaos.Refuse())
-		report, err := Run(context.Background(), testSpec(), 2, Options{
+		report, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
 			Workers:      []string{worker.URL},
 			Dir:          dir,
 			Client:       tr.Client(),
@@ -368,7 +367,7 @@ func spoolShard(t *testing.T, dir string, index, count int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := shard.Run(context.Background(), job, shard.RunOptions{Path: supervise.ShardPath(dir, index, count)}); err != nil {
+	if _, _, err := shard.Run(context.Background(), job, shard.RunOptions{Path: ShardPath(dir, index, count)}); err != nil {
 		t.Fatal(err)
 	}
 }

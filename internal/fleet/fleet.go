@@ -1,52 +1,55 @@
-// Package fleet distributes a sharded bound derivation across worker
-// processes over HTTP — the step from "one big machine" to "fleet". It
-// is the coordinator half of the wire protocol in docs/fleet-protocol.md:
-// the worker half is the POST /v1/shard endpoint internal/serve mounts.
+// Package fleet schedules every shard of a sharded bound derivation to
+// completion — the reliability layer over the repo's hottest
+// long-running path. Where internal/shard gives one shard a
+// checkpointed, resumable Run, this package gives the whole plan one
+// scheduler with two kinds of attempt:
 //
-// The coordinator decomposes a compiled workload.Spec into the same
-// deterministic shard plan a single process would use (shard.Plan over
-// the flat enumeration space), dispatches each slice to a peer worker,
-// and owns the supervise-style reliability policy around the dispatches:
+//   - In process (no worker URLs and an empty registry): the attempt
+//     calls shard.Run directly on the shard's spool slot, resuming its
+//     last checkpoint, so neither retries nor interrupts repeat completed
+//     blocks. Shards run concurrently up to min(shard count, GOMAXPROCS).
+//   - Over HTTP: the attempt dispatches the slice to a peer worker — the
+//     coordinator half of the wire protocol in docs/fleet-protocol.md; the
+//     worker half is the POST /v1/shard endpoint internal/serve mounts.
 //
-//   - Per-worker parallelism caps. Each worker URL holds a fixed number
-//     of dispatch slots; a shard waits for a free slot anywhere in the
-//     fleet rather than overloading one worker.
-//   - Bounded retries with backoff. A failed dispatch (network error,
-//     worker 5xx/429/503, invalid response) is retried on another worker
-//     with exponential backoff and deterministic jitter, up to a budget.
-//     Deterministic rejections (worker 4xx) are not retried: the same
-//     spec would fail the same way everywhere.
-//   - Per-attempt deadlines. A dispatch that exceeds Options.
-//     AttemptTimeout is abandoned and retried; the worker's checkpoint
-//     survives, so the retry resumes rather than restarts server-side.
-//   - Quarantine of invalid responses. A response that is not a
-//     structurally valid, complete, digest-compatible partial frontier
-//     is written aside (never to the shard's slot) and the dispatch
-//     retried elsewhere — a byzantine or torn response can cost time,
-//     never correctness.
-//   - Speculative re-execution. When a dispatch outlives
-//     Options.SpeculateAfter and an idle slot exists on a different
-//     worker, the slice is launched there too; the first valid response
-//     wins and the loser is cancelled. Duplicates are discarded after
-//     digest validation, so speculation never double-counts.
-//   - Fleet health and membership. The Registry tracks each worker's
-//     probed health (/readyz), a per-worker circuit breaker that opens
-//     on consecutive failures (or a windowed error rate) and sheds load
-//     until a half-open probe dispatch succeeds, Retry-After holds, and
-//     an EWMA shards/sec throughput estimate that allocation ranks by —
-//     fast workers get proportionally more dispatches. Membership is
-//     dynamic: workers added mid-run start receiving queued shards, and
-//     an emptied membership fails pending shards with ErrNoWorkers
-//     instead of hanging. See docs/fleet-protocol.md "Health, membership
-//     & breakers".
+// One per-shard loop owns the policy around either kind:
 //
-// Completed partials land in the supervise spool layout
-// (supervise.ShardPath under Options.Dir), written atomically by
-// shard.WritePartial: a killed coordinator resumes by rerunning — or via
-// serve.ResumeOrphans / shardmerge -resume — and the final merge reuses
-// shard.MergeFiles / shard.MergeDegraded, so a fleet result is
-// byte-identical to a single-process derivation (or the same annotated
-// degraded envelope under Options.AllowPartial).
+//   - Spool-slot pre-check. A complete compatible partial already in the
+//     slot is a previous run's result, honored without an attempt; a
+//     corrupt or foreign one is quarantined (shard.Quarantine) so the
+//     slot can be re-derived.
+//   - Bounded retries with backoff. A failed attempt is retried with
+//     exponential backoff and deterministic jitter (BackoffDelay), up to
+//     a budget. Deterministic failures are not retried: worker 4xx
+//     rejections (the same spec would fail the same way everywhere), an
+//     emptied membership, and a cancellation that came from inside the
+//     derivation rather than from the run or the attempt deadline.
+//   - Per-attempt deadlines. An attempt that exceeds Options.
+//     AttemptTimeout is abandoned and retried; its checkpoint (local, or
+//     the worker's) survives, so the retry resumes rather than restarts.
+//   - Interrupts. Cancelling the run's context stops every attempt
+//     within about one traversal chunk with checkpoints flushed; the
+//     report is marked interrupted and rerunning resumes.
+//   - The final merge: exact (shard.MergeFiles, byte-identical to a
+//     single-process derivation) or — only under Options.AllowPartial —
+//     a degraded merge annotated with its covered index fraction.
+//
+// The HTTP attempt adds the fleet machinery: per-worker dispatch slots,
+// retry on a different worker, validation of every response against the
+// locally compiled manifest (an invalid response is quarantined, never
+// spooled), speculative re-execution of stragglers, Retry-After holds,
+// and the Registry's health probes, circuit breakers and throughput-
+// ranked allocation (docs/fleet-protocol.md "Health, membership &
+// breakers").
+//
+// Results land in the spool layout ShardPath names under Options.Dir,
+// so a killed run resumes by rerunning — or via serve.ResumeOrphans /
+// shardmerge -resume.
+//
+// The same spirit as the restartable search harnesses around
+// Timeloop-style mappers (Parashar et al., ISPASS 2019) and GAMMA-style
+// genetic search (Kao & Krishna, ICCAD 2020): the evaluator inside is
+// deterministic and oblivious, the harness around it owns failure.
 package fleet
 
 import (
@@ -58,6 +61,8 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -65,12 +70,14 @@ import (
 
 	"repro/internal/pareto"
 	"repro/internal/shard"
-	"repro/internal/supervise"
-	"repro/internal/workload"
 )
 
-// Defaults for the dispatch policy; tests shorten them via Options.
+// Defaults for the scheduling policy; tests shorten them via Options.
 const (
+	DefaultMaxRetries  = 3
+	DefaultBaseBackoff = 100 * time.Millisecond
+	DefaultMaxBackoff  = 5 * time.Second
+
 	// DefaultPerWorker is the per-worker concurrent-dispatch cap when
 	// Options.PerWorker is unset.
 	DefaultPerWorker = 2
@@ -83,18 +90,20 @@ const (
 )
 
 // ErrNoWorkers is returned (wrapped) when a dispatch finds the fleet
-// membership empty — every worker removed at runtime, or none
-// configured. Shards fail with it immediately rather than waiting for a
-// join that may never come.
+// membership empty — every worker removed at runtime. Shards fail with
+// it immediately rather than waiting for a join that may never come.
 var ErrNoWorkers = errors.New("fleet: no workers in membership")
 
-// ErrRetriesExhausted marks (wrapped, alongside the last dispatch
-// error) a shard that spent its whole retry budget without a valid
-// response — the "every remaining worker is dead or lying" outcome.
-// errors.Is(err, ErrRetriesExhausted) holds for Run's error when any
-// shard failed this way and AllowPartial did not promote the run to a
-// degraded merge.
+// ErrRetriesExhausted marks (wrapped, alongside the last attempt
+// error) a shard that spent its whole retry budget — the "every
+// remaining worker is dead or lying" outcome. errors.Is(err,
+// ErrRetriesExhausted) holds for Run's error when any shard failed this
+// way and AllowPartial did not promote the run to a degraded merge.
 var ErrRetriesExhausted = errors.New("fleet: retry budget exhausted")
+
+// errNotRetryable marks (wrapped) an attempt failure retrying cannot
+// fix, beyond the HTTP-level PermanentError and ErrNoWorkers.
+var errNotRetryable = errors.New("not retryable")
 
 // ShardRequest is the body of POST /v1/shard — the coordinator→worker
 // half of the fleet wire protocol (docs/fleet-protocol.md). The response
@@ -105,8 +114,9 @@ var ErrRetriesExhausted = errors.New("fleet: retry budget exhausted")
 // different derivation.
 type ShardRequest struct {
 	// Spec is the canonical encoding of a materialized workload.Spec
-	// (Spec.Encode). The worker compiles it through the engine registry;
-	// a kind absent from the registry is a structured 400.
+	// (Spec.Encode) — the compiled job's shard.Job.Spec. The worker
+	// compiles it through the engine registry; a kind absent from the
+	// registry is a structured 400.
 	Spec json.RawMessage `json:"spec"`
 
 	// ShardIndex (0-based) of ShardCount selects the plan slice the
@@ -130,54 +140,68 @@ type ShardRequest struct {
 	MaxFormatVersion int `json:"max_format_version,omitempty"`
 }
 
-// Options tunes a fleet run.
+// Options tunes a run. Dir is required; the rest have working zero
+// values. Without Workers and with a nil or empty Registry every shard
+// runs in process.
 type Options struct {
-	// Workers are the base URLs of the peer workers (each serving POST
-	// /v1/shard), e.g. "http://host:8080". Required, at least one.
-	Workers []string
-
-	// Dir is the spool directory completed partial frontiers land in
-	// (supervise.ShardPath layout). Required.
+	// Dir is the spool directory: shard k of n lives at ShardPath(Dir,
+	// k, n) — the checkpoint target of an in-process attempt, the landing
+	// slot of a dispatched one, and the resume source of a rerun.
 	Dir string
 
-	// PerWorker caps concurrent dispatches per worker; <= 0 means
-	// DefaultPerWorker.
-	PerWorker int
+	// CheckpointEvery is the number of enumeration indices per
+	// checkpoint flush within each shard (shard.RunOptions semantics),
+	// forwarded to workers on dispatch.
+	CheckpointEvery int64
 
-	// MaxRetries is the per-shard retry budget beyond the first dispatch
-	// (supervise.Options.MaxRetries semantics: 0 means
-	// supervise.DefaultMaxRetries, negative means no retries).
+	// MaxRetries is the per-shard retry budget beyond the first attempt.
+	// 0 means DefaultMaxRetries; negative means no retries.
 	MaxRetries int
 
 	// BaseBackoff and MaxBackoff bound the exponential backoff between a
-	// shard's dispatches, with deterministic jitter seeded by JitterSeed
-	// (supervise semantics; zero values pick the supervise defaults).
+	// shard's attempts: attempt k waits about BaseBackoff·2^k, capped at
+	// MaxBackoff, with ±50% deterministic jitter. Zero values pick the
+	// defaults.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	JitterSeed  int64
 
-	// AttemptTimeout, when positive, bounds each dispatch; a dispatch
-	// that exceeds it is cancelled and retried. The worker's checkpoint
-	// survives the cancellation, so retries resume server-side progress.
+	// AttemptTimeout, when positive, bounds each attempt of each shard;
+	// an attempt that exceeds it is cancelled and retried from the last
+	// checkpoint (progress is monotonic across attempts, so a too-slow
+	// shard still converges).
 	AttemptTimeout time.Duration
+
+	// AllowPartial permits a degraded merge when shards fail
+	// permanently: the result carries the covered index fraction instead
+	// of being refused. Without it, any failed shard fails the run.
+	AllowPartial bool
+
+	// Logf, when non-nil, receives human-readable progress and failure
+	// lines (retries, quarantines, speculation, interrupts).
+	Logf func(format string, args ...any)
+
+	// FS is the filesystem seam of the spool (nil = OS): in-process
+	// shard runs, quarantines and spooled responses go through it; the
+	// robustness suite injects faults here.
+	FS shard.FS
+
+	// OnCheckpoint, when non-nil, observes every successful checkpoint
+	// flush of every in-process shard.
+	OnCheckpoint func(shard.Manifest)
+
+	// Workers are base URLs of peer workers (each serving POST
+	// /v1/shard), e.g. "http://host:8080". Any worker here, or a
+	// non-empty Registry, makes every attempt of the run a dispatch.
+	Workers []string
+
+	// PerWorker caps concurrent dispatches per worker of a run-owned
+	// registry; <= 0 means DefaultPerWorker.
+	PerWorker int
 
 	// SpeculateAfter, when positive, launches a duplicate dispatch of a
 	// still-running slice on an idle different worker after this delay;
 	// the first valid response wins. Zero disables speculation.
 	SpeculateAfter time.Duration
-
-	// CheckpointEvery is forwarded to workers as the checkpoint stride.
-	CheckpointEvery int64
-
-	// AllowPartial permits a degraded merge when shards fail permanently
-	// (supervise semantics): the result carries its covered index
-	// fraction instead of being refused.
-	AllowPartial bool
-
-	// Exec configures locally compiled jobs (digest/expectation
-	// building only; no local derivation runs). Worker counts never
-	// affect results, so the zero value is fine.
-	Exec workload.Exec
 
 	// Client is the HTTP client dispatches use; nil means
 	// http.DefaultClient. Injecting a client with a scripted
@@ -189,8 +213,8 @@ type Options struct {
 	// dispatches through: health, breaker, hold and throughput state
 	// persist across runs (serve shares one Registry per server), and
 	// runtime Add/Remove/SetWorkers calls steer this run live. Workers
-	// listed in Options.Workers are joined to it. When nil, the run
-	// builds a private registry from Workers.
+	// listed in Options.Workers are joined to it. When nil, a dispatching
+	// run builds a private registry from Workers.
 	Registry *Registry
 
 	// ProbeInterval, when positive and the run owns its registry (no
@@ -202,10 +226,6 @@ type Options struct {
 	// Breaker tunes the per-worker circuit breakers of a run-owned
 	// registry; ignored when Options.Registry is set.
 	Breaker BreakerConfig
-
-	// Logf, when non-nil, receives human-readable progress and failure
-	// lines (retries, quarantines, speculation).
-	Logf func(format string, args ...any)
 }
 
 func (o *Options) logf(format string, args ...any) {
@@ -221,17 +241,10 @@ func (o *Options) client() *http.Client {
 	return http.DefaultClient
 }
 
-func (o *Options) perWorker() int {
-	if o.PerWorker <= 0 {
-		return DefaultPerWorker
-	}
-	return o.PerWorker
-}
-
 func (o *Options) maxRetries() int {
 	switch {
 	case o.MaxRetries == 0:
-		return supervise.DefaultMaxRetries
+		return DefaultMaxRetries
 	case o.MaxRetries < 0:
 		return 0
 	}
@@ -241,10 +254,10 @@ func (o *Options) maxRetries() int {
 func (o *Options) backoffBounds() (base, max time.Duration) {
 	base, max = o.BaseBackoff, o.MaxBackoff
 	if base <= 0 {
-		base = supervise.DefaultBaseBackoff
+		base = DefaultBaseBackoff
 	}
 	if max <= 0 {
-		max = supervise.DefaultMaxBackoff
+		max = DefaultMaxBackoff
 	}
 	if max < base {
 		max = base
@@ -252,10 +265,14 @@ func (o *Options) backoffBounds() (base, max time.Duration) {
 	return base, max
 }
 
-// ShardState reports what the coordinator did for one shard.
+// ShardState reports what the scheduler did for one shard.
 type ShardState struct {
 	Plan shard.Plan
 	Path string // partial-frontier file in the spool
+
+	// Attempts counts in-process shard.Run invocations (1 = the first
+	// try succeeded).
+	Attempts int
 
 	// Dispatches counts HTTP attempts launched for this shard, including
 	// speculative duplicates; Speculated counts just the duplicates.
@@ -266,31 +283,35 @@ type ShardState struct {
 	// the worker, retried elsewhere, no retry budget spent).
 	Deferred int
 
-	// Quarantined lists files holding invalid worker responses (and
-	// corrupt pre-existing spool partials) set aside for inspection.
+	// Quarantined lists files set aside for inspection: corrupt or
+	// foreign spool partials and invalid worker responses.
 	Quarantined []string
 
 	// Resumed reports the shard was already complete in the spool — a
-	// previous coordinator's work honored without any dispatch.
+	// previous run's work honored without any attempt.
 	Resumed bool
 
-	// Worker is the URL whose response won (empty when Resumed or failed).
+	// Worker is the URL whose response won (empty when in process,
+	// Resumed, or failed).
 	Worker string
 
 	Completed bool
-	// Covered is the number of enumeration indices the shard's slice
-	// spans (the coordinator does not observe worker-side evaluation
-	// counts; coverage is what it can vouch for).
-	Covered int64
+
+	// Evaluated is the work this run did for the shard: in process, the
+	// points evaluated across all attempts; over HTTP, the slice's index
+	// count once a dispatch wins (the coordinator does not observe
+	// worker-side evaluation counts; coverage is what it can vouch for).
+	Evaluated int64
+
 	// Err is the terminal error when !Completed (nil if interrupted
 	// cleanly; the shard stays resumable either way).
 	Err error
 }
 
-// Report is the outcome of a fleet run: per-shard states, totals for
-// operational telemetry, and exactly one of Curve (exact merge) or
-// Degraded (annotated best-effort merge under AllowPartial); both nil
-// when the run was interrupted or failed.
+// Report is the outcome of a run: per-shard states, dispatch totals, and
+// exactly one of Curve (exact merge) or Degraded (annotated best-effort
+// merge under AllowPartial); both nil when the run was interrupted or
+// failed.
 type Report struct {
 	Shards      []ShardState
 	Curve       *pareto.Curve
@@ -298,8 +319,8 @@ type Report struct {
 	Interrupted bool
 
 	// Dispatches, Retries, Speculations, Quarantines and Deferrals
-	// aggregate the per-shard counts — the numbers serve feeds into
-	// /stats.
+	// aggregate the per-shard counts of a dispatching run — the numbers
+	// serve feeds into /stats; all zero when the shards ran in process.
 	Dispatches   int64
 	Retries      int64
 	Speculations int64
@@ -307,17 +328,23 @@ type Report struct {
 	Deferrals    int64
 
 	// Workers is the per-worker health, breaker and throughput snapshot
-	// at the end of the run (Registry.Snapshot).
+	// at the end of a dispatching run (Registry.Snapshot).
 	Workers []WorkerStatus
+}
+
+// ShardPath names shard k (0-based) of n's partial-frontier file inside
+// dir — the spool layout the scheduler, the worker endpoint and a human
+// resuming by hand all use.
+func ShardPath(dir string, k, n int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%d-of-%d.json", k+1, n))
 }
 
 // coord is one Run invocation's shared state.
 type coord struct {
-	spec *workload.Spec
-	data []byte // canonical spec encoding shipped in every request
-	n    int
-	opts *Options
-	reg  *Registry
+	n     int
+	mkJob func(shard.Plan) (shard.Job, error)
+	opts  *Options
+	reg   *Registry // nil when shards run in process
 
 	dispatches   atomic.Int64
 	retries      atomic.Int64
@@ -354,90 +381,86 @@ func (c *coord) record(worker string, elapsed time.Duration, err error) {
 	}
 }
 
-// Run dispatches an n-shard derivation of spec across the fleet and
-// merges the result. The spec must be materialized (workload.Spec.
-// Materialize) — its digests are the merge-compatibility identity every
-// worker response is validated against. Completed partials land in
-// Options.Dir in the supervise layout; shards already complete there are
-// honored without dispatch, so rerunning after a coordinator kill
-// resumes instead of restarting. On success the report carries the exact
-// merged curve, byte-identical to a single-process derivation; permanent
-// shard failures fail the run unless Options.AllowPartial promotes the
-// outcome to a degraded merge. Cancelled runs return ctx's error with
-// Report.Interrupted set; every dispatched worker keeps its checkpoint.
-func Run(ctx context.Context, spec *workload.Spec, n int, opts Options) (*Report, error) {
+// Run schedules an n-shard derivation to completion and merges the
+// result. mkJob builds the job for one shard of the plan; all jobs must
+// describe the same derivation (same workload and options digests),
+// which every spooled partial and the final merge re-verify. Attempts
+// run in process unless Options names workers or a non-empty Registry,
+// in which case each is a dispatch shipping the job's embedded
+// canonical spec (shard.Job.Spec) to a worker.
+//
+// Shards already complete in the spool are honored without an attempt,
+// so rerunning after a kill resumes instead of restarting. On success
+// the report carries the exact merged curve, byte-identical to a
+// single-process derivation; permanent shard failures fail the run
+// unless Options.AllowPartial promotes the outcome to a degraded merge.
+// A cancelled run flushes its checkpoints, marks the report
+// interrupted, and returns ctx's error.
+func Run(ctx context.Context, n int, mkJob func(shard.Plan) (shard.Job, error), opts Options) (*Report, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fleet: shard count %d, want >= 1", n)
-	}
-	if len(opts.Workers) == 0 && opts.Registry == nil {
-		return nil, fmt.Errorf("fleet: no workers")
 	}
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("fleet: no spool directory")
 	}
-	if spec == nil {
-		return nil, fmt.Errorf("fleet: nil spec")
-	}
-	if _, _, err := spec.Digests(); err != nil {
-		return nil, fmt.Errorf("fleet: spec is not dispatchable: %w", err)
-	}
-	data, err := spec.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("fleet: encoding spec: %w", err)
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-
-	reg := opts.Registry
-	if reg == nil {
-		reg = NewRegistry(opts.Workers, RegistryConfig{
-			PerWorker: opts.perWorker(),
-			Breaker:   opts.Breaker,
-			Logf:      opts.Logf,
-		})
-		if opts.ProbeInterval > 0 {
-			pctx, pcancel := context.WithCancel(ctx)
-			defer pcancel()
-			reg.StartProbing(pctx, opts.ProbeInterval, opts.client())
-		}
-	} else {
-		for _, w := range opts.Workers {
-			reg.Add(w)
-		}
-	}
-	c := &coord{
-		spec: spec,
-		data: data,
-		n:    n,
-		opts: &opts,
-		reg:  reg,
-	}
-	// Wake registry waiters when the run is cancelled, so shards blocked
-	// on a slot observe ctx promptly.
-	stopWake := context.AfterFunc(ctx, c.reg.wakeAll)
-	defer stopWake()
-
+	c := &coord{n: n, mkJob: mkJob, opts: &opts}
 	report := &Report{Shards: make([]ShardState, n)}
+	// Each in-process shard's traversal already parallelizes, so more
+	// concurrent shards than CPUs rarely helps; dispatches are bounded by
+	// the registry's per-worker slots instead.
+	parallel := min(n, runtime.GOMAXPROCS(0))
+	if len(opts.Workers) > 0 || (opts.Registry != nil && opts.Registry.Len() > 0) {
+		c.reg = opts.Registry
+		if c.reg == nil {
+			c.reg = NewRegistry(opts.Workers, RegistryConfig{
+				PerWorker: opts.PerWorker,
+				Breaker:   opts.Breaker,
+				Logf:      opts.Logf,
+			})
+			if opts.ProbeInterval > 0 {
+				pctx, pcancel := context.WithCancel(ctx)
+				defer pcancel()
+				c.reg.StartProbing(pctx, opts.ProbeInterval, opts.client())
+			}
+		} else {
+			for _, w := range opts.Workers {
+				c.reg.Add(w)
+			}
+		}
+		// Wake registry waiters when the run is cancelled, so shards
+		// blocked on a slot observe ctx promptly.
+		stopWake := context.AfterFunc(ctx, c.reg.wakeAll)
+		defer stopWake()
+		parallel = n
+	}
+
+	sem := make(chan struct{}, parallel)
 	var wg sync.WaitGroup
 	for k := 0; k < n; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
 			report.Shards[k] = c.runShard(ctx, k)
 		}(k)
 	}
 	wg.Wait()
-	report.Dispatches = c.dispatches.Load()
-	report.Retries = c.retries.Load()
-	report.Speculations = c.speculations.Load()
-	report.Quarantines = c.quarantines.Load()
-	report.Deferrals = c.deferrals.Load()
-	report.Workers = c.reg.Snapshot()
+	if c.reg != nil {
+		report.Dispatches = c.dispatches.Load()
+		report.Retries = c.retries.Load()
+		report.Speculations = c.speculations.Load()
+		report.Quarantines = c.quarantines.Load()
+		report.Deferrals = c.deferrals.Load()
+		report.Workers = c.reg.Snapshot()
+	}
 
 	if err := ctx.Err(); err != nil {
 		report.Interrupted = true
-		opts.logf("fleet: interrupted; completed partials are spooled, rerun to resume")
+		opts.logf("fleet: interrupted; checkpoints flushed and completed partials spooled, rerun to resume")
 		return report, err
 	}
 
@@ -463,7 +486,7 @@ func Run(ctx context.Context, spec *workload.Spec, n int, opts Options) (*Report
 		// Wrapping the joined shard errors keeps the sentinels reachable:
 		// errors.Is(err, ErrRetriesExhausted) and errors.Is(err,
 		// ErrNoWorkers) hold at the run level.
-		return report, fmt.Errorf("fleet: %d of %d shards failed permanently (rerun to retry, or allow a degraded merge): %w",
+		return report, fmt.Errorf("fleet: %d of %d shards failed permanently (rerun to retry, or use -allow-partial for an annotated degraded merge): %w",
 			len(failed), n, errors.Join(failed...))
 	}
 	degraded, err := mergeDegraded(report, &opts)
@@ -500,98 +523,100 @@ func mergeDegraded(report *Report, opts *Options) (*shard.Degraded, error) {
 	return shard.MergeDegraded(partials...)
 }
 
-// runShard drives one shard through dispatches, speculation, backoff and
-// quarantine until it completes, exhausts its retry budget, or the run
-// context is cancelled.
+// runShard drives one shard through attempts, backoff and quarantine
+// until it completes, exhausts its retry budget, fails permanently, or
+// the run context is cancelled.
 func (c *coord) runShard(ctx context.Context, k int) ShardState {
 	plan := shard.Plan{Index: k, Count: c.n}
-	st := ShardState{Plan: plan, Path: supervise.ShardPath(c.opts.Dir, k, c.n)}
-	job, err := c.spec.Compile(plan, c.opts.Exec)
+	st := ShardState{Plan: plan, Path: ShardPath(c.opts.Dir, k, c.n)}
+	job, err := c.mkJob(plan)
 	if err != nil {
-		st.Err = fmt.Errorf("fleet: building expectation for shard %s: %w", plan, err)
+		st.Err = fmt.Errorf("fleet: building job for shard %s: %w", plan, err)
 		return st
 	}
-	expected := expectedManifest(&job)
-	st.Covered = expected.RangeHi - expected.RangeLo
+	expected := job.Manifest()
 
 	// Honor spooled work first: a complete compatible partial is a
-	// previous coordinator's result; a corrupt or foreign one is
-	// quarantined so this run's winner can land cleanly.
+	// previous run's result; a corrupt or foreign one is quarantined so
+	// this run's result can land cleanly. An incomplete one of ours is a
+	// checkpoint: the in-process attempt resumes it, a winning dispatch
+	// replaces it.
 	switch prev, err := shard.ReadPartial(st.Path); {
 	case err == nil:
-		if cerr := expected.CompatibleWith(&prev.Manifest); cerr == nil &&
-			prev.Manifest.ShardIndex == plan.Index && prev.Manifest.Complete() {
+		if cerr := expected.CompatibleWith(&prev.Manifest); cerr != nil || prev.Manifest.ShardIndex != plan.Index {
+			if !c.quarantine(&st, "foreign spool partial") {
+				return st
+			}
+		} else if prev.Manifest.Complete() {
 			st.Completed, st.Resumed = true, true
 			return st
-		} else if cerr != nil || prev.Manifest.ShardIndex != plan.Index {
-			c.quarantineFile(&st, "foreign spool partial")
 		}
-		// Incomplete but ours: the winner's atomic WritePartial will
-		// replace it; nothing to do.
 	case errors.Is(err, fs.ErrNotExist):
 	case errors.Is(err, shard.ErrCorruptPartial):
-		c.quarantineFile(&st, "corrupt spool partial")
+		if !c.quarantine(&st, "corrupt spool partial") {
+			return st
+		}
 	default:
 		st.Err = fmt.Errorf("fleet: inspecting spool partial %s: %w", st.Path, err)
 		return st
 	}
 
 	base, maxb := c.opts.backoffBounds()
-	seed := c.opts.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
-	rng := rand.New(rand.NewSource(seed + int64(k)))
+	// Per-shard deterministic jitter stream: reruns reproduce the same
+	// schedule, and shards do not thundering-herd.
+	rng := rand.New(rand.NewSource(1 + int64(k)))
 	retries := c.opts.maxRetries()
 
 	avoid := ""
 	for attempt := 0; ; {
-		partial, worker, aerr := c.attemptWithSpeculation(ctx, &st, plan, &expected, avoid)
+		var aerr error
+		worker := ""
+		if c.reg == nil {
+			aerr = c.runLocal(ctx, &st, job)
+		} else {
+			worker, aerr = c.runRemote(ctx, &st, &job, &expected, avoid)
+		}
 		if aerr == nil {
-			if werr := shard.WritePartial(st.Path, partial); werr != nil {
-				st.Err = fmt.Errorf("fleet: spooling shard %s: %w", plan, werr)
-				return st
-			}
 			st.Completed = true
-			st.Worker = worker
-			return st
-		}
-		if ctx.Err() != nil {
-			st.Err = ctx.Err()
-			return st
-		}
-		if errors.Is(aerr, ErrNoWorkers) {
-			// An emptied membership fails the shard immediately: waiting
-			// would hang on a join that may never come, and retrying cannot
-			// conjure a worker.
-			st.Err = fmt.Errorf("fleet: shard %s: %w", plan, aerr)
 			return st
 		}
 		var perm *PermanentError
-		if errors.As(aerr, &perm) {
-			st.Err = fmt.Errorf("fleet: shard %s rejected deterministically: %w", plan, aerr)
-			return st
-		}
-		// A Retry-After deferral already held the worker (coord.record);
-		// retry elsewhere immediately without burning budget or backing
-		// off — bounded so perpetual deferrals still terminate.
 		var ra *RetryAfterError
-		if errors.As(aerr, &ra) && st.Deferred < maxShardDeferrals {
+		switch {
+		case ctx.Err() != nil:
+			// Run cancellation (a signal, a server drain): not a shard
+			// failure — checkpoints are flushed and resumable.
+			st.Err = ctx.Err()
+			return st
+		case errors.Is(aerr, ErrNoWorkers), errors.As(aerr, &perm), errors.Is(aerr, errNotRetryable):
+			// An emptied membership, a deterministic worker rejection, or
+			// a cause outside this shard's control: retrying cannot help.
+			st.Err = fmt.Errorf("fleet: shard %s failed permanently: %w", plan, aerr)
+			return st
+		case errors.As(aerr, &ra) && st.Deferred < maxShardDeferrals:
+			// The deferral already held the worker (coord.record); retry
+			// elsewhere immediately without burning budget or backing off.
 			st.Deferred++
 			c.deferrals.Add(1)
 			c.opts.logf("fleet: shard %s deferred by %s for %v; retrying elsewhere", plan, ra.Worker, ra.After)
 			avoid = ""
 			continue
+		case errors.Is(aerr, shard.ErrCorruptPartial), errors.Is(aerr, shard.ErrForeignPartial):
+			// The checkpoint itself went bad under the attempt: set it
+			// aside and re-derive the slice fresh.
+			if !c.quarantine(&st, "corrupt checkpoint") {
+				return st
+			}
 		}
 		if attempt >= retries {
-			st.Err = fmt.Errorf("fleet: shard %s failed after %d dispatches: %w: %w", plan, st.Dispatches, ErrRetriesExhausted, aerr)
+			st.Err = fmt.Errorf("fleet: shard %s failed after %d attempts: %w: %w", plan, attempt+1, ErrRetriesExhausted, aerr)
 			return st
 		}
 		avoid = worker
 		c.retries.Add(1)
-		delay := supervise.BackoffDelay(base, maxb, attempt, rng)
+		delay := BackoffDelay(base, maxb, attempt, rng)
 		attempt++
-		c.opts.logf("fleet: shard %s dispatch failed (%v); retrying in %v", plan, aerr, delay)
+		c.opts.logf("fleet: shard %s attempt failed (%v); retrying in %v", plan, aerr, delay)
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
@@ -601,127 +626,64 @@ func (c *coord) runShard(ctx context.Context, k int) ShardState {
 	}
 }
 
-// attemptResult is one dispatch's outcome.
-type attemptResult struct {
-	partial *shard.Partial
-	worker  string
-	qpath   string // quarantine file holding an invalid response, if any
-	err     error
+// runLocal is the in-process attempt: shard.Run straight on the spool
+// slot, resuming its last checkpoint. The file it checkpoints into is
+// the shard's result, so a completed run needs no second write.
+func (c *coord) runLocal(ctx context.Context, st *ShardState, job shard.Job) error {
+	actx := ctx
+	if c.opts.AttemptTimeout > 0 {
+		var cancel context.CancelFunc
+		actx, cancel = context.WithTimeout(ctx, c.opts.AttemptTimeout)
+		defer cancel()
+	}
+	_, rs, err := shard.Run(actx, job, shard.RunOptions{
+		Path:            st.Path,
+		CheckpointEvery: c.opts.CheckpointEvery,
+		OnCheckpoint:    c.opts.OnCheckpoint,
+		FS:              c.opts.FS,
+	})
+	st.Attempts++
+	st.Evaluated += rs.Evaluated
+	if err != nil && actx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		// A cancellation that is neither the run's nor this attempt's
+		// deadline came from inside the derivation (e.g. a server request
+		// whose waiters all left): external intent, not a transient fault.
+		return fmt.Errorf("cancelled inside the derivation (%w): %w", errNotRetryable, err)
+	}
+	return err
 }
 
-// attemptWithSpeculation runs one retry round: a primary dispatch, plus —
-// after Options.SpeculateAfter with no result yet — at most one
-// speculative duplicate on an idle different worker. The first valid
-// response wins (the duplicate's context is cancelled; its late response
-// is discarded). Returns the winning partial and worker, or — when every
-// launched dispatch failed — the last failed worker and the first error.
-func (c *coord) attemptWithSpeculation(ctx context.Context, st *ShardState, plan shard.Plan, expected *shard.Manifest, avoid string) (*shard.Partial, string, error) {
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	primary, err := c.reg.acquire(actx, avoid)
+// quarantine renames the shard's spool slot aside to the first free
+// "<path>.corrupt[.N]" name, recording it in the shard state. A slot
+// that cannot be cleared fails the shard: deriving over it would destroy
+// the evidence.
+func (c *coord) quarantine(st *ShardState, why string) bool {
+	qpath, err := shard.Quarantine(c.opts.FS, st.Path, st.Path+".corrupt")
 	if err != nil {
-		return nil, "", err
+		st.Err = fmt.Errorf("fleet: shard %s: cannot quarantine %s %s: %w", st.Plan, why, st.Path, err)
+		return false
 	}
-	results := make(chan attemptResult, 2)
-	inFlight := map[string]bool{primary: true}
-	launch := func(worker string) {
-		st.Dispatches++
-		c.dispatches.Add(1)
-		go func() {
-			defer c.reg.release(worker)
-			start := time.Now()
-			p, qpath, aerr := c.post(actx, st.Path, plan, expected, worker)
-			// Health accounting happens here, in the dispatch goroutine, so
-			// speculation losers' outcomes reach the breaker and the
-			// throughput estimate too.
-			c.record(worker, time.Since(start), aerr)
-			results <- attemptResult{partial: p, worker: worker, qpath: qpath, err: aerr}
-		}()
-	}
-	launch(primary)
-
-	var spec <-chan time.Time
-	if c.opts.SpeculateAfter > 0 {
-		t := time.NewTimer(c.opts.SpeculateAfter)
-		defer t.Stop()
-		spec = t.C
-	}
-	var firstErr error
-	lastWorker := primary
-	pending := 1
-	for {
-		select {
-		case r := <-results:
-			pending--
-			if r.qpath != "" {
-				st.Quarantined = append(st.Quarantined, r.qpath)
-			}
-			if r.err == nil {
-				return r.partial, r.worker, nil
-			}
-			lastWorker = r.worker
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if pending == 0 {
-				return nil, lastWorker, firstErr
-			}
-		case <-spec:
-			spec = nil
-			if w, ok := c.reg.tryAcquire(inFlight); ok {
-				inFlight[w] = true
-				pending++
-				st.Speculated++
-				c.speculations.Add(1)
-				c.opts.logf("fleet: shard %s straggling; speculating on %s", plan, w)
-				launch(w)
-			}
-		case <-ctx.Done():
-			return nil, lastWorker, ctx.Err()
-		}
-	}
+	st.Quarantined = append(st.Quarantined, qpath)
+	c.quarantines.Add(1)
+	c.opts.logf("fleet: shard %s: quarantined %s to %s, re-deriving", st.Plan, why, qpath)
+	return true
 }
 
-// quarantineFile renames the shard's spool slot aside to the first free
-// "<path>.corrupt[.N]" name, recording it in the shard state.
-func (c *coord) quarantineFile(st *ShardState, why string) {
-	for i := 0; ; i++ {
-		qpath := st.Path + ".corrupt"
-		if i > 0 {
-			qpath = fmt.Sprintf("%s.corrupt.%d", st.Path, i)
-		}
-		if _, err := os.Stat(qpath); err == nil {
-			continue
-		}
-		if err := os.Rename(st.Path, qpath); err != nil {
-			c.opts.logf("fleet: cannot quarantine %s (%s): %v", st.Path, why, err)
-			return
-		}
-		st.Quarantined = append(st.Quarantined, qpath)
-		c.quarantines.Add(1)
-		c.opts.logf("fleet: quarantined %s (%s) to %s", st.Path, why, qpath)
-		return
+// BackoffDelay computes attempt k's wait: base·2^k capped at max, with
+// ±50% jitter drawn from the shard's deterministic stream rng.
+func BackoffDelay(base, max time.Duration, attempt int, rng *rand.Rand) time.Duration {
+	d := base
+	for i := 0; i < attempt && d < max; i++ {
+		d *= 2
 	}
-}
-
-// expectedManifest builds the manifest every response for this shard
-// must be compatible with — the same construction shard.Run stamps into
-// checkpoints, derived locally so validation never trusts the wire.
-func expectedManifest(job *shard.Job) shard.Manifest {
-	lo, hi := job.Plan.Slice(job.Items)
-	return shard.Manifest{
-		FormatVersion:    shard.FormatVersion,
-		Engine:           shard.Engine,
-		Kind:             job.Kind,
-		Workload:         job.Workload,
-		WorkloadDigest:   job.WorkloadDigest,
-		OptionsDigest:    job.OptionsDigest,
-		ShardIndex:       job.Plan.Index,
-		ShardCount:       job.Plan.Count,
-		Items:            job.Items,
-		RangeLo:          lo,
-		RangeHi:          hi,
-		CompletedThrough: lo,
-		Spec:             job.Spec,
+	if d > max {
+		d = max
 	}
+	// Jitter uniformly in [d/2, 3d/2), never below a millisecond floor
+	// so tests with nanosecond bases still sleep a bounded, nonzero time.
+	j := d/2 + time.Duration(rng.Int63n(int64(d)+1))
+	if j < time.Millisecond {
+		j = time.Millisecond
+	}
+	return j
 }

@@ -17,13 +17,17 @@ import (
 	"repro/internal/bound"
 	"repro/internal/einsum"
 	"repro/internal/shard"
-	"repro/internal/supervise"
 	"repro/internal/workload"
 )
 
 // testSpec is the small bound workload the fleet tests dispatch.
 func testSpec() *workload.Spec {
 	return workload.NewBound(einsum.GEMM("gemm_32x24x16", 32, 24, 16), bound.Options{})
+}
+
+// jobsOf compiles spec's shard jobs — the mkJob every Run caller passes.
+func jobsOf(spec *workload.Spec) func(shard.Plan) (shard.Job, error) {
+	return func(p shard.Plan) (shard.Job, error) { return spec.Compile(p, workload.Exec{Workers: 2}) }
 }
 
 // wantCurve is the single-process reference curve, serialized.
@@ -122,7 +126,7 @@ func TestFleetParity(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			dir := t.TempDir()
-			report, err := Run(context.Background(), testSpec(), n, Options{
+			report, err := Run(context.Background(), n, jobsOf(testSpec()), Options{
 				Workers: []string{w1.URL, w2.URL},
 				Dir:     dir,
 			})
@@ -155,7 +159,7 @@ func TestFleetResumesSpooledPartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := shard.Run(context.Background(), job, shard.RunOptions{Path: supervise.ShardPath(dir, 0, 2)}); err != nil {
+	if _, _, err := shard.Run(context.Background(), job, shard.RunOptions{Path: ShardPath(dir, 0, 2)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -176,7 +180,7 @@ func TestFleetResumesSpooledPartials(t *testing.T) {
 	}))
 	defer refuse.Close()
 
-	report, err := Run(context.Background(), spec, 2, Options{
+	report, err := Run(context.Background(), 2, jobsOf(spec), Options{
 		Workers: []string{refuse.URL},
 		Dir:     dir,
 	})
@@ -213,7 +217,7 @@ func TestFleetInterruptAndRerun(t *testing.T) {
 	defer blocked.Close()
 
 	dir := t.TempDir()
-	report, err := Run(ctx, testSpec(), 2, Options{
+	report, err := Run(ctx, 2, jobsOf(testSpec()), Options{
 		Workers: []string{blocked.URL},
 		Dir:     dir,
 	})
@@ -223,7 +227,7 @@ func TestFleetInterruptAndRerun(t *testing.T) {
 	assertCleanSpool(t, dir)
 
 	good := newWorker(t, nil)
-	report, err = Run(context.Background(), testSpec(), 2, Options{
+	report, err = Run(context.Background(), 2, jobsOf(testSpec()), Options{
 		Workers: []string{good.URL},
 		Dir:     dir,
 	})
@@ -247,7 +251,7 @@ func TestFleetKillAWorker(t *testing.T) {
 	good := newWorker(t, nil)
 
 	dir := t.TempDir()
-	report, err := Run(context.Background(), testSpec(), 4, Options{
+	report, err := Run(context.Background(), 4, jobsOf(testSpec()), Options{
 		Workers:     []string{dead.URL, good.URL},
 		Dir:         dir,
 		BaseBackoff: time.Millisecond,
@@ -281,7 +285,7 @@ func TestFleetSpeculation(t *testing.T) {
 	fast := newWorker(t, nil)
 
 	dir := t.TempDir()
-	report, err := Run(context.Background(), testSpec(), 1, Options{
+	report, err := Run(context.Background(), 1, jobsOf(testSpec()), Options{
 		Workers:        []string{slow.URL, fast.URL},
 		Dir:            dir,
 		PerWorker:      1,
@@ -397,7 +401,7 @@ func TestFleetFaultMatrix(t *testing.T) {
 			faulty := tc.faulty(t)
 			good := newWorker(t, nil)
 			dir := t.TempDir()
-			report, err := Run(context.Background(), testSpec(), 2, Options{
+			report, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
 				Workers:     []string{faulty.URL, good.URL},
 				Dir:         dir,
 				BaseBackoff: time.Millisecond,
@@ -457,7 +461,7 @@ func TestFleetRetryAfterRecovery(t *testing.T) {
 	}))
 	defer worker.Close()
 
-	report, err := Run(context.Background(), testSpec(), 1, Options{
+	report, err := Run(context.Background(), 1, jobsOf(testSpec()), Options{
 		Workers:    []string{worker.URL},
 		Dir:        dir,
 		MaxRetries: -1, // zero budget: any non-deferral retry would fail the run
@@ -509,7 +513,7 @@ func TestFleetDegradedMerge(t *testing.T) {
 	}))
 	defer worker.Close()
 
-	report, err := Run(context.Background(), testSpec(), 2, Options{
+	report, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
 		Workers:      []string{worker.URL},
 		Dir:          dir,
 		MaxRetries:   -1,
@@ -533,7 +537,7 @@ func TestFleetDegradedMerge(t *testing.T) {
 	assertCleanSpool(t, dir)
 
 	// Without AllowPartial the same fleet must refuse.
-	if _, err := Run(context.Background(), testSpec(), 2, Options{
+	if _, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
 		Workers:    []string{worker.URL},
 		Dir:        t.TempDir(),
 		MaxRetries: -1,
@@ -550,7 +554,7 @@ func TestFleetPermanentRejection(t *testing.T) {
 	}))
 	defer worker.Close()
 
-	report, err := Run(context.Background(), testSpec(), 1, Options{
+	report, err := Run(context.Background(), 1, jobsOf(testSpec()), Options{
 		Workers: []string{worker.URL},
 		Dir:     t.TempDir(),
 	})
@@ -595,12 +599,12 @@ func TestFleetQuarantinesForeignSpoolPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := shard.Run(context.Background(), job, shard.RunOptions{Path: supervise.ShardPath(dir, 0, 2)}); err != nil {
+	if _, _, err := shard.Run(context.Background(), job, shard.RunOptions{Path: ShardPath(dir, 0, 2)}); err != nil {
 		t.Fatal(err)
 	}
 
 	good := newWorker(t, nil)
-	report, err := Run(context.Background(), testSpec(), 2, Options{
+	report, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
 		Workers: []string{good.URL},
 		Dir:     dir,
 	})
@@ -617,7 +621,7 @@ func TestFleetQuarantinesForeignSpoolPartial(t *testing.T) {
 	if string(got) != wantCurve(t) {
 		t.Fatal("curve after quarantine differs from single-process derive")
 	}
-	if _, err := os.Stat(supervise.ShardPath(dir, 0, 2) + ".corrupt"); err != nil {
+	if _, err := os.Stat(ShardPath(dir, 0, 2) + ".corrupt"); err != nil {
 		t.Fatalf("quarantine file missing: %v", err)
 	}
 }

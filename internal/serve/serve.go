@@ -50,7 +50,6 @@ import (
 	"repro/internal/pareto"
 	"repro/internal/shard"
 	"repro/internal/store"
-	"repro/internal/supervise"
 	"repro/internal/traverse"
 )
 
@@ -86,7 +85,7 @@ type Config struct {
 	CacheEntries int
 
 	// SpoolDir, when set, enables sharded derivations (request field
-	// "shards"): each runs supervised and checkpointed under
+	// "shards"): each runs as a checkpointed fleet.Run under
 	// SpoolDir/<digest prefix>, so a killed server resumes rather than
 	// restarts them. Empty disables sharded requests.
 	SpoolDir string
@@ -115,7 +114,7 @@ type Config struct {
 	CheckpointEvery int64
 
 	// ShardRetries is the per-shard retry budget for spooled
-	// derivations (supervise.Options.MaxRetries semantics).
+	// derivations (fleet.Options.MaxRetries semantics).
 	ShardRetries int
 
 	// MaxShards bounds the per-request shard count; <= 0 means 64.
@@ -129,7 +128,7 @@ type Config struct {
 	WorkerDir string
 
 	// FleetWorkers, when non-empty, switches spooled sharded derivations
-	// (request field "shards" > 1) from in-process supervision to fleet
+	// (request field "shards" > 1) from in-process shard runs to fleet
 	// dispatch: slices are POSTed to these worker base URLs
 	// (internal/fleet) with retry, quarantine, and speculation owned by
 	// the coordinator. Completed partials still land in the spool, so
@@ -716,14 +715,19 @@ func (s *Server) diskPut(d *derivation, res result) {
 	}
 }
 
-// spooledDerive runs the derivation as a supervised, checkpointed shard
-// fleet in the spool directory. The subdirectory is the derivation
+// spooledDerive runs the derivation as a sharded, checkpointed
+// fleet.Run in the spool directory. The subdirectory is the derivation
 // digest, so an interrupted run's partial frontiers are found — and
 // resumed, not recomputed — by any later server process given the same
-// spool. On exact success the subdirectory is removed; on cancellation
-// AND on a degraded (allow_partial) merge it is kept as the resume point,
-// so a later identical request completes the missing slices instead of
-// starting over.
+// spool. Membership is consulted per request, not per process: while the
+// server-lifetime registry (seeded from Config.FleetWorkers, reconciled
+// by SetFleetWorkers) has members, the slices are dispatched to them and
+// their health, breaker and throughput state carries across requests;
+// an empty one runs the shards in process. On exact success the
+// subdirectory is removed; on cancellation AND on a degraded
+// (allow_partial) merge it is kept as the resume point, so a later
+// identical request completes the missing slices instead of starting
+// over.
 func (s *Server) spooledDerive(d *derivation, shards int, allowPartial bool) deriveFn {
 	return func(ctx context.Context) (deriveOut, error) {
 		var out deriveOut
@@ -736,26 +740,27 @@ func (s *Server) spooledDerive(d *derivation, shards int, allowPartial bool) der
 		// orphan that ResumeOrphans can finish without ever seeing the
 		// original request. Failure to write it is logged, not fatal — the
 		// derivation itself does not depend on it.
-		if err := writeSpoolSpec(dir, d, shards); err != nil {
+		if err := writeSpoolSpec(s.cfg.shardFS, dir, d, shards); err != nil {
 			s.logf("serve: writing %s in spool %s: %v", spoolSpecFile, dir, err)
 		}
-		// Membership is consulted per request, not per process: a fleet
-		// whose last worker was removed at runtime degrades to local
-		// supervised derivation, and one that gained its first worker
-		// starts dispatching.
-		if s.fleetReg.Len() > 0 {
-			return s.fleetDerive(ctx, d, dir, shards, allowPartial)
-		}
-		report, err := supervise.Run(ctx, shards, d.mkJob, supervise.Options{
+		report, err := fleet.Run(ctx, shards, d.mkJob, fleet.Options{
 			Dir:             dir,
 			CheckpointEvery: s.cfg.CheckpointEvery,
 			MaxRetries:      s.cfg.ShardRetries,
 			AllowPartial:    allowPartial,
-			FS:              s.cfg.shardFS,
 			Logf:            s.cfg.Logf,
+			FS:              s.cfg.shardFS,
 			OnCheckpoint:    s.cfg.OnCheckpoint,
+			Registry:        s.fleetReg,
+			SpeculateAfter:  s.cfg.FleetSpeculateAfter,
+			Client:          s.cfg.FleetClient,
 		})
 		if report != nil {
+			s.stats.fleetDispatches.Add(report.Dispatches)
+			s.stats.fleetRetries.Add(report.Retries)
+			s.stats.fleetSpeculations.Add(report.Speculations)
+			s.stats.fleetQuarantines.Add(report.Quarantines)
+			s.stats.fleetDeferrals.Add(report.Deferrals)
 			for _, st := range report.Shards {
 				out.evaluated += st.Evaluated
 			}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -36,9 +37,10 @@ type spoolSpec struct {
 }
 
 // writeSpoolSpec persists the derivation's self-description into dir
-// atomically (write-temp-then-rename), so a crash mid-write leaves
-// either no spec.json or a complete one, never a torn file.
-func writeSpoolSpec(dir string, d *derivation, shards int) error {
+// over fsys (nil = OS) with shard.WriteFileAtomic, so a crash mid-write —
+// even a host crash — leaves either no spec.json or a complete one,
+// never a torn file.
+func writeSpoolSpec(fsys shard.FS, dir string, d *derivation, shards int) error {
 	raw, err := d.mspec.Encode()
 	if err != nil {
 		return err
@@ -52,11 +54,7 @@ func writeSpoolSpec(dir string, d *derivation, shards int) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, spoolSpecFile+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, spoolSpecFile))
+	return shard.WriteFileAtomic(fsys, filepath.Join(dir, spoolSpecFile), data)
 }
 
 // readSpoolSpec loads and sanity-checks dir's spec.json.

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -213,5 +214,42 @@ func TestResumeOrphansSegmentation(t *testing.T) {
 	}
 	if string(got.Curve) != string(want) {
 		t.Fatalf("recovered segmentation curve differs\n got %s\nwant %s", got.Curve, want)
+	}
+}
+
+// TestSpoolSpecWrittenDurably pins the crash-safety ordering of spec.json
+// through the FaultFS operation log: the spool's self-description is
+// written to a temp file that is synced and closed before the rename
+// commits it, and the directory is synced after — so a host crash can
+// never leave a torn spec.json that ResumeOrphans would skip forever.
+func TestSpoolSpecWrittenDurably(t *testing.T) {
+	spool := t.TempDir()
+	ffs := &shard.FaultFS{}
+	_, ts := newTestServer(t, Config{SpoolDir: spool, shardFS: ffs})
+	if status, data := postCurve(t, ts.URL, `{"gemm":{"m":32,"k":24,"n":16},"shards":2}`); status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, data)
+	}
+	// spec.json is written before any shard runs, so its flush leads the log.
+	log := ffs.Log()
+	if len(log) < 6 {
+		t.Fatalf("operation log too short:\n%s", strings.Join(log, "\n"))
+	}
+	dir := strings.TrimPrefix(log[0], string(shard.OpCreateTemp)+" ")
+	tmp := strings.SplitN(log[1], " ", 2)[1]
+	want := []string{
+		string(shard.OpCreateTemp) + " " + dir,
+		string(shard.OpWrite) + " " + tmp,
+		string(shard.OpSync) + " " + tmp,
+		string(shard.OpClose) + " " + tmp,
+		string(shard.OpRename) + " " + filepath.Join(dir, spoolSpecFile),
+		string(shard.OpSyncDir) + " " + dir,
+	}
+	for i, w := range want {
+		if log[i] != w {
+			t.Fatalf("spec.json flush step %d is %q, want %q; log:\n%s", i, log[i], w, strings.Join(log, "\n"))
+		}
+	}
+	if !strings.HasPrefix(filepath.Base(tmp), spoolSpecFile+".tmp") {
+		t.Fatalf("spec.json temp file %q is not named beside its target", tmp)
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/shard"
-	"repro/internal/supervise"
 	"repro/internal/traverse"
 	"repro/internal/workload"
 )
@@ -241,21 +240,22 @@ func (s *Server) writeShardError(w http.ResponseWriter, ctx context.Context, tim
 }
 
 // workerShardPath places one shard's worker-side checkpoint file: the
-// supervise layout under a derivation-digest subdirectory of the worker
+// fleet spool layout under a derivation-digest subdirectory of the worker
 // spool, so retried dispatches of the same shard resume the same file
 // and distinct derivations never collide.
 func (s *Server) workerShardPath(job *shard.Job, plan shard.Plan) string {
 	digest := shard.Digest(string(job.Kind) + "|" + job.WorkloadDigest + "|" + job.OptionsDigest)
 	dir := filepath.Join(s.cfg.WorkerDir, fmt.Sprintf("%.16s", digest))
-	return supervise.ShardPath(dir, plan.Index, plan.Count)
+	return fleet.ShardPath(dir, plan.Index, plan.Count)
 }
 
 // runWorkerShard executes one dispatched shard to completion under the
 // worker spool and returns the partial-frontier file bytes. Runs on the
 // same path are serialized (lockShardPath); a corrupt or foreign
-// checkpoint left by an earlier life of this worker is quarantined aside
-// once and the slice re-derived, matching the supervisor's policy. On
-// success the checkpoint is removed — the coordinator owns the durable
+// checkpoint left by an earlier life of this worker is quarantined to
+// the first free "<path>.corrupt[.N]" (shard.Quarantine) and the slice
+// re-derived once, matching the scheduler's policy. On success the
+// checkpoint is removed — the coordinator owns the durable
 // copy from here on; a response the coordinator never received is simply
 // re-dispatched and re-derived. The digest directory goes with the last
 // live shard of its derivation (holdShardDir).
@@ -291,8 +291,8 @@ func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.P
 	}
 	rs, rerr := run()
 	if errors.Is(rerr, shard.ErrCorruptPartial) || errors.Is(rerr, shard.ErrForeignPartial) {
-		qpath := path + ".corrupt"
-		if qerr := os.Rename(path, qpath); qerr != nil {
+		qpath, qerr := shard.Quarantine(s.cfg.shardFS, path, path+".corrupt")
+		if qerr != nil {
 			return nil, fmt.Errorf("serve: cannot quarantine corrupt worker checkpoint: %w (cause: %v)", qerr, rerr)
 		}
 		s.logf("serve: worker shard %s: quarantined corrupt checkpoint to %s, re-deriving", plan, qpath)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -304,5 +305,41 @@ func TestWorkerSiblingShardKeepsDigestDir(t *testing.T) {
 	}
 	if left, err := filepath.Glob(filepath.Join(workerDir, "*")); err != nil || len(left) != 0 {
 		t.Fatalf("worker directory not cleaned after both shards: %v (err=%v)", left, err)
+	}
+}
+
+// TestWorkerQuarantinesEachCorruptCheckpoint: every corrupt checkpoint a
+// worker finds in a shard's slot is renamed to its own first free
+// "<path>.corrupt[.N]" name, so a second one on the same slot never
+// overwrites the evidence of the first.
+func TestWorkerQuarantinesEachCorruptCheckpoint(t *testing.T) {
+	s, ts := newTestServer(t, Config{WorkerDir: t.TempDir()})
+	spec := workload.NewBound(einsum.GEMM("gemm_32x24x16", 32, 24, 16), bound.Options{})
+	plan := shard.Plan{Index: 0, Count: 2}
+	job, err := spec.Compile(plan, workload.Exec{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := s.workerShardPath(&job, plan)
+	garbage := []string{`{"manifest": tor`, `{"manifest": null, "curve": 7`}
+	for _, g := range garbage {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(g), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if status, data := postShard(t, ts.URL, shardBody(t, spec, 0, 2)); status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, data)
+		}
+	}
+	for i, q := range []string{path + ".corrupt", path + ".corrupt.1"} {
+		data, err := os.ReadFile(q)
+		if err != nil {
+			t.Fatalf("quarantined checkpoint %d missing: %v", i+1, err)
+		}
+		if string(data) != garbage[i] {
+			t.Fatalf("%s holds %q, want the evidence %q", q, data, garbage[i])
+		}
 	}
 }

@@ -50,7 +50,7 @@ type Request struct {
 	// clamped to it.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
-	// Shards, when > 1, runs the derivation as that many supervised,
+	// Shards, when > 1, runs the derivation as that many scheduled,
 	// checkpointed shard jobs in the server's spool directory, making it
 	// resumable across a server restart.
 	Shards int `json:"shards,omitempty"`

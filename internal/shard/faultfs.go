@@ -194,7 +194,7 @@ func FailN(op Op, n int, err error) func(Op, string) error {
 // KillAtIndex wraps a job's derive hook so the attempt dies with err the
 // first time a block containing global index idx is derived — the
 // kill-at-index hook the robustness suite uses to simulate a crash at a
-// deterministic point of the traversal. Subsequent attempts (a supervised
+// deterministic point of the traversal. Subsequent attempts (a scheduler
 // retry, a manual resume) run unmodified.
 func KillAtIndex(job Job, idx int64, err error) Job {
 	derive := job.Derive

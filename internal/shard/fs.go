@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -87,4 +89,68 @@ func orOS(fsys FS) FS {
 		return osFS{}
 	}
 	return fsys
+}
+
+// WriteFileAtomic atomically and durably replaces path with data over
+// fsys (nil = OS): the bytes go to a "<base>.tmp*" temp file in the same
+// directory, which is fsynced and closed, then renamed over path, and
+// the directory is fsynced. The rename makes a kill mid-write leave the
+// previous file intact rather than a truncated one; the two syncs make
+// the new file survive a host crash — without the file sync the rename
+// can land before the data (a zero-length or torn "committed" file), and
+// without the directory sync the rename itself can be lost. A failed
+// write removes its temp file.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	fsys = orOS(fsys)
+	dir := filepath.Dir(path)
+	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	_, werr := tmp.Write(data)
+	if werr == nil {
+		// Data must be durable before the rename commits it: sync the
+		// file first, then close.
+		werr = tmp.Sync()
+	}
+	cerr := tmp.Close()
+	if werr != nil || cerr != nil {
+		fsys.Remove(tmp.Name())
+		if werr == nil {
+			werr = cerr
+		}
+		return fmt.Errorf("writing %s: %w", path, werr)
+	}
+	if err := fsys.Rename(tmp.Name(), path); err != nil {
+		fsys.Remove(tmp.Name())
+		return fmt.Errorf("committing %s: %w", path, err)
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("syncing directory of %s: %w", path, err)
+	}
+	return nil
+}
+
+// Quarantine renames path over fsys (nil = OS) to the first free name
+// among aside, aside.1, aside.2, … and returns that name: the evidence of
+// a corrupt file survives for inspection while its slot frees for a
+// replacement, and repeated quarantines of one slot never overwrite each
+// other.
+func Quarantine(fsys FS, path, aside string) (string, error) {
+	fsys = orOS(fsys)
+	for i := 0; ; i++ {
+		qpath := aside
+		if i > 0 {
+			qpath = fmt.Sprintf("%s.%d", aside, i)
+		}
+		if _, err := fsys.Stat(qpath); err == nil {
+			continue // name taken by an earlier quarantine
+		} else if !errors.Is(err, fs.ErrNotExist) {
+			return "", err
+		}
+		if err := fsys.Rename(path, qpath); err != nil {
+			return "", err
+		}
+		return qpath, nil
+	}
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/pareto"
 )
 
-// Named error classes the supervisor (internal/supervise) routes on.
+// Named error classes the shard scheduler (internal/fleet) routes on.
 // Every failure Run or ReadPartial reports wraps exactly one of these (or
 // a context error), so callers can decide between quarantine-and-rederive,
 // retry, and give-up with errors.Is instead of string matching.
@@ -182,13 +182,9 @@ type Partial struct {
 }
 
 // WritePartial atomically and durably replaces path with the serialized
-// partial: the JSON is written to a temporary file in the same directory,
-// fsynced, renamed over path, and the directory is fsynced. The rename
-// makes a process kill mid-flush leave the previous checkpoint intact
-// rather than a truncated file; the two syncs make a committed checkpoint
-// survive a host crash — without the file sync the rename can land before
-// the data (a zero-length or torn "committed" file), and without the
-// directory sync the rename itself can be lost.
+// partial (WriteFileAtomic over the OS filesystem), so a process kill
+// mid-flush leaves the previous checkpoint intact and a committed
+// checkpoint survives a host crash.
 func WritePartial(path string, p *Partial) error {
 	return writePartial(osFS{}, path, p)
 }
@@ -202,32 +198,8 @@ func writePartial(fsys FS, path string, p *Partial) error {
 	if err != nil {
 		return fmt.Errorf("shard: encoding partial: %w", err)
 	}
-	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("shard: writing partial: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		// Data must be durable before the rename commits it: sync the
-		// file first, then close.
-		werr = tmp.Sync()
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		fsys.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("shard: writing partial %s: %w", path, werr)
-	}
-	if err := fsys.Rename(tmp.Name(), path); err != nil {
-		fsys.Remove(tmp.Name())
-		return fmt.Errorf("shard: writing partial %s: %w", path, err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("shard: syncing directory of %s: %w", path, err)
+	if err := WriteFileAtomic(fsys, path, append(data, '\n')); err != nil {
+		return fmt.Errorf("shard: partial: %w", err)
 	}
 	return nil
 }
@@ -260,7 +232,7 @@ func readPartial(fsys FS, path string) (*Partial, error) {
 }
 
 // sweepStaleTemps removes leftover temp files of a previous kill for the
-// given checkpoint target: WritePartial names its temp files
+// given checkpoint target: WriteFileAtomic names its temp files
 // "<base>.tmp<random>" in the target's directory, so a process killed
 // between CreateTemp and Rename leaks exactly those. Only the target's
 // own temps are touched — sibling shards checkpointing into the same

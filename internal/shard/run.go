@@ -54,6 +54,30 @@ type Job struct {
 	Derive DeriveFunc
 }
 
+// Manifest is the header a fresh run of job stamps into its first
+// checkpoint: the job's identity at the current FormatVersion and
+// Engine, its plan slice, and nothing completed yet. Every partial
+// frontier of this shard — a resumed checkpoint, a remote worker's
+// response — must be CompatibleWith it.
+func (job *Job) Manifest() Manifest {
+	lo, hi := job.Plan.Slice(job.Items)
+	return Manifest{
+		FormatVersion:    FormatVersion,
+		Engine:           Engine,
+		Kind:             job.Kind,
+		Workload:         job.Workload,
+		WorkloadDigest:   job.WorkloadDigest,
+		OptionsDigest:    job.OptionsDigest,
+		ShardIndex:       job.Plan.Index,
+		ShardCount:       job.Plan.Count,
+		Items:            job.Items,
+		RangeLo:          lo,
+		RangeHi:          hi,
+		CompletedThrough: lo,
+		Spec:             job.Spec,
+	}
+}
+
 // RunOptions tunes a shard run.
 type RunOptions struct {
 	// Path is the partial-frontier file: checkpoint target while running,
@@ -120,22 +144,8 @@ func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, err
 	if swept, err := sweepStaleTemps(fsys, opts.Path); err == nil {
 		stats.SweptTemps = len(swept)
 	}
-	lo, hi := job.Plan.Slice(job.Items)
-	m := Manifest{
-		FormatVersion:    FormatVersion,
-		Engine:           Engine,
-		Kind:             job.Kind,
-		Workload:         job.Workload,
-		WorkloadDigest:   job.WorkloadDigest,
-		OptionsDigest:    job.OptionsDigest,
-		ShardIndex:       job.Plan.Index,
-		ShardCount:       job.Plan.Count,
-		Items:            job.Items,
-		RangeLo:          lo,
-		RangeHi:          hi,
-		CompletedThrough: lo,
-		Spec:             job.Spec,
-	}
+	m := job.Manifest()
+	lo, hi := m.RangeLo, m.RangeHi
 	if err := m.Validate(); err != nil {
 		return nil, stats, err
 	}
@@ -148,7 +158,7 @@ func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, err
 	case err != nil:
 		// An unreadable checkpoint is evidence of a problem (corruption,
 		// wrong file); overwriting it would destroy that evidence. The
-		// supervisor quarantines it (rename to *.corrupt) and re-derives.
+		// scheduler quarantines it (rename to *.corrupt) and re-derives.
 		if !errors.Is(err, ErrCorruptPartial) {
 			err = fmt.Errorf("%w: %w", ErrCorruptPartial, err)
 		}

@@ -367,35 +367,26 @@ func decodeEntry(data []byte, digest string) (*Entry, error) {
 }
 
 // quarantine renames an invalid entry aside to the first free
-// <digest>.corrupt[.N] name so the evidence survives and the slot frees
-// for a re-derived replacement. A quarantine that cannot rename (or
-// remove) the bad file disables the tier: leaving a known-bad entry in
-// place would re-fail every Get.
+// <digest>.corrupt[.N] name (shard.Quarantine) so the evidence survives
+// and the slot frees for a re-derived replacement. When the rename
+// fails the entry is removed instead; a quarantine that can do neither
+// disables the tier: leaving a known-bad entry in place would re-fail
+// every Get.
 func (s *Store) quarantine(path string, cause error) {
 	s.quarantines.Add(1)
-	base := path[:len(path)-len(entrySuffix)] + corruptSuffix
-	for i := 0; i < 1000; i++ {
-		qpath := base
-		if i > 0 {
-			qpath = fmt.Sprintf("%s.%d", base, i)
-		}
-		if _, err := s.fs.Stat(qpath); err == nil {
-			continue // name taken by an earlier quarantine
-		}
-		if err := s.fs.Rename(path, qpath); err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return // a concurrent process already moved it
-			}
-			break
-		}
+	qpath, err := shard.Quarantine(s.fs, path, path[:len(path)-len(entrySuffix)]+corruptSuffix)
+	if err == nil {
 		s.log("store: quarantined corrupt entry %s -> %s: %v", path, qpath, cause)
 		return
+	}
+	if errors.Is(err, os.ErrNotExist) {
+		return // a concurrent process already moved it
 	}
 	if err := s.fs.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
 		s.disable(fmt.Errorf("cannot quarantine or remove corrupt entry %s: %w", path, err))
 		return
 	}
-	s.log("store: removed corrupt entry %s (quarantine names exhausted or rename failed): %v", path, cause)
+	s.log("store: removed corrupt entry %s (quarantine rename failed): %v", path, cause)
 }
 
 // Put persists an exact derivation result under digest, atomically and
@@ -468,33 +459,12 @@ func encodeEntry(digest string, ent *Entry) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// write lands data under digest with the atomic-and-durable discipline:
-// temp in the same directory, fsync file, rename, fsync directory.
+// write lands data under digest with the atomic-and-durable discipline
+// of shard.WriteFileAtomic: temp in the same directory, fsync file,
+// rename, fsync directory.
 func (s *Store) write(digest string, data []byte) error {
-	path := s.entryPath(digest)
-	tmp, err := s.fs.CreateTemp(s.dir, digest+entrySuffix+".tmp*")
-	if err != nil {
-		return fmt.Errorf("store: writing %s: %w", path, err)
-	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		// Data must be durable before the rename commits it.
-		werr = tmp.Sync()
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = s.fs.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("store: writing %s: %w", path, werr)
-	}
-	if err := s.fs.Rename(tmp.Name(), path); err != nil {
-		_ = s.fs.Remove(tmp.Name())
-		return fmt.Errorf("store: committing %s: %w", path, err)
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("store: syncing %s: %w", s.dir, err)
+	if err := shard.WriteFileAtomic(s.fs, s.entryPath(digest), data); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }

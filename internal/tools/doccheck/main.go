@@ -6,7 +6,7 @@
 //     facade) has a package doc comment, so each package states which
 //     paper section or figure it reproduces.
 //  2. Every exported top-level identifier in the core packages — pareto,
-//     traverse, bound, shard, supervise, serve, workload, fleet — has a
+//     traverse, bound, shard, serve, workload, fleet, store — has a
 //     doc comment. A group comment on a const/var block covers the whole
 //     block.
 //  3. Every "docs/<name>.md" reference in a comment points at a file
@@ -33,15 +33,14 @@ import (
 // strictDirs are the packages whose exported identifiers must all carry
 // doc comments, not just the package clause.
 var strictDirs = map[string]bool{
-	"internal/pareto":    true,
-	"internal/traverse":  true,
-	"internal/bound":     true,
-	"internal/shard":     true,
-	"internal/supervise": true,
-	"internal/serve":     true,
-	"internal/workload":  true,
-	"internal/fleet":     true,
-	"internal/store":     true,
+	"internal/pareto":   true,
+	"internal/traverse": true,
+	"internal/bound":    true,
+	"internal/shard":    true,
+	"internal/serve":    true,
+	"internal/workload": true,
+	"internal/fleet":    true,
+	"internal/store":    true,
 }
 
 // docRefPattern matches module-relative documentation references in
