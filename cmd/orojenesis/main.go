@@ -95,9 +95,8 @@ func main() {
 			Stats:     *stats,
 			Summarize: func(c *pareto.Curve) { summarize(e.Name, c) },
 		}
-		// Compile through the workload spec rather than shard.BoundJob
-		// directly, so every checkpoint manifest embeds the spec and
-		// stays resumable by shardmerge -resume alone.
+		// Compile through the workload spec, so every checkpoint manifest
+		// embeds the spec and stays resumable by shardmerge -resume alone.
 		spec := workload.NewBound(e, opts)
 		cliutil.RunSharded(cfg, sf, spec, *workers)
 		return

@@ -109,13 +109,13 @@ func newEnum(e *einsum.Einsum, opts Options) *mapping.Enum {
 
 // Space returns the size of the flat tiling index space Derive traverses
 // for e under opts — the [0, Space) range that DeriveRange slices and a
-// cross-process shard plan (internal/shard) divides. Like Derive it panics
-// on invalid Options.
-func Space(e *einsum.Einsum, opts Options) int64 {
+// cross-process shard plan (internal/shard) divides. Invalid Options and
+// a space that overflows int64 are errors.
+func Space(e *einsum.Einsum, opts Options) (int64, error) {
 	if err := opts.Validate(); err != nil {
-		panic(err.Error())
+		return 0, err
 	}
-	return newEnum(e, opts).Tilings()
+	return newEnum(e, opts).Size()
 }
 
 // Derive runs the Orojenesis flow for a single Einsum and returns its
@@ -125,10 +125,14 @@ func Space(e *einsum.Einsum, opts Options) int64 {
 // the flat tiling index space (see internal/traverse), so utilization
 // scales with cores regardless of the factor structure of any rank, and
 // the curve is byte-identical for every worker count. Derive panics on
-// invalid Options; callers with an error path should check
-// Options.Validate first.
+// invalid Options or an overflowing space; callers with an error path
+// should size the space with Space first.
 func Derive(e *einsum.Einsum, opts Options) Result {
-	r, err := DeriveRange(context.Background(), e, opts, 0, Space(e, opts))
+	space, err := Space(e, opts)
+	if err != nil {
+		panic(err.Error())
+	}
+	r, err := DeriveRange(context.Background(), e, opts, 0, space)
 	if err != nil {
 		// DeriveRange fails only on context cancellation (impossible under
 		// the background context) or a recovered evaluator panic

@@ -15,7 +15,10 @@ import (
 func TestDeriveRangeCoverParity(t *testing.T) {
 	e := einsum.GEMM("g", 64, 48, 80)
 	for _, opts := range []Options{{}, {ImperfectExtra: 2}, {ChargeSpills: true}} {
-		space := Space(e, opts)
+		space, err := Space(e, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if space < 4 {
 			t.Fatalf("space = %d, too small to split", space)
 		}
@@ -70,7 +73,10 @@ func TestDeriveRangeEmptyStillAnnotated(t *testing.T) {
 
 func TestDeriveRangePanicsOutOfBounds(t *testing.T) {
 	e := einsum.GEMM("g", 8, 8, 8)
-	space := Space(e, Options{})
+	space, err := Space(e, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range [][2]int64{{-1, 2}, {0, space + 1}, {5, 4}} {
 		func() {
 			defer func() {

@@ -270,7 +270,7 @@ func emitMerged(cfg ShardRunConfig, f *ShardFlags, curve *pareto.Curve, degraded
 // and runs it under the shared shard flags: in-process by default, or
 // sharded through RunSharded. This is
 // the -spec FILE mode of the derivation CLIs — any CLI can run any kind,
-// because everything after decoding is registry dispatch. st, when
+// because everything after decoding goes through the Spec. st, when
 // non-nil, is the durable curve store the in-process path checks and
 // populates (StoreRun); sharded modes ignore it — their unit of
 // persistence is the per-shard checkpoint, and their merged curves reach

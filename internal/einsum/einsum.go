@@ -225,11 +225,6 @@ func (e *Einsum) TensorSize(t *Tensor) int64 {
 	return e.Footprint(t, e.rankShapes())
 }
 
-// TensorSizeBytes returns tensor t's size in bytes.
-func (e *Einsum) TensorSizeBytes(t *Tensor) int64 {
-	return e.TensorSize(t) * e.ElementSize
-}
-
 func (e *Einsum) rankShapes() map[string]int64 {
 	m := make(map[string]int64, len(e.Ranks))
 	for _, r := range e.Ranks {

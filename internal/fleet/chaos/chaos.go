@@ -82,14 +82,6 @@ func (t *Transport) Always(worker string, f Fault) {
 	t.always[worker] = f
 }
 
-// Clear drops every fault — scripted and persistent — for worker.
-func (t *Transport) Clear(worker string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.scripts, worker)
-	delete(t.always, worker)
-}
-
 // next pops the fault that applies to one request to key, if any.
 func (t *Transport) next(key string) (Fault, bool) {
 	t.mu.Lock()

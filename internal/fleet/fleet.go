@@ -115,8 +115,7 @@ var errNotRetryable = errors.New("not retryable")
 type ShardRequest struct {
 	// Spec is the canonical encoding of a materialized workload.Spec
 	// (Spec.Encode) — the compiled job's shard.Job.Spec. The worker
-	// compiles it through the engine registry; a kind absent from the
-	// registry is a structured 400.
+	// decodes and compiles it; an unknown kind is a structured 400.
 	Spec json.RawMessage `json:"spec"`
 
 	// ShardIndex (0-based) of ShardCount selects the plan slice the

@@ -17,6 +17,7 @@ import (
 	"repro/internal/einsum"
 	"repro/internal/pareto"
 	"repro/internal/shard"
+	"repro/internal/workload"
 )
 
 // The tests in this file drive the in-process attempt: no worker URLs
@@ -49,8 +50,13 @@ func testWorkload(t *testing.T) (*einsum.Einsum, bound.Options, string) {
 	return e, opts, curveBytes(t, bound.Derive(e, opts).Curve)
 }
 
+// boundJob compiles plan slot p of the bound derivation of e under opts.
+func boundJob(e *einsum.Einsum, opts bound.Options, p shard.Plan) (shard.Job, error) {
+	return workload.NewBound(e, opts).Compile(p, workload.Exec{Workers: opts.Workers})
+}
+
 func boundMkJob(e *einsum.Einsum, opts bound.Options) func(shard.Plan) (shard.Job, error) {
-	return func(p shard.Plan) (shard.Job, error) { return shard.BoundJob(e, opts, p) }
+	return func(p shard.Plan) (shard.Job, error) { return boundJob(e, opts, p) }
 }
 
 // TestSupervisedParityWithTransientFaults is the headline acceptance test:
@@ -161,7 +167,7 @@ func TestSupervisorQuarantinesCorruptCheckpoints(t *testing.T) {
 			name: "foreign-derivation",
 			corrupt: func(t *testing.T, path string) {
 				// A structurally valid partial of different options.
-				job, err := shard.BoundJob(e, bound.Options{ImperfectExtra: 2}, shard.Plan{Index: 1, Count: 3})
+				job, err := boundJob(e, bound.Options{ImperfectExtra: 2}, shard.Plan{Index: 1, Count: 3})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -206,7 +212,7 @@ func TestSupervisorDegradedMerge(t *testing.T) {
 	e, opts, _ := testWorkload(t)
 	errDead := errors.New("permanently broken shard")
 	mkJob := func(p shard.Plan) (shard.Job, error) {
-		job, err := shard.BoundJob(e, opts, p)
+		job, err := boundJob(e, opts, p)
 		if err != nil {
 			return shard.Job{}, err
 		}
@@ -307,7 +313,7 @@ func TestCancelledDeriveNotRetried(t *testing.T) {
 	e, opts, _ := testWorkload(t)
 	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
 		mkJob := func(p shard.Plan) (shard.Job, error) {
-			job, err := shard.BoundJob(e, opts, p)
+			job, err := boundJob(e, opts, p)
 			if err != nil {
 				return shard.Job{}, err
 			}
@@ -343,7 +349,7 @@ func TestAttemptTimeoutStillRetried(t *testing.T) {
 	e, opts, want := testWorkload(t)
 	var stalled atomic.Bool
 	mkJob := func(p shard.Plan) (shard.Job, error) {
-		job, err := shard.BoundJob(e, opts, p)
+		job, err := boundJob(e, opts, p)
 		if err != nil || p.Index != 0 {
 			return job, err
 		}

@@ -1,6 +1,8 @@
 package mapping
 
 import (
+	"fmt"
+
 	"repro/internal/einsum"
 	"repro/internal/shape"
 )
@@ -47,16 +49,30 @@ func NewImperfectEnum(e *einsum.Einsum, extra int) *Enum {
 }
 
 // Tilings returns the number of flat indices (tiling combinations; outer
-// loop orders are expanded per tiling by Visit).
+// loop orders are expanded per tiling by Visit). It panics when that
+// number does not fit an int64; Size reports the overflow as an error.
 func (en *Enum) Tilings() int64 {
+	n, err := en.Size()
+	if err != nil {
+		panic(err.Error())
+	}
+	return n
+}
+
+// Size returns Tilings, or an error when the product of the per-rank
+// split counts overflows int64.
+func (en *Enum) Size() (int64, error) {
 	if len(en.options) == 0 {
-		return 0
+		return 0, nil
 	}
 	n := int64(1)
 	for _, opts := range en.options {
-		n *= int64(len(opts))
+		var ok bool
+		if n, ok = shape.MulCount(n, int64(len(opts))); !ok {
+			return 0, fmt.Errorf("mapping: tiling space over ranks %v overflows int64", en.rankNames)
+		}
 	}
-	return n
+	return n, nil
 }
 
 // Visit enumerates the tilings with flat index in [lo, hi), calling visit

@@ -96,16 +96,19 @@ type derState struct {
 }
 
 // Space returns the size of the flat three-split combination space Derive
-// walks for e: the product over ranks of their three-split counts. It is
-// the [0, Space) range DeriveRange slices and a cross-process shard plan
-// (internal/shard) divides.
+// walks for e: the product over ranks of their three-split counts, an
+// error when that overflows int64. It is the [0, Space) range DeriveRange
+// slices and a cross-process shard plan (internal/shard) divides.
 func Space(e *einsum.Einsum) (int64, error) {
 	if err := e.Validate(); err != nil {
 		return 0, err
 	}
 	combos := int64(1)
 	for _, r := range e.Ranks {
-		combos *= int64(len(shape.ThreeSplits(r.Shape)))
+		var ok bool
+		if combos, ok = shape.MulCount(combos, int64(len(shape.ThreeSplits(r.Shape)))); !ok {
+			return 0, fmt.Errorf("multilevel: three-split space of %s overflows int64", e.Name)
+		}
 	}
 	return combos, nil
 }

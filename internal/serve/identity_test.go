@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bound"
 	"repro/internal/einsum"
-	"repro/internal/multilevel"
 	"repro/internal/shard"
 	"repro/internal/workload"
 )
@@ -14,7 +13,7 @@ import (
 // TestServeIdentityPinnedToShardJobDigests is the cross-layer identity
 // contract: for every kind except segmentation, the serve-layer cache
 // key, flight key, and spool digest are built from exactly the digests
-// the shard job builders stamp into partial-frontier manifests — so a
+// a directly compiled Spec stamps into partial-frontier manifests — so a
 // spool written by one layer is always found by the other. Segmentation
 // is the one documented divergence (asserted by the companion test
 // below): its serve identity hashes only the chain, because the per-op
@@ -35,7 +34,7 @@ func TestServeIdentityPinnedToShardJobDigests(t *testing.T) {
 			},
 			job: func(t *testing.T) shard.Job {
 				e := einsum.GEMM("gemm_16x12x8", 16, 12, 8)
-				j, err := shard.BoundJob(e, bound.Options{ImperfectExtra: 1}, plan)
+				j, err := workload.NewBound(e, bound.Options{ImperfectExtra: 1}).Compile(plan, workload.Exec{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -50,7 +49,7 @@ func TestServeIdentityPinnedToShardJobDigests(t *testing.T) {
 			},
 			job: func(t *testing.T) shard.Job {
 				e := einsum.GEMM("gemm_16x12x8", 16, 12, 8)
-				j, err := shard.MultiLevelJob(e, 512, multilevel.Options{Workers: 2}, plan)
+				j, err := workload.NewMultiLevel(e, 512).Compile(plan, workload.Exec{Workers: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -64,7 +63,7 @@ func TestServeIdentityPinnedToShardJobDigests(t *testing.T) {
 			},
 			job: func(t *testing.T) shard.Job {
 				c := segTestChain(t, segEinsums)
-				j, err := shard.FusionTiledJob(c, plan, 2)
+				j, err := workload.NewFusionTiled(c).Compile(plan, workload.Exec{Workers: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,7 +92,7 @@ func TestServeIdentityPinnedToShardJobDigests(t *testing.T) {
 				t.Fatal(err)
 			}
 			if cj.WorkloadDigest != job.WorkloadDigest || cj.OptionsDigest != job.OptionsDigest {
-				t.Fatalf("compiled job digests (%.12s, %.12s) differ from legacy builder (%.12s, %.12s)",
+				t.Fatalf("compiled job digests (%.12s, %.12s) differ from the direct compile (%.12s, %.12s)",
 					cj.WorkloadDigest, cj.OptionsDigest, job.WorkloadDigest, job.OptionsDigest)
 			}
 		})
@@ -122,12 +121,12 @@ func TestSegmentationServeIdentityIsChainOnly(t *testing.T) {
 	// curves into the workload digest.
 	plan := shard.Plan{Index: 0, Count: 1}
 	perOp := c.PerOpCurves(bound.Options{Workers: 2})
-	job, err := shard.SegmentationJob(c, perOp, plan, 2)
+	job, err := workload.NewSegmentation(c, perOp).Compile(plan, workload.Exec{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if shard.Digest(c.Canonical()) == job.WorkloadDigest {
-		t.Fatal("segmentation shard workload digest unexpectedly equals the chain digest; the divergence this test documents is gone — unify the identities and delete serveIdentity's special case")
+		t.Fatal("segmentation shard workload digest unexpectedly equals the chain digest; the divergence this test documents is gone — unify the identities and drop Spec.CacheDigests")
 	}
 
 	// Soundness: two independent materializations of the same chain
@@ -155,7 +154,7 @@ func TestSegmentationServeIdentityIsChainOnly(t *testing.T) {
 			j1.WorkloadDigest, j2.WorkloadDigest)
 	}
 	if j1.WorkloadDigest != job.WorkloadDigest {
-		t.Fatalf("spec-compiled segmentation job digest %.12s differs from legacy builder %.12s",
+		t.Fatalf("materialized segmentation job digest %.12s differs from the directly compiled one %.12s",
 			j1.WorkloadDigest, job.WorkloadDigest)
 	}
 }

@@ -289,7 +289,10 @@ func TestKillAndResumeShardedDerivation(t *testing.T) {
 	spool := t.TempDir()
 	e := einsum.GEMM("gemm_32x24x16", 32, 24, 16)
 	opts := bound.Options{Workers: 2}
-	space := bound.Space(e, opts)
+	space, err := bound.Space(e, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	full := bound.Derive(e, opts)
 	fullMappings := full.Stats.MappingsEvaluated
 	want, err := json.Marshal(full.Curve)

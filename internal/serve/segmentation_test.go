@@ -294,3 +294,19 @@ func TestServedTiledFusionSpaceOverflowIs400(t *testing.T) {
 		})
 	}
 }
+
+// TestServedTilingSpaceOverflowIs400: an 8-rank Einsum with every extent
+// 720720 (240 divisors each) passes validation, but its two-level tiling
+// space and its three-split space both overflow int64. Sizing must fail,
+// and the server must answer 400 invalid_workload, not derive over a
+// wrapped negative space.
+func TestServedTilingSpaceOverflowIs400(t *testing.T) {
+	const expr = `Z[a,b,c,d] = X[a,b,e,f,g,h] * Y[c,d,e,f,g,h] ` +
+		`{A=720720 B=720720 C=720720 D=720720 E=720720 F=720720 G=720720 H=720720}`
+	t.Run("bound", func(t *testing.T) {
+		expectOverflow400(t, fmt.Sprintf(`{"einsum":%q}`, expr))
+	})
+	t.Run("multilevel", func(t *testing.T) {
+		expectOverflow400(t, fmt.Sprintf(`{"einsum":%q,"multilevel":{"l1_cap_bytes":1024}}`, expr))
+	})
+}

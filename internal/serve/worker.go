@@ -135,21 +135,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_request", "missing workload spec", 0)
 		return
 	}
-	// Reject unknown derivation kinds with a structured 400 before any
-	// engine code runs: a coordinator from a newer schema must get a
-	// client error naming the registered kinds, never a 500 out of the
-	// panic-containment path. Pinned by TestWorkerUnknownKindIs400.
-	var probe struct {
-		Kind shard.Kind `json:"kind"`
-	}
-	if err := json.Unmarshal(req.Spec, &probe); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", fmt.Sprintf("spec is not a JSON object: %v", err), 0)
-		return
-	}
-	if _, err := workload.Lookup(probe.Kind); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_workload", err.Error(), 0)
-		return
-	}
+	// Decode rejects unknown derivation kinds with an error naming the
+	// known ones, so a coordinator from a newer schema gets a structured
+	// 400, never a 500 out of the panic-containment path. Pinned by
+	// TestWorkerUnknownKindIs400.
 	spec, err := workload.Decode(req.Spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_workload", err.Error(), 0)

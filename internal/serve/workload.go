@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bound"
 	"repro/internal/einsum"
 	"repro/internal/fusion"
 	"repro/internal/pareto"
@@ -116,26 +115,18 @@ func (spec *ChainSpec) chain(what string) (*fusion.Chain, error) {
 // SegmentResult is one segmentation strategy's curve in the response
 // envelope (in-process segmentation runs only; sharded runs return just
 // the merged best curve). It is the workload package's Segment type, so
-// the engine's output serializes into the envelope unchanged.
+// an in-process run's output serializes into the envelope unchanged.
 type SegmentResult = workload.Segment
 
-// MultiLevelSpec selects the three-level derivation.
-type MultiLevelSpec struct {
-	// L1CapBytes is the innermost-buffer capacity gating mapping
-	// feasibility; must be >= 1.
-	L1CapBytes int64 `json:"l1_cap_bytes"`
-}
+// MultiLevelSpec selects the three-level derivation. It is the workload
+// Spec's multilevel options, so the request field becomes the Spec's
+// unchanged.
+type MultiLevelSpec = workload.MultiLevelOptions
 
-// OptionsSpec mirrors the result-affecting fields of bound.Options.
-// Worker counts are a server concern (results are worker-agnostic) and
-// deliberately absent.
-type OptionsSpec struct {
-	// ImperfectExtra widens the mapspace with that many imperfect
-	// (non-divisor) tile sizes per rank.
-	ImperfectExtra int `json:"imperfect_extra,omitempty"`
-	// ChargeSpills switches to physical partial-sum accounting.
-	ChargeSpills bool `json:"charge_spills,omitempty"`
-}
+// OptionsSpec carries the result-affecting two-level bound options. It is
+// the workload Spec's bound options; worker counts are a server concern
+// (results are worker-agnostic) and deliberately absent.
+type OptionsSpec = workload.BoundOptions
 
 // deriveOut is what a derivation produces: the frontier and the number of
 // mappings evaluated, plus — depending on the path — per-segmentation
@@ -154,7 +145,7 @@ type deriveFn func(ctx context.Context) (deriveOut, error)
 // derivation is a validated, canonicalized unit of work: stable identity
 // (key, digest) for caching and single-flight, the in-process derive
 // function, and the shard-job constructor for the spooled path. Identity
-// uses the same canonical encodings as the shard job builders, so a
+// uses the same canonical encodings as the compiled shard jobs, so a
 // spooled derivation interrupted by one server process is resumed — not
 // restarted — by the next.
 type derivation struct {
@@ -190,9 +181,9 @@ func buildDerivation(req *Request, workers int) (*derivation, error) {
 	return derivationFromSpec(spec, workers)
 }
 
-// specFromRequest translates the HTTP request into the workload Spec the
-// engine registry compiles — the only remaining per-source code; every
-// derivation path below this point is registry dispatch.
+// specFromRequest translates the HTTP request into a workload Spec — the
+// only per-source code; every derivation path below this point goes
+// through the Spec's methods.
 func specFromRequest(req *Request) (*workload.Spec, error) {
 	sources := 0
 	if req.Einsum != "" {
@@ -260,26 +251,22 @@ func specFromRequest(req *Request) (*workload.Spec, error) {
 		if req.Options != (OptionsSpec{}) {
 			return nil, fmt.Errorf("options apply to the two-level bound, not multilevel derivations")
 		}
-		return workload.NewMultiLevel(e, req.MultiLevel.L1CapBytes), nil
+		return &workload.Spec{Kind: shard.KindMultiLevel, Einsum: e, MultiLevel: req.MultiLevel}, nil
 	}
-	return workload.NewBound(e, bound.Options{
-		ImperfectExtra: req.Options.ImperfectExtra,
-		ChargeSpills:   req.Options.ChargeSpills,
-	}), nil
+	// Encode drops an all-default options block, so the Spec stays
+	// canonical.
+	return &workload.Spec{Kind: shard.KindBound, Einsum: e, Bound: &req.Options}, nil
 }
 
-// derivationFromSpec compiles a validated Spec into a derivation through
-// the engine registry: cache identity from store.Identity (the shared
-// rule that keys the memory LRU, the durable curve store, the single
-// flight, and the spool directory — including segmentation's documented
-// chain-only special case), in-process run and shard-job constructor
-// from the Spec's engine, and — for Specs with underived inputs — a
-// prepare hook that materializes them under the flight context. Pinned
-// by the cross-layer identity test in identity_test.go.
+// derivationFromSpec compiles a Spec into a derivation: cache identity
+// from store.Identity (the shared rule that keys the memory LRU, the
+// durable curve store, the single flight, and the spool directory —
+// including segmentation's documented chain-only special case; it also
+// validates the Spec), in-process run and shard-job constructor from the
+// Spec, and — for Specs with underived inputs — a prepare hook that
+// materializes them under the flight context. Pinned by the cross-layer
+// identity test in identity_test.go.
 func derivationFromSpec(spec *workload.Spec, workers int) (*derivation, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
 	key, digest, err := store.Identity(spec)
 	if err != nil {
 		return nil, err

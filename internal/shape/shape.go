@@ -7,6 +7,7 @@ package shape
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 )
@@ -33,9 +34,15 @@ func Divisors(n int64) []int64 {
 	return small
 }
 
-// CountDivisors returns the number of positive divisors of n.
-func CountDivisors(n int64) int {
-	return len(Divisors(n))
+// MulCount returns the product of two non-negative counts, and false
+// when it does not fit an int64 — the check that sizes a mixed-radix
+// index space one radix at a time without wrapping.
+func MulCount(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt64 {
+		return 0, false
+	}
+	return int64(lo), true
 }
 
 // Split is a two-level perfect factorization of a rank shape: the rank is

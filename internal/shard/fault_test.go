@@ -43,6 +43,17 @@ func syntheticJob(items int64, plan Plan) Job {
 	}
 }
 
+// curveBytes is the byte-for-byte comparison the parity tests pin: the
+// curve's JSON serialization, annotations included.
+func curveBytes(t *testing.T, c *pareto.Curve) string {
+	t.Helper()
+	b, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 // completeRun derives the job to completion and returns the curve bytes.
 func completeRun(t *testing.T, job Job, path string) string {
 	t.Helper()

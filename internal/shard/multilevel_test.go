@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"context"
@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/einsum"
 	"repro/internal/multilevel"
+	"repro/internal/shard"
+	"repro/internal/workload"
 )
 
 // TestMultiLevelJobMergeParity closes the first half of the ROADMAP item
@@ -34,15 +36,15 @@ func TestMultiLevelJobMergeParity(t *testing.T) {
 		paths := make([]string, n)
 		var evaluated int64
 		for k := 0; k < n; k++ {
-			job, err := MultiLevelJob(e, l1Cap, opts, Plan{Index: k, Count: n})
+			job, err := workload.NewMultiLevel(e, l1Cap).Compile(shard.Plan{Index: k, Count: n}, workload.Exec{Workers: opts.Workers})
 			if err != nil {
 				t.Fatalf("N=%d shard %d: %v", n, k, err)
 			}
-			if job.Kind != KindMultiLevel {
-				t.Fatalf("N=%d: job kind %q, want %q", n, job.Kind, KindMultiLevel)
+			if job.Kind != shard.KindMultiLevel {
+				t.Fatalf("N=%d: job kind %q, want %q", n, job.Kind, shard.KindMultiLevel)
 			}
 			paths[k] = filepath.Join(dir, fmt.Sprintf("ml-%d-of-%d.json", k+1, n))
-			_, rs, err := Run(context.Background(), job, RunOptions{Path: paths[k], CheckpointEvery: 3})
+			_, rs, err := shard.Run(context.Background(), job, shard.RunOptions{Path: paths[k], CheckpointEvery: 3})
 			if err != nil {
 				t.Fatalf("N=%d shard %d: %v", n, k, err)
 			}
@@ -52,7 +54,7 @@ func TestMultiLevelJobMergeParity(t *testing.T) {
 			t.Fatalf("N=%d: shards evaluated %d mappings, single process %d — the cover is not exact",
 				n, evaluated, full.Mappings)
 		}
-		merged, err := MergeFiles(paths...)
+		merged, err := shard.MergeFiles(paths...)
 		if err != nil {
 			t.Fatalf("N=%d: merge: %v", n, err)
 		}
@@ -86,7 +88,7 @@ func TestMultiLevelResultMergeParity(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		parts := make([]*multilevel.Result, n)
 		for k := 0; k < n; k++ {
-			lo, hi := (Plan{Index: k, Count: n}).Slice(space)
+			lo, hi := (shard.Plan{Index: k, Count: n}).Slice(space)
 			parts[k], err = multilevel.DeriveRange(context.Background(), e, l1Cap, lo, hi, opts)
 			if err != nil {
 				t.Fatalf("N=%d shard %d: %v", n, k, err)

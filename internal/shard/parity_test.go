@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"context"
@@ -11,6 +11,8 @@ import (
 	"repro/internal/einsum"
 	"repro/internal/fusion"
 	"repro/internal/pareto"
+	"repro/internal/shard"
+	"repro/internal/workload"
 )
 
 // curveBytes is the byte-for-byte comparison the acceptance criterion
@@ -25,15 +27,27 @@ func curveBytes(t *testing.T, c *pareto.Curve) string {
 	return string(b)
 }
 
-// runShards executes every shard of an N-way plan to completion through
-// the real file-backed Run path and returns the written file names.
-func runShards(t *testing.T, dir string, n int, mkJob func(plan Plan) Job) []string {
+// compile builds the shard job of one plan slot of spec, run with the
+// given worker count.
+func compile(t *testing.T, spec *workload.Spec, plan shard.Plan, workers int) shard.Job {
+	t.Helper()
+	job, err := spec.Compile(plan, workload.Exec{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
+
+// runShards executes every shard of an N-way plan of spec to completion
+// through the real file-backed shard.Run path and returns the written
+// file names.
+func runShards(t *testing.T, dir string, n int, spec *workload.Spec, workers int) []string {
 	t.Helper()
 	paths := make([]string, n)
 	for k := 0; k < n; k++ {
 		paths[k] = filepath.Join(dir, fmt.Sprintf("shard-%d-of-%d.json", k+1, n))
-		job := mkJob(Plan{Index: k, Count: n})
-		if _, _, err := Run(context.Background(), job, RunOptions{Path: paths[k], CheckpointEvery: 7}); err != nil {
+		job := compile(t, spec, shard.Plan{Index: k, Count: n}, workers)
+		if _, _, err := shard.Run(context.Background(), job, shard.RunOptions{Path: paths[k], CheckpointEvery: 7}); err != nil {
 			t.Fatalf("shard %d/%d: %v", k+1, n, err)
 		}
 	}
@@ -46,14 +60,8 @@ func TestBoundShardingParity(t *testing.T) {
 	want := curveBytes(t, bound.Derive(e, opts).Curve)
 
 	for _, n := range []int{2, 4, 8} {
-		paths := runShards(t, t.TempDir(), n, func(plan Plan) Job {
-			job, err := BoundJob(e, opts, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return job
-		})
-		merged, err := MergeFiles(paths...)
+		paths := runShards(t, t.TempDir(), n, workload.NewBound(e, opts), opts.Workers)
+		merged, err := shard.MergeFiles(paths...)
 		if err != nil {
 			t.Fatalf("N=%d: %v", n, err)
 		}
@@ -68,14 +76,8 @@ func TestBoundShardingParityImperfect(t *testing.T) {
 	opts := bound.Options{ImperfectExtra: 3}
 	want := curveBytes(t, bound.Derive(e, opts).Curve)
 
-	paths := runShards(t, t.TempDir(), 4, func(plan Plan) Job {
-		job, err := BoundJob(e, opts, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return job
-	})
-	merged, err := MergeFiles(paths...)
+	paths := runShards(t, t.TempDir(), 4, workload.NewBound(e, opts), opts.Workers)
+	merged, err := shard.MergeFiles(paths...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +106,8 @@ func TestFusionShardingParity(t *testing.T) {
 	wantBytes := curveBytes(t, want)
 
 	for _, n := range []int{2, 4, 8} {
-		paths := runShards(t, t.TempDir(), n, func(plan Plan) Job {
-			job, err := FusionTiledJob(c, plan, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return job
-		})
-		merged, err := MergeFiles(paths...)
+		paths := runShards(t, t.TempDir(), n, workload.NewFusionTiled(c), 2)
+		merged, err := shard.MergeFiles(paths...)
 		if err != nil {
 			t.Fatalf("N=%d: %v", n, err)
 		}
@@ -150,14 +146,8 @@ func TestSegmentationShardingParity(t *testing.T) {
 	wantBytes := curveBytes(t, want)
 
 	for _, n := range []int{2, 4, 8} {
-		paths := runShards(t, t.TempDir(), n, func(plan Plan) Job {
-			job, err := SegmentationJob(c, perOp, plan, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return job
-		})
-		merged, err := MergeFiles(paths...)
+		paths := runShards(t, t.TempDir(), n, workload.NewSegmentation(c, perOp), 2)
+		merged, err := shard.MergeFiles(paths...)
 		if err != nil {
 			t.Fatalf("N=%d: %v", n, err)
 		}
@@ -186,12 +176,9 @@ func TestSegmentationKillAndResumeParity(t *testing.T) {
 	paths := make([]string, n)
 	for k := 0; k < n; k++ {
 		paths[k] = filepath.Join(dir, fmt.Sprintf("shard-%d.json", k+1))
-		job, err := SegmentationJob(c, perOp, Plan{Index: k, Count: n}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		job := compile(t, workload.NewSegmentation(c, perOp), shard.Plan{Index: k, Count: n}, 1)
 		if k != 1 {
-			if _, _, err := Run(context.Background(), job, RunOptions{Path: paths[k], CheckpointEvery: 2}); err != nil {
+			if _, _, err := shard.Run(context.Background(), job, shard.RunOptions{Path: paths[k], CheckpointEvery: 2}); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -199,16 +186,16 @@ func TestSegmentationKillAndResumeParity(t *testing.T) {
 
 		// Kill shard 2 after its first flush...
 		ctx, cancel := context.WithCancel(context.Background())
-		_, _, err = Run(ctx, job, RunOptions{
+		_, _, err = shard.Run(ctx, job, shard.RunOptions{
 			Path:            paths[k],
 			CheckpointEvery: 2,
-			OnCheckpoint:    func(Manifest) { cancel() },
+			OnCheckpoint:    func(shard.Manifest) { cancel() },
 		})
 		cancel()
 		if err == nil {
 			t.Fatal("killed run reported success")
 		}
-		killed, rerr := ReadPartial(paths[k])
+		killed, rerr := shard.ReadPartial(paths[k])
 		if rerr != nil {
 			t.Fatalf("no resumable checkpoint after kill: %v", rerr)
 		}
@@ -217,7 +204,7 @@ func TestSegmentationKillAndResumeParity(t *testing.T) {
 		}
 
 		// ...then restart the same job on the same file.
-		_, stats, err := Run(context.Background(), job, RunOptions{Path: paths[k], CheckpointEvery: 2})
+		_, stats, err := shard.Run(context.Background(), job, shard.RunOptions{Path: paths[k], CheckpointEvery: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +213,7 @@ func TestSegmentationKillAndResumeParity(t *testing.T) {
 				stats, killed.Manifest.CompletedThrough)
 		}
 	}
-	merged, err := MergeFiles(paths...)
+	merged, err := shard.MergeFiles(paths...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,20 +233,14 @@ func TestKillAndResumeParity(t *testing.T) {
 	chain := testChain(t)
 
 	kinds := []struct {
-		name  string
-		want  string
-		mkJob func(plan Plan) Job
+		name string
+		want string
+		spec *workload.Spec
 	}{
 		{
 			name: "bound",
 			want: curveBytes(t, bound.Derive(e, opts).Curve),
-			mkJob: func(plan Plan) Job {
-				job, err := BoundJob(e, opts, plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return job
-			},
+			spec: workload.NewBound(e, opts),
 		},
 		{
 			name: "fusion-tiled",
@@ -270,13 +251,7 @@ func TestKillAndResumeParity(t *testing.T) {
 				}
 				return curveBytes(t, cv)
 			}(),
-			mkJob: func(plan Plan) Job {
-				job, err := FusionTiledJob(chain, plan, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return job
-			},
+			spec: workload.NewFusionTiled(chain),
 		},
 	}
 
@@ -288,9 +263,9 @@ func TestKillAndResumeParity(t *testing.T) {
 				paths := make([]string, n)
 				for k := 0; k < n; k++ {
 					paths[k] = filepath.Join(dir, fmt.Sprintf("shard-%d.json", k+1))
-					job := kind.mkJob(Plan{Index: k, Count: n})
+					job := compile(t, kind.spec, shard.Plan{Index: k, Count: n}, 1)
 					if k != 1 {
-						if _, _, err := Run(context.Background(), job, RunOptions{Path: paths[k], CheckpointEvery: 5}); err != nil {
+						if _, _, err := shard.Run(context.Background(), job, shard.RunOptions{Path: paths[k], CheckpointEvery: 5}); err != nil {
 							t.Fatal(err)
 						}
 						continue
@@ -299,10 +274,10 @@ func TestKillAndResumeParity(t *testing.T) {
 					// Kill shard 2 after killAfter flushes...
 					ctx, cancel := context.WithCancel(context.Background())
 					flushes := 0
-					_, _, err := Run(ctx, job, RunOptions{
+					_, _, err := shard.Run(ctx, job, shard.RunOptions{
 						Path:            paths[k],
 						CheckpointEvery: 5,
-						OnCheckpoint: func(Manifest) {
+						OnCheckpoint: func(shard.Manifest) {
 							flushes++
 							if flushes >= killAfter {
 								cancel()
@@ -313,7 +288,7 @@ func TestKillAndResumeParity(t *testing.T) {
 					if err == nil {
 						t.Fatal("killed run reported success")
 					}
-					killed, rerr := ReadPartial(paths[k])
+					killed, rerr := shard.ReadPartial(paths[k])
 					if rerr != nil {
 						t.Fatalf("no resumable checkpoint after kill: %v", rerr)
 					}
@@ -322,7 +297,7 @@ func TestKillAndResumeParity(t *testing.T) {
 					}
 
 					// ...then restart it on the same file.
-					_, stats, err := Run(context.Background(), job, RunOptions{Path: paths[k], CheckpointEvery: 5})
+					_, stats, err := shard.Run(context.Background(), job, shard.RunOptions{Path: paths[k], CheckpointEvery: 5})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -331,7 +306,7 @@ func TestKillAndResumeParity(t *testing.T) {
 							stats, killed.Manifest.CompletedThrough)
 					}
 				}
-				merged, err := MergeFiles(paths...)
+				merged, err := shard.MergeFiles(paths...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -348,25 +323,22 @@ func TestKillAndResumeParity(t *testing.T) {
 func TestMergeRefusesMismatchedDerivations(t *testing.T) {
 	e := einsum.GEMM("gemm_64", 64, 64, 64)
 	dir := t.TempDir()
-	mk := func(name string, opts bound.Options, plan Plan) string {
-		job, err := BoundJob(e, opts, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
+	mk := func(name string, opts bound.Options, plan shard.Plan) string {
+		job := compile(t, workload.NewBound(e, opts), plan, 0)
 		path := filepath.Join(dir, name)
-		if _, _, err := Run(context.Background(), job, RunOptions{Path: path}); err != nil {
+		if _, _, err := shard.Run(context.Background(), job, shard.RunOptions{Path: path}); err != nil {
 			t.Fatal(err)
 		}
 		return path
 	}
-	perfect := mk("perfect.json", bound.Options{}, Plan{Index: 0, Count: 2})
-	imperfect := mk("imperfect.json", bound.Options{ImperfectExtra: 2}, Plan{Index: 1, Count: 2})
-	if _, err := MergeFiles(perfect, imperfect); err == nil {
+	perfect := mk("perfect.json", bound.Options{}, shard.Plan{Index: 0, Count: 2})
+	imperfect := mk("imperfect.json", bound.Options{ImperfectExtra: 2}, shard.Plan{Index: 1, Count: 2})
+	if _, err := shard.MergeFiles(perfect, imperfect); err == nil {
 		t.Fatal("merge combined partials of different derivation options")
 	}
 
-	spills := mk("spills.json", bound.Options{ChargeSpills: true}, Plan{Index: 1, Count: 2})
-	if _, err := MergeFiles(perfect, spills); err == nil {
+	spills := mk("spills.json", bound.Options{ChargeSpills: true}, shard.Plan{Index: 1, Count: 2})
+	if _, err := shard.MergeFiles(perfect, spills); err == nil {
 		t.Fatal("merge combined spill-charged with default accounting")
 	}
 }
@@ -377,27 +349,18 @@ func TestMergeRefusesMismatchedDerivations(t *testing.T) {
 func TestRunRefusesForeignCheckpoint(t *testing.T) {
 	e := einsum.GEMM("gemm_64", 64, 64, 64)
 	path := filepath.Join(t.TempDir(), "shard.json")
-	job, err := BoundJob(e, bound.Options{}, Plan{Index: 0, Count: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Run(context.Background(), job, RunOptions{Path: path}); err != nil {
+	job := compile(t, workload.NewBound(e, bound.Options{}), shard.Plan{Index: 0, Count: 2}, 0)
+	if _, _, err := shard.Run(context.Background(), job, shard.RunOptions{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
-	other, err := BoundJob(e, bound.Options{ImperfectExtra: 2}, Plan{Index: 0, Count: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Run(context.Background(), other, RunOptions{Path: path}); err == nil {
+	other := compile(t, workload.NewBound(e, bound.Options{ImperfectExtra: 2}), shard.Plan{Index: 0, Count: 2}, 0)
+	if _, _, err := shard.Run(context.Background(), other, shard.RunOptions{Path: path}); err == nil {
 		t.Fatal("run resumed from a checkpoint of different options")
 	}
 
-	sibling, err := BoundJob(e, bound.Options{}, Plan{Index: 1, Count: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Run(context.Background(), sibling, RunOptions{Path: path}); err == nil {
+	sibling := compile(t, workload.NewBound(e, bound.Options{}), shard.Plan{Index: 1, Count: 2}, 0)
+	if _, _, err := shard.Run(context.Background(), sibling, shard.RunOptions{Path: path}); err == nil {
 		t.Fatal("run resumed from a sibling shard's checkpoint")
 	}
 }
@@ -407,19 +370,13 @@ func TestRunRefusesForeignCheckpoint(t *testing.T) {
 func TestMoreShardsThanItems(t *testing.T) {
 	e := einsum.GEMM("gemm_2", 2, 2, 2) // 8 tilings
 	opts := bound.Options{}
-	if got := bound.Space(e, opts); got != 8 {
-		t.Fatalf("space = %d, want 8", got)
+	if got, err := bound.Space(e, opts); err != nil || got != 8 {
+		t.Fatalf("space = %d (%v), want 8", got, err)
 	}
 	want := curveBytes(t, bound.Derive(e, opts).Curve)
 
-	paths := runShards(t, t.TempDir(), 16, func(plan Plan) Job {
-		job, err := BoundJob(e, opts, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return job
-	})
-	merged, err := MergeFiles(paths...)
+	paths := runShards(t, t.TempDir(), 16, workload.NewBound(e, opts), opts.Workers)
+	merged, err := shard.MergeFiles(paths...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,10 @@ const defaultBlocksPerShard = 32
 
 // DeriveFunc derives the partial frontier over the global enumeration
 // indices [lo, hi) of a flat traversal space, returning the annotated
-// curve and the number of points evaluated. bound.DeriveRange,
-// fusion.TiledFusionRange and multilevel.DeriveRange adapt directly; the
-// hook must be deterministic per index, since a resumed shard may
+// curve and the number of points evaluated. The kinds table in
+// internal/workload adapts bound.DeriveRange, multilevel.DeriveRange,
+// fusion.TiledFusionRange and the segmentation sweep to it; the hook
+// must be deterministic per index, since a resumed shard may
 // re-derive the tail of a partially flushed block (idempotent under
 // Pareto insertion, but only for deterministic evaluation). Cancelling
 // ctx must abort the derivation promptly and return the context's error —

@@ -12,24 +12,14 @@ import (
 // shared by the server and the CLIs is what lets a batch job warm the
 // cache a server later reads.
 //
-// For every kind except segmentation the digests are exactly the
-// shard-job digests (Spec.Digests). Segmentation is the documented
-// exception: its shard jobs hash the derived per-op input curves into
-// the workload digest (shard.SegmentationCanonical), but those curves
-// are derived after the cache identity must already exist, so the cache
-// identity hashes only the chain. The divergence is sound because the
-// per-op curves are a pure function of the chain (derived with default
-// bound options): equal chains always yield equal shard digests. Pinned
-// by the cross-layer identity test in internal/serve.
+// The digests are Spec.CacheDigests: the shard-job digests for every kind
+// except segmentation, whose cache identity hashes only the chain because
+// its per-op input curves are derived after the identity must already
+// exist. Pinned by the cross-layer identity test in internal/serve.
 func Identity(spec *workload.Spec) (key, digest string, err error) {
-	var wd, od string
-	if spec.Kind == shard.KindSegmentation {
-		wd, od = shard.Digest(spec.Chain.Canonical()), shard.Digest("segmentation{}")
-	} else {
-		wd, od, err = spec.Digests()
-		if err != nil {
-			return "", "", err
-		}
+	wd, od, err := spec.CacheDigests()
+	if err != nil {
+		return "", "", err
 	}
 	key = string(spec.Kind) + "|" + wd + "|" + od
 	return key, shard.Digest(key), nil

@@ -316,6 +316,17 @@ func TestIdentityMatchesShardDigests(t *testing.T) {
 	}
 }
 
+// TestIdentityRejectsInvalidSpec: Identity validates before it reads a
+// field, so a Spec missing its workload is an error, not a nil
+// dereference.
+func TestIdentityRejectsInvalidSpec(t *testing.T) {
+	for _, kind := range []shard.Kind{shard.KindBound, shard.KindMultiLevel, shard.KindFusionTiled, shard.KindSegmentation} {
+		if _, _, err := store.Identity(&workload.Spec{Kind: kind}); err == nil {
+			t.Errorf("%s spec without a workload has an identity", kind)
+		}
+	}
+}
+
 func mustGEMMSpec(t *testing.T) *workload.Spec {
 	t.Helper()
 	return workload.NewBound(orojenesis.GEMM("gemm_test", 8, 8, 8), orojenesis.Options{})

@@ -13,13 +13,12 @@ import (
 var ErrNoSpec = errors.New("workload: manifest carries no spec (legacy format); the job cannot be rebuilt from the artifact alone")
 
 // JobFromManifest rebuilds a shard job from a partial-frontier manifest
-// alone: it decodes the embedded Spec, compiles it through the default
-// registry for the manifest's plan slot, and cross-checks the compiled
-// job's identity (kind, digests, index-space size) against the
-// manifest, so a tampered or mismatched artifact is rejected instead of
-// resumed into a poisoned curve. This is the resume path for processes
-// that never saw the original request: shardmerge -resume and the
-// server's spool-orphan recovery.
+// alone: it decodes the embedded Spec, compiles it for the manifest's
+// plan slot, and cross-checks the compiled job's identity (kind, digests,
+// index-space size) against the manifest, so a tampered or mismatched
+// artifact is rejected instead of resumed into a poisoned curve. This is
+// the resume path for processes that never saw the original request:
+// shardmerge -resume and the server's spool-orphan recovery.
 func JobFromManifest(m *shard.Manifest, exec Exec) (shard.Job, *Spec, error) {
 	if len(m.Spec) == 0 {
 		return shard.Job{}, nil, fmt.Errorf("workload: shard %d/%d of %q: %w", m.ShardIndex+1, m.ShardCount, m.Workload, ErrNoSpec)

@@ -1,20 +1,21 @@
 // Package workload makes derivations first-class values: a Spec is a
 // JSON-serializable, canonically encoded description of one derivation —
 // the kind, the workload (Einsum or chain) and the result-affecting
-// options, exactly the fields the shard digests already hash — and an
-// Engine turns a Spec into work: an in-process run, or a compiled
-// shard.Job for the sharded/supervised/served paths.
+// options, exactly the fields the shard digests hash — and its methods
+// turn it into work: an in-process run, or a compiled shard.Job for the
+// sharded/supervised/served paths. Every kind is one row of an unexported
+// table (its fields, validation, canonical encodings, label, space size
+// and range derivation), which the Spec methods read after validating.
 //
-// The Spec is the wire contract of the ROADMAP's distributed derivation
-// fleet: a coordinator ships a Spec (plus a shard plan) to a worker, the
-// worker compiles it through the Registry, and the resulting partial
-// frontiers merge byte-identically with everyone else's because identity
-// lives in the canonical encodings, not in any process state. The same
-// mechanism makes orphaned work self-describing — shard manifests
-// (internal/shard) and server spool directories (internal/serve) embed
-// the Spec, so a resuming process rebuilds the job from the artifact
-// alone, without the original request. See docs/workload-spec.md for the
-// schema and the registry contract.
+// The Spec is the wire contract of the distributed derivation fleet: a
+// coordinator ships a Spec (plus a shard plan) to a worker, the worker
+// compiles it, and the resulting partial frontiers merge byte-identically
+// with everyone else's because identity lives in the canonical encodings,
+// not in any process state. The same mechanism makes orphaned work
+// self-describing — shard manifests (internal/shard) and server spool
+// directories (internal/serve) embed the Spec, so a resuming process
+// rebuilds the job from the artifact alone, without the original request.
+// See docs/workload-spec.md for the schema.
 //
 // Execution knobs that do not affect results (worker counts) are
 // deliberately not part of the Spec; they travel separately as Exec.
@@ -46,13 +47,13 @@ var ErrUnmaterialized = errors.New("workload: spec is missing derived inputs; ru
 // byte-identical curves on any machine and worker count.
 //
 // The JSON field set is strict in both directions: Decode rejects
-// unknown fields, and every engine's Validate rejects fields that do not
-// belong to the Spec's kind, so a typo or a mismatched option degrades
-// to an error instead of a silently different derivation.
+// unknown fields, and Validate rejects fields that do not belong to the
+// Spec's kind, so a typo or a mismatched option degrades to an error
+// instead of a silently different derivation.
 type Spec struct {
 	// Kind selects the derivation path (shard.KindBound,
 	// shard.KindFusionTiled, shard.KindMultiLevel,
-	// shard.KindSegmentation) and thereby the engine.
+	// shard.KindSegmentation).
 	Kind shard.Kind `json:"kind"`
 
 	// Einsum is the workload of the single-Einsum kinds (bound,
@@ -140,16 +141,6 @@ func NewSegmentation(c *fusion.Chain, perOp []*pareto.Curve) *Spec {
 	return &Spec{Kind: shard.KindSegmentation, Chain: c, PerOp: perOp}
 }
 
-// Validate checks the Spec against its kind's engine: known kind,
-// exactly the fields that kind uses, and a structurally valid workload.
-func (s *Spec) Validate() error {
-	eng, err := Lookup(s.Kind)
-	if err != nil {
-		return err
-	}
-	return eng.Validate(s)
-}
-
 // Encode renders the Spec as its canonical JSON: validated, normalized
 // (an all-default Bound options object is dropped), and marshalled with
 // Go's deterministic struct-field order, so equal Specs encode to equal
@@ -159,6 +150,11 @@ func (s *Spec) Encode() ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	return s.encode()
+}
+
+// encode is Encode for a Spec that has already validated.
+func (s *Spec) encode() ([]byte, error) {
 	c := *s
 	if c.Bound != nil && *c.Bound == (BoundOptions{}) {
 		c.Bound = nil
@@ -187,31 +183,4 @@ func Decode(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// Digests returns the Spec's workload and options digests — the same
-// values the legacy shard job builders stamp into partial-frontier
-// manifests, computed from the engine's canonical encodings. For
-// segmentation Specs this requires the per-op curves (ErrUnmaterialized
-// otherwise).
-func (s *Spec) Digests() (workloadDigest, optionsDigest string, err error) {
-	eng, err := Lookup(s.Kind)
-	if err != nil {
-		return "", "", err
-	}
-	w, o, err := eng.Canonical(s)
-	if err != nil {
-		return "", "", err
-	}
-	return shard.Digest(w), shard.Digest(o), nil
-}
-
-// Space returns the size of the Spec's flat enumeration space — the
-// Items every shard plan slices.
-func (s *Spec) Space() (int64, error) {
-	eng, err := Lookup(s.Kind)
-	if err != nil {
-		return 0, err
-	}
-	return eng.Space(s)
 }

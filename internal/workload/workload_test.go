@@ -15,7 +15,6 @@ import (
 	"repro/internal/bound"
 	"repro/internal/einsum"
 	"repro/internal/fusion"
-	"repro/internal/multilevel"
 	"repro/internal/pareto"
 	"repro/internal/shard"
 )
@@ -140,84 +139,98 @@ func TestDecodeRejections(t *testing.T) {
 	}
 }
 
-// TestDigestParityWithLegacyBuilders pins Spec identity to the legacy
-// job builders for every kind: same workload digest, same options
-// digest, same index-space size — before and after a JSON round trip.
+// frozenIdentity is the identity each golden spec in testdata compiles
+// to: the manifest label, workload and options digests, and index-space
+// size (the segmentation entry is its materialized form). The values were
+// recorded from the per-kind job builders the kinds table replaced; they
+// keep existing stores, spools and partial frontiers addressable, so they
+// change only with a deliberate format break.
+var frozenIdentity = map[string]struct {
+	label, workload, options string
+	items                    int64
+}{
+	"bound": {
+		"B[m,n] = A[m,k] * W[k,n] {M=64 K=64 N=64}",
+		"ea7fc2c34eaa7acb055ceaa9aef132b5a62aaf2861e8b458a571e3358b2af806",
+		"17192c6edc006639ae47943f84e449a42c0592a2c65381923ea4001775a15025",
+		343,
+	},
+	"fusion-tiled": {
+		"ffn: 2 ops over M=64",
+		"16451e127e7a69e1b433b96716a21a950edf1af270ce4a8a38461fe0a2fb1261",
+		"a49f2f77493c82c0390490037309acf8c7b3a22a8e724654aed154e0111a2fe6",
+		280,
+	},
+	"multilevel": {
+		"B[m,n] = A[m,k] * W[k,n] {M=16 K=16 N=16} three-level L1=1024B",
+		"fb8cfb41d4530a51c9ebb1554fc60df01e38ea2490e03286caec74af86f43044",
+		"106a129e90c79143c1d67f02ba91caa7ba42dcd71f28f0a5fdb5e04c1e0b6d51",
+		3375,
+	},
+	"segmentation": {
+		"mlp5: 5-op segmentation study over M=16",
+		"f16711c01587fa7651a2cfa4dc08b688b13ccfa14095e3d08560a01614decdeb",
+		"6813c110c83037a52d5a3af87a34a6870e540d390097df4e93ca1726f7fb8a09",
+		16,
+	},
+}
+
+// TestDigestParityWithLegacyBuilders pins every kind's Spec identity to
+// the frozen values the legacy job builders produced: the decoded golden
+// spec describes, digests, sizes and compiles to exactly frozenIdentity.
+// The unmaterialized segmentation golden keeps its label and size but
+// refuses to digest until Materialize has derived its per-op curves.
 func TestDigestParityWithLegacyBuilders(t *testing.T) {
-	e, ml, c := testGEMM(), testSmallGEMM(), testChain(t)
-	sc := segChain(t)
-	perOp := sc.PerOpCurves(bound.Options{Workers: 1})
-	plan := shard.Plan{Index: 0, Count: 2}
-
-	legacy := map[string]shard.Job{}
-	if j, err := shard.BoundJob(e, bound.Options{ImperfectExtra: 2}, plan); err == nil {
-		legacy["bound"] = j
-	} else {
-		t.Fatal(err)
-	}
-	if j, err := shard.MultiLevelJob(ml, 1024, multilevel.Options{}, plan); err == nil {
-		legacy["multilevel"] = j
-	} else {
-		t.Fatal(err)
-	}
-	if j, err := shard.FusionTiledJob(c, plan, 1); err == nil {
-		legacy["fusion-tiled"] = j
-	} else {
-		t.Fatal(err)
-	}
-	if j, err := shard.SegmentationJob(sc, perOp, plan, 1); err == nil {
-		legacy["segmentation"] = j
-	} else {
-		t.Fatal(err)
-	}
-
-	specs := goldenSpecs(t)
-	specs["segmentation"] = NewSegmentation(sc, perOp)
-	for name, spec := range specs {
+	for name, want := range frozenIdentity {
 		t.Run(name, func(t *testing.T) {
-			want := legacy[name]
-			enc, err := spec.Encode()
+			data, err := os.ReadFile(filepath.Join("testdata", "spec_"+name+".json"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			decoded, err := Decode(enc)
+			spec, err := Decode(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for label, s := range map[string]*Spec{"direct": spec, "round-tripped": s2(decoded)} {
-				wd, od, err := s.Digests()
-				if err != nil {
+			if name == "segmentation" {
+				if _, _, err := spec.Digests(); !errors.Is(err, ErrUnmaterialized) {
+					t.Fatalf("unmaterialized digest error = %v, want ErrUnmaterialized", err)
+				}
+				if got := spec.Describe(); got != want.label {
+					t.Fatalf("unmaterialized label %q, want %q", got, want.label)
+				}
+				if spec, err = spec.Materialize(context.Background(), Exec{Workers: 1}); err != nil {
 					t.Fatal(err)
 				}
-				if wd != want.WorkloadDigest || od != want.OptionsDigest {
-					t.Fatalf("%s spec digests (%.12s…, %.12s…) != legacy builder (%.12s…, %.12s…)",
-						label, wd, od, want.WorkloadDigest, want.OptionsDigest)
-				}
-				space, err := s.Space()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if space != want.Items {
-					t.Fatalf("%s spec space %d != legacy builder items %d", label, space, want.Items)
-				}
-				job, err := s.Compile(plan, Exec{Workers: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if job.WorkloadDigest != want.WorkloadDigest || job.OptionsDigest != want.OptionsDigest || job.Items != want.Items {
-					t.Fatalf("%s compiled job identity differs from legacy builder", label)
-				}
-				if len(job.Spec) == 0 {
-					t.Fatalf("%s compiled job carries no embedded spec", label)
-				}
+			}
+			if got := spec.Describe(); got != want.label {
+				t.Fatalf("label %q, want %q", got, want.label)
+			}
+			space, err := spec.Space()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wd, od, err := spec.Digests()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wd != want.workload || od != want.options || space != want.items {
+				t.Fatalf("identity (%s, %s, %d), want (%s, %s, %d)", wd, od, space, want.workload, want.options, want.items)
+			}
+			job, err := spec.Compile(shard.Plan{Index: 0, Count: 2}, Exec{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(job.Kind) != name || job.Workload != want.label || job.WorkloadDigest != want.workload ||
+				job.OptionsDigest != want.options || job.Items != want.items {
+				t.Fatalf("compiled job identity (%s, %q, %.12s…, %.12s…, %d) differs from frozen identity",
+					job.Kind, job.Workload, job.WorkloadDigest, job.OptionsDigest, job.Items)
+			}
+			if len(job.Spec) == 0 {
+				t.Fatal("compiled job carries no embedded spec")
 			}
 		})
 	}
 }
-
-// s2 is a typed identity helper so the map literal above can hold both
-// the original and decoded Specs.
-func s2(s *Spec) *Spec { return s }
 
 // runSpecShards compiles every shard of an n-way plan from a freshly
 // decoded copy of enc — the fleet-worker situation: nothing shared with
@@ -242,52 +255,20 @@ func runSpecShards(t *testing.T, dir string, enc []byte, n int) []string {
 	return paths
 }
 
-// TestSpecShardingParity pins the tentpole acceptance criterion for all
-// four kinds: a Spec serialized to JSON, decoded in a fresh context and
-// compiled through the registry yields sharded merges byte-identical to
-// the legacy direct builders, for N ∈ {2, 4}.
+// TestSpecShardingParity pins sharding parity for all four kinds: a Spec
+// serialized to JSON, decoded in a fresh context and compiled per shard
+// yields sharded merges byte-identical to the Spec's in-process Run, for
+// N ∈ {2, 4}.
 func TestSpecShardingParity(t *testing.T) {
-	e, ml, c := testGEMM(), testSmallGEMM(), testChain(t)
 	sc := segChain(t)
-	perOp := sc.PerOpCurves(bound.Options{Workers: 1})
-
-	legacyMerge := func(mk func(shard.Plan) (shard.Job, error), n int) string {
-		dir := t.TempDir()
-		paths := make([]string, n)
-		for k := 0; k < n; k++ {
-			job, err := mk(shard.Plan{Index: k, Count: n})
-			if err != nil {
-				t.Fatal(err)
-			}
-			paths[k] = filepath.Join(dir, fmt.Sprintf("legacy-%d-of-%d.json", k+1, n))
-			if _, _, err := shard.Run(context.Background(), job, shard.RunOptions{Path: paths[k], CheckpointEvery: 3}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		merged, err := shard.MergeFiles(paths...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return curveBytes(t, merged)
-	}
-
 	kinds := []struct {
 		name string
 		spec *Spec
-		mk   func(shard.Plan) (shard.Job, error)
 	}{
-		{"bound", NewBound(e, bound.Options{ImperfectExtra: 2}), func(p shard.Plan) (shard.Job, error) {
-			return shard.BoundJob(e, bound.Options{ImperfectExtra: 2}, p)
-		}},
-		{"multilevel", NewMultiLevel(ml, 1024), func(p shard.Plan) (shard.Job, error) {
-			return shard.MultiLevelJob(ml, 1024, multilevel.Options{}, p)
-		}},
-		{"fusion-tiled", NewFusionTiled(c), func(p shard.Plan) (shard.Job, error) {
-			return shard.FusionTiledJob(c, p, 1)
-		}},
-		{"segmentation", NewSegmentation(sc, perOp), func(p shard.Plan) (shard.Job, error) {
-			return shard.SegmentationJob(sc, perOp, p, 1)
-		}},
+		{"bound", NewBound(testGEMM(), bound.Options{ImperfectExtra: 2})},
+		{"multilevel", NewMultiLevel(testSmallGEMM(), 1024)},
+		{"fusion-tiled", NewFusionTiled(testChain(t))},
+		{"segmentation", NewSegmentation(sc, sc.PerOpCurves(bound.Options{Workers: 1}))},
 	}
 	for _, kind := range kinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -295,15 +276,19 @@ func TestSpecShardingParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			inProc, err := kind.spec.Run(context.Background(), Exec{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := curveBytes(t, inProc.Curve)
 			for _, n := range []int{2, 4} {
-				want := legacyMerge(kind.mk, n)
 				paths := runSpecShards(t, t.TempDir(), enc, n)
 				merged, err := shard.MergeFiles(paths...)
 				if err != nil {
 					t.Fatalf("N=%d: %v", n, err)
 				}
 				if got := curveBytes(t, merged); got != want {
-					t.Fatalf("N=%d: spec-compiled merge differs from legacy builder merge\n got %s\nwant %s", n, got, want)
+					t.Fatalf("N=%d: spec-compiled merge differs from in-process run\n got %s\nwant %s", n, got, want)
 				}
 			}
 		})
@@ -495,27 +480,111 @@ func TestMaterializeSegmentation(t *testing.T) {
 	}
 }
 
-// TestRegistry pins the registry contract: the four paper kinds are
-// registered, unknown kinds error, and duplicate registration errors.
+// TestRegistry pins the unknown-kind contract: a Spec whose kind is not
+// in the kinds table fails every entry point with an error naming both
+// the kind and every known kind.
 func TestRegistry(t *testing.T) {
-	want := []shard.Kind{shard.KindBound, shard.KindFusionTiled, shard.KindMultiLevel, shard.KindSegmentation}
-	got := Default.Kinds()
-	if len(got) != len(want) {
-		t.Fatalf("Default registry has kinds %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Default registry has kinds %v, want %v", got, want)
+	s := &Spec{Kind: "frobnicate"}
+	_, decodeErr := Decode([]byte(`{"kind":"frobnicate"}`))
+	_, _, digestErr := s.Digests()
+	_, _, cacheErr := s.CacheDigests()
+	_, spaceErr := s.Space()
+	_, compileErr := s.Compile(shard.Plan{Index: 0, Count: 1}, Exec{})
+	_, runErr := s.Run(context.Background(), Exec{})
+	_, matErr := s.Materialize(context.Background(), Exec{})
+	for _, err := range []error{decodeErr, s.Validate(), digestErr, cacheErr, spaceErr, compileErr, runErr, matErr} {
+		if err == nil {
+			t.Fatal("unknown kind accepted")
+		}
+		for _, k := range []shard.Kind{"frobnicate", shard.KindBound, shard.KindFusionTiled, shard.KindMultiLevel, shard.KindSegmentation} {
+			if !strings.Contains(err.Error(), string(k)) {
+				t.Fatalf("error %q does not name %q", err, k)
+			}
 		}
 	}
-	if _, err := Lookup("frobnicate"); err == nil {
-		t.Fatal("unknown kind resolved")
+	if got := s.Describe(); !strings.Contains(got, "frobnicate") {
+		t.Fatalf("Describe of an unknown kind = %q", got)
 	}
-	r := NewRegistry()
-	if err := r.Register(shard.KindBound, boundEngine{}); err != nil {
-		t.Fatal(err)
+}
+
+// TestUnvalidatedSpecsError pins that every Spec method validates before
+// it reads a field: Specs missing the fields their kind needs, or
+// carrying fields of another kind, return errors (and Describe renders
+// one) instead of dereferencing nil.
+func TestUnvalidatedSpecsError(t *testing.T) {
+	specs := map[string]*Spec{
+		"multilevel without options": {Kind: shard.KindMultiLevel, Einsum: testSmallGEMM()},
+		"multilevel zero L1":         {Kind: shard.KindMultiLevel, Einsum: testSmallGEMM(), MultiLevel: &MultiLevelOptions{}},
+		"bound without einsum":       {Kind: shard.KindBound},
+		"bound with chain":           {Kind: shard.KindBound, Chain: testChain(t)},
+		"fusion-tiled without chain": {Kind: shard.KindFusionTiled},
+		"segmentation without chain": {Kind: shard.KindSegmentation},
+		"segmentation short per-op":  {Kind: shard.KindSegmentation, Chain: segChain(t), PerOp: []*pareto.Curve{}},
 	}
-	if err := r.Register(shard.KindBound, boundEngine{}); err == nil {
-		t.Fatal("duplicate registration accepted")
+	for name, s := range specs {
+		t.Run(name, func(t *testing.T) {
+			_, _, digestErr := s.Digests()
+			_, _, cacheErr := s.CacheDigests()
+			_, spaceErr := s.Space()
+			_, compileErr := s.Compile(shard.Plan{Index: 0, Count: 1}, Exec{})
+			_, runErr := s.Run(context.Background(), Exec{})
+			_, matErr := s.Materialize(context.Background(), Exec{})
+			_, encErr := s.Encode()
+			for i, err := range []error{s.Validate(), digestErr, cacheErr, spaceErr, compileErr, runErr, matErr, encErr} {
+				if err == nil {
+					t.Fatalf("entry point %d accepted the spec", i)
+				}
+			}
+			if got := s.Describe(); !strings.HasPrefix(got, "<invalid spec: ") {
+				t.Fatalf("Describe = %q, want an invalid-spec rendering", got)
+			}
+		})
 	}
+}
+
+// FuzzSpecDecode fuzzes the Spec decoder every fleet worker, spool and
+// resumed manifest runs on untrusted bytes: an accepted spec must encode
+// to a canonical form that decodes and re-encodes to the same bytes, and
+// Describe and the digests must not panic on it. Space is left out: sizing
+// a spec with huge extents enumerates divisors in O(sqrt(n)).
+func FuzzSpecDecode(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "spec_*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no seed specs: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Decode(data)
+		if err != nil {
+			return
+		}
+		enc, err := s.Encode()
+		if err != nil {
+			t.Fatalf("accepted spec does not encode: %v", err)
+		}
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("canonical encoding %s does not decode: %v", enc, err)
+		}
+		re, err := again.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, re) {
+			t.Fatalf("encoding is not canonical\n got %s\nwant %s", re, enc)
+		}
+		s.Describe()
+		if _, _, err := s.Digests(); err != nil && !errors.Is(err, ErrUnmaterialized) {
+			t.Fatalf("accepted spec does not digest: %v", err)
+		}
+		if _, _, err := s.CacheDigests(); err != nil {
+			t.Fatalf("accepted spec has no cache identity: %v", err)
+		}
+	})
 }
