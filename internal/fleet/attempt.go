@@ -295,17 +295,14 @@ func (c *coord) post(ctx context.Context, slotPath string, job *shard.Job, expec
 }
 
 // validatePartial parses and validates response bytes against the
-// expected manifest: structural validity (shard.Manifest.Validate),
-// digest compatibility (CompatibleWith — engine, kind, workload/options
-// digests, space size, shard count), the right shard slot, completeness,
-// and a present curve. Exactly the checks a merge would apply, applied
-// before the bytes can touch the spool.
+// expected manifest: structural validity and a present curve
+// (shard.DecodePartial), digest compatibility (CompatibleWith — engine,
+// kind, workload/options digests, space size, shard count), the right
+// shard slot, and completeness. Exactly the checks a merge would apply,
+// applied before the bytes can touch the spool.
 func validatePartial(data []byte, plan shard.Plan, expected *shard.Manifest) error {
-	var p shard.Partial
-	if err := json.Unmarshal(data, &p); err != nil {
-		return fmt.Errorf("parsing partial: %w", err)
-	}
-	if err := p.Manifest.Validate(); err != nil {
+	p, err := shard.DecodePartial(data)
+	if err != nil {
 		return err
 	}
 	if err := expected.CompatibleWith(&p.Manifest); err != nil {
@@ -316,9 +313,6 @@ func validatePartial(data []byte, plan shard.Plan, expected *shard.Manifest) err
 	}
 	if !p.Manifest.Complete() {
 		return fmt.Errorf("incomplete: completed through %d of [%d, %d)", p.Manifest.CompletedThrough, p.Manifest.RangeLo, p.Manifest.RangeHi)
-	}
-	if p.Curve == nil {
-		return fmt.Errorf("missing curve")
 	}
 	return nil
 }

@@ -30,11 +30,26 @@
 // Its L1 and L2 tile footprints come from the Einsum's rank-indexed
 // projections (einsum.Compiled, shared with the Snowcat evaluator), so
 // scoring a combination allocates nothing and hashes no rank names.
+//
+// Most of a combination's score depends on less than the whole split.
+// Its L1 footprints, and so its L1 feasibility, depend only on the L1
+// tile vector L0; its L2 footprints, its curve key and its DRAM traffic
+// only on the L2 tile vector T = L0·L1; and the outer DP only on T and the
+// set M of tensors with no iterating relevant mid loop (exact because
+// such a tensor's L1 and L2 footprints coincide; see combo). Each worker
+// keeps a bounded, tagged, direct-mapped memo of that work (memo), sized
+// by min(range length, maxMemoSlots) and independent of the space, so
+// only the mid DP runs per combination, each T's DRAM point reaches the
+// worker's builder once, and a split that cannot improve the L2 or joint
+// traffic its T already offered touches neither. The memo changes no
+// result and keeps the flat index order, and with it every shard plan.
 package multilevel
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/einsum"
 	"repro/internal/pareto"
@@ -88,11 +103,92 @@ func (je jointEntry) better(dram, l2 int64) bool {
 	return dram < je.dram || (dram == je.dram && l2 < je.l2)
 }
 
-// derState is one worker's share of the traversal output.
-type derState struct {
-	dramB *pareto.Builder
-	l2B   *pareto.Builder
-	joint map[int64]jointEntry
+// worker is one traversal worker: its share of the output, and its own
+// copy of the rank options beside its odometer, combo and memo. The copy
+// is deliberate: read-only tables shared between workers can sit on a
+// cache line with another worker's hot odometer.
+type worker struct {
+	dramB     *pareto.Builder
+	l2B       *pareto.Builder
+	joint     map[int64]jointEntry
+	options   [][]option
+	idx       []int
+	c         *combo
+	m         *memo
+	es, l1Cap int64
+	orders    int64 // outer x mid orders per combination
+}
+
+func newWorker(e *einsum.Einsum, options [][]option, slots int, l1CapBytes int64) *worker {
+	n := len(e.Ranks)
+	wk := &worker{
+		dramB:   pareto.NewBuilder(),
+		l2B:     pareto.NewBuilder(),
+		joint:   map[int64]jointEntry{},
+		options: make([][]option, n),
+		idx:     make([]int, n),
+		c:       newCombo(e),
+		m:       newMemo(e, slots),
+		es:      e.ElementSize,
+		l1Cap:   l1CapBytes,
+		orders:  shape.Factorial(n) * shape.Factorial(n),
+	}
+	for i, o := range options {
+		wk.options[i] = slices.Clone(o)
+	}
+	return wk
+}
+
+// walk scores the global combinations [lo, hi) and returns the number of
+// mappings they represent.
+func (wk *worker) walk(lo, hi int64) int64 {
+	c, m, es := wk.c, wk.m, wk.es
+	// Decode the start index into mixed-radix digits (last rank fastest),
+	// then advance odometer-style — the serial enumeration order.
+	rem := lo
+	for i := len(wk.idx) - 1; i >= 0; i-- {
+		k := int64(len(wk.options[i]))
+		wk.idx[i] = int(rem % k)
+		rem /= k
+	}
+	var count int64
+	for flat := lo; flat < hi; flat++ {
+		var k0, kT int64
+		for i, j := range wk.idx {
+			o := &wk.options[i][j]
+			c.splits[i] = o.ThreeSplit
+			k0 += o.k0
+			kT += o.kT
+		}
+		if m.l1Elems(c, k0)*es <= wk.l1Cap {
+			s, dram, freeL2, jointL2 := m.best(c, kT)
+			key := s.l2Elems * es
+			// dram is the same for every split of T, so a split records
+			// only what improves on the splits of T before it.
+			if s.free == math.MaxInt64 {
+				wk.dramB.Add(key, dram*es)
+			}
+			if freeL2 < s.free {
+				s.free = freeL2
+				wk.l2B.Add(key, freeL2*es)
+			}
+			if jointL2 < s.joint {
+				s.joint = jointL2
+				if je, ok := wk.joint[key]; !ok || je.better(dram*es, jointL2*es) {
+					wk.joint[key] = jointEntry{dram: dram * es, l2: jointL2 * es}
+				}
+			}
+			count += wk.orders
+		}
+		for i := len(wk.idx) - 1; i >= 0; i-- {
+			wk.idx[i]++
+			if wk.idx[i] < len(wk.options[i]) {
+				break
+			}
+			wk.idx[i] = 0
+		}
+	}
+	return count
 }
 
 // Space returns the size of the flat three-split combination space Derive
@@ -100,17 +196,57 @@ type derState struct {
 // error when that overflows int64. It is the [0, Space) range DeriveRange
 // slices and a cross-process shard plan (internal/shard) divides.
 func Space(e *einsum.Einsum) (int64, error) {
+	_, combos, err := threeSplits(e)
+	return combos, err
+}
+
+// threeSplits returns every rank's three-splits, with their memo key
+// terms (see option), and Space(e). A rank's three-splits come from its
+// divisors divs in shape.ThreeSplits order: for each L0 = divs[a], L1
+// ascends over the divisors of shape/L0, which are the divisors d with
+// L0·d dividing shape, and T = L0·L1 = divs[b] gives T's divisor index b.
+func threeSplits(e *einsum.Einsum) ([][]option, int64, error) {
 	if err := e.Validate(); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	combos := int64(1)
-	for _, r := range e.Ranks {
-		var ok bool
-		if combos, ok = shape.MulCount(combos, int64(len(shape.ThreeSplits(r.Shape)))); !ok {
-			return 0, fmt.Errorf("multilevel: three-split space of %s overflows int64", e.Name)
+	options := make([][]option, len(e.Ranks))
+	combos, stride := int64(1), int64(1)
+	for i := len(e.Ranks) - 1; i >= 0; i-- {
+		n := e.Ranks[i].Shape
+		divs := shape.Divisors(n)
+		each := func(emit func(l0, l1 int64, a, b int)) {
+			for a, l0 := range divs {
+				b, lim := a, n/l0
+				for _, l1 := range divs {
+					if l1 > lim {
+						break
+					}
+					for divs[b] < l0*l1 {
+						b++
+					}
+					if divs[b] == l0*l1 {
+						emit(l0, l1, a, b)
+					}
+				}
+			}
 		}
+		count := 0
+		each(func(int64, int64, int, int) { count++ })
+		var ok bool
+		if combos, ok = shape.MulCount(combos, int64(count)); !ok {
+			return nil, 0, fmt.Errorf("multilevel: three-split space of %s overflows int64", e.Name)
+		}
+		options[i] = make([]option, 0, count)
+		each(func(l0, l1 int64, a, b int) {
+			options[i] = append(options[i], option{
+				ThreeSplit: shape.ThreeSplit{L0: l0, L1: l1, L2: n / (l0 * l1)},
+				k0:         int64(a) * stride,
+				kT:         int64(b) * stride,
+			})
+		})
+		stride *= int64(len(divs)) // at most combos: a rank has more three-splits than divisors
 	}
-	return combos, nil
+	return options, combos, nil
 }
 
 // Derive exhaustively walks the three-level mapspace of e. Only mappings
@@ -134,7 +270,13 @@ func Derive(e *einsum.Einsum, l1CapBytes int64, opts Options) (*Result, error) {
 // Cancelling ctx aborts the traversal within about one worker chunk and
 // returns the context's error with no Result.
 func DeriveRange(ctx context.Context, e *einsum.Einsum, l1CapBytes int64, lo, hi int64, opts Options) (*Result, error) {
-	combosTotal, err := Space(e)
+	return deriveRange(ctx, e, l1CapBytes, lo, hi, opts, maxMemoSlots)
+}
+
+// deriveRange is DeriveRange with each worker's memo capped at maxSlots
+// slots.
+func deriveRange(ctx context.Context, e *einsum.Einsum, l1CapBytes int64, lo, hi int64, opts Options, maxSlots int) (*Result, error) {
+	options, combosTotal, err := threeSplits(e)
 	if err != nil {
 		return nil, err
 	}
@@ -144,64 +286,19 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, l1CapBytes int64, lo, hi
 	if lo < 0 || hi < lo || hi > combosTotal {
 		return nil, fmt.Errorf("multilevel: DeriveRange [%d, %d) outside [0, %d)", lo, hi, combosTotal)
 	}
-
-	n := len(e.Ranks)
-	options := make([][]shape.ThreeSplit, n)
-	for i, r := range e.Ranks {
-		options[i] = shape.ThreeSplits(r.Shape)
+	if len(e.Tensors) > 64 {
+		return nil, fmt.Errorf("multilevel: %s has %d tensors, at most 64 supported", e.Name, len(e.Tensors))
 	}
-	combos := hi - lo
 
-	es := e.ElementSize
-	orders := shape.Factorial(n) * shape.Factorial(n) // outer x mid orders per combination
+	combos := hi - lo
+	slots := memoSlots(combos, maxSlots)
 
 	w := traverse.WorkerCount(combos, opts.Workers)
-	states := make([]*derState, w)
+	states := make([]*worker, w)
 	stats, terr := traverse.Partition(ctx, combos, w, func(wi int) traverse.RangeFunc {
-		st := &derState{
-			dramB: pareto.NewBuilder(),
-			l2B:   pareto.NewBuilder(),
-			joint: map[int64]jointEntry{},
-		}
-		states[wi] = st
-		c := newCombo(e)
-		idx := make([]int, n)
-
-		return func(clo, chi int64) int64 {
-			// Decode the global start index lo+clo into mixed-radix digits
-			// (last rank fastest), then advance odometer-style — the serial
-			// enumeration order.
-			rem := lo + clo
-			for i := n - 1; i >= 0; i-- {
-				k := int64(len(options[i]))
-				idx[i] = int(rem % k)
-				rem /= k
-			}
-			var count int64
-			for flat := clo; flat < chi; flat++ {
-				for i := range c.splits {
-					c.splits[i] = options[i][idx[i]]
-				}
-				if c.l1Elems()*es <= l1CapBytes {
-					key, dram, freeL2, jointL2 := c.best()
-					key, dram, freeL2, jointL2 = key*es, dram*es, freeL2*es, jointL2*es
-					st.dramB.Add(key, dram)
-					st.l2B.Add(key, freeL2)
-					if je, ok := st.joint[key]; !ok || je.better(dram, jointL2) {
-						st.joint[key] = jointEntry{dram: dram, l2: jointL2}
-					}
-					count += orders
-				}
-				for i := n - 1; i >= 0; i-- {
-					idx[i]++
-					if idx[i] < len(options[i]) {
-						break
-					}
-					idx[i] = 0
-				}
-			}
-			return count
-		}
+		wk := newWorker(e, options, slots, l1CapBytes)
+		states[wi] = wk
+		return func(clo, chi int64) int64 { return wk.walk(lo+clo, lo+chi) }
 	})
 
 	if terr != nil {
@@ -305,9 +402,10 @@ func (r *Result) MinL2GivenOptimalDRAM(l2CapBytes int64) (l2, dram int64, ok boo
 	return l2, dram, true
 }
 
-// CompositionGap reports, per capacity, the ratio between the L2 traffic
-// of a DRAM-optimal mapping and the unconstrained L2 traffic bound
-// (>= 1; > 1 means no single mapping attains both per-level optima).
+// GapPoint is CompositionGap's answer at one L2 capacity: the ratio
+// between the L2 traffic of a DRAM-optimal mapping and the unconstrained
+// L2 traffic bound (>= 1; > 1 means no single mapping attains both
+// per-level optima). Feasible is false when no mapping fits the capacity.
 type GapPoint struct {
 	L2CapacityBytes int64
 	FreeL2          int64 // unconstrained L2 traffic bound

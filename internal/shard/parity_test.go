@@ -86,7 +86,7 @@ func TestBoundShardingParityImperfect(t *testing.T) {
 	}
 }
 
-func testChain(t *testing.T) *fusion.Chain {
+func testChain(t testing.TB) *fusion.Chain {
 	t.Helper()
 	c, err := fusion.NewChain("ffn", 64,
 		fusion.GEMMOp("mm_0", 64, 32, 48),
@@ -120,7 +120,7 @@ func TestFusionShardingParity(t *testing.T) {
 // segChain returns a five-op chain whose segmentation mask space has
 // 2^4 = 16 entries — enough to slice meaningfully across 8 shards and to
 // checkpoint mid-shard.
-func segChain(t *testing.T) (*fusion.Chain, []*pareto.Curve) {
+func segChain(t testing.TB) (*fusion.Chain, []*pareto.Curve) {
 	t.Helper()
 	c, err := fusion.NewChain("mlp5", 16,
 		fusion.GEMMOp("g0", 16, 4, 8),

@@ -218,15 +218,27 @@ func readPartial(fsys FS, path string) (*Partial, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: reading partial: %w", err)
 	}
+	p, err := DecodePartial(data)
+	if err != nil {
+		return nil, fmt.Errorf("shard: partial %s: %w", path, err)
+	}
+	return p, nil
+}
+
+// DecodePartial parses and structurally validates the bytes of a partial
+// frontier, from a file or a network response. Bytes that do not parse,
+// fail Manifest.Validate or carry no curve yield an error wrapping
+// ErrCorruptPartial.
+func DecodePartial(data []byte) (*Partial, error) {
 	var p Partial
 	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("shard: partial %s: %w: %w", path, ErrCorruptPartial, err)
+		return nil, fmt.Errorf("%w: %w", ErrCorruptPartial, err)
 	}
 	if err := p.Manifest.Validate(); err != nil {
-		return nil, fmt.Errorf("shard: partial %s: %w: %w", path, ErrCorruptPartial, err)
+		return nil, fmt.Errorf("%w: %w", ErrCorruptPartial, err)
 	}
 	if p.Curve == nil {
-		return nil, fmt.Errorf("shard: partial %s: %w: missing curve", path, ErrCorruptPartial)
+		return nil, fmt.Errorf("%w: missing curve", ErrCorruptPartial)
 	}
 	return &p, nil
 }
