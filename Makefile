@@ -22,9 +22,11 @@ all: ci
 vet:
 	go vet ./...
 
-# Documentation gate: formatting, vet, and doc-comment coverage (package
-# docs everywhere; full exported-identifier docs in the core packages —
-# see internal/tools/doccheck).
+# Documentation gate: formatting, vet, doc-comment coverage (package
+# docs everywhere; full exported-identifier docs in the core packages),
+# docs/ cross-references, and the zero-caller rule (every function under
+# internal/ has a non-test caller, bar an allowlist with reasons) — see
+# internal/tools/doccheck.
 docs:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi

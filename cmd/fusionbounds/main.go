@@ -138,12 +138,9 @@ func main() {
 		fmt.Println("\nbuffer_bytes,tiled_vs_unfused_reduction")
 		for _, mb := range []int64{1, 4, 10, 32, 64, 128, 256, 512} {
 			buf := mb << 20
-			u, ok1 := a.Unfused.AccessesAt(buf)
-			f, ok2 := a.Tiled.AccessesAt(buf)
-			if !ok1 || !ok2 {
-				continue
+			if r, ok := a.FusionProfit(buf); ok {
+				fmt.Printf("%d,%.3f\n", buf, r)
 			}
-			fmt.Printf("%d,%.3f\n", buf, float64(u)/float64(f))
 		}
 	}
 }

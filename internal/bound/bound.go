@@ -236,15 +236,6 @@ func ProbeLevels(c *pareto.Curve, levels map[string]int64) []LevelBound {
 	return out
 }
 
-// GEMMMaxEffectualElements is the closed-form maximal effectual buffer size
-// for a GEMM from Sec. IV-1: the size of its smallest operand plus the size
-// of its smallest rank plus one, in elements.
-func GEMMMaxEffectualElements(m, k, n int64) int64 {
-	smallestOperand := shape.Min(m*k, shape.Min(k*n, m*n))
-	smallestRank := shape.Min(m, shape.Min(k, n))
-	return smallestOperand + smallestRank + 1
-}
-
 // GEMMPeakOI is the perfect-reuse peak operational intensity of a GEMM in
 // MACs per element: MKN / (MK + KN + MN). Sec. IV-1 shows it converges to
 // the smallest dimension for oblong shapes.

@@ -79,13 +79,20 @@ func TestMaxEffectualMatchesClosedForm(t *testing.T) {
 		g := einsum.GEMM("g", cs.m, cs.k, cs.n)
 		c := Derive(g, Options{}).Curve
 		maxEff := c.MaxEffectualBufferBytes() / g.ElementSize // elements
-		closed := GEMMMaxEffectualElements(cs.m, cs.k, cs.n)
+		closed := gemmMaxEffectualElements(cs.m, cs.k, cs.n)
 		smallest := g.SmallestOperandElements()
 		if maxEff < smallest || maxEff > 2*closed {
 			t.Fatalf("GEMM %v: max effectual %d elements outside [%d, %d]",
 				cs, maxEff, smallest, 2*closed)
 		}
 	}
+}
+
+// gemmMaxEffectualElements is the closed-form maximal effectual buffer
+// size of a GEMM from Sec. IV-1: the size of its smallest operand plus
+// the size of its smallest rank plus one, in elements.
+func gemmMaxEffectualElements(m, k, n int64) int64 {
+	return min(m*k, k*n, m*n) + min(m, k, n) + 1
 }
 
 func TestPeakOIMatchesCurve(t *testing.T) {

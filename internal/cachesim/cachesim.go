@@ -45,14 +45,6 @@ type Stats struct {
 // in bytes.
 func (s Stats) DRAMBytes() int64 { return (s.Misses + s.Writebacks) * s.LineBytes }
 
-// MissRate returns misses per access.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 type way struct {
 	tag   uint64
 	valid bool

@@ -196,12 +196,20 @@ func runPlan(ctx context.Context, cfg ShardRunConfig, f *ShardFlags, mkJob func(
 		MaxRetries:      f.Retries,
 		AllowPartial:    f.AllowPartial,
 		Logf:            log.Printf,
-		Workers:         urls,
-		ProbeInterval:   f.FleetProbe,
-		Breaker: fleet.BreakerConfig{
-			Failures: f.FleetBreakerFailures,
-			Cooldown: f.FleetBreakerCooldown,
-		},
+	}
+	if len(urls) > 0 {
+		opts.Registry = fleet.NewRegistry(urls, fleet.RegistryConfig{
+			Breaker: fleet.BreakerConfig{
+				Failures: f.FleetBreakerFailures,
+				Cooldown: f.FleetBreakerCooldown,
+			},
+			Logf: log.Printf,
+		})
+		if f.FleetProbe > 0 {
+			pctx, stop := context.WithCancel(ctx)
+			defer stop()
+			opts.Registry.StartProbing(pctx, f.FleetProbe, nil)
+		}
 	}
 	if cfg.Stats {
 		opts.OnCheckpoint = func(m shard.Manifest) {

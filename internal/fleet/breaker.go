@@ -13,11 +13,6 @@ const (
 	// before admitting its half-open probe dispatch, when
 	// BreakerConfig.Cooldown is unset.
 	DefaultBreakerCooldown = 5 * time.Second
-
-	// DefaultBreakerWindow is the outcome-window size the error-rate
-	// trigger evaluates over, when BreakerConfig.Window is unset (only
-	// relevant when BreakerConfig.Rate enables the trigger).
-	DefaultBreakerWindow = 8
 )
 
 // BreakerState is a circuit breaker's position in its state machine.
@@ -48,8 +43,8 @@ func (s BreakerState) String() string {
 
 // BreakerConfig tunes the per-worker circuit breakers
 // (docs/fleet-protocol.md "Health, membership & breakers"). The zero
-// value enables the consecutive-failure trigger with defaults and leaves
-// the error-rate trigger off.
+// value opens a breaker after DefaultBreakerFailures consecutive
+// failures for DefaultBreakerCooldown.
 type BreakerConfig struct {
 	// Failures opens the breaker after this many consecutive dispatch
 	// failures; <= 0 means DefaultBreakerFailures.
@@ -58,18 +53,6 @@ type BreakerConfig struct {
 	// Cooldown is how long an open breaker sheds load before admitting
 	// its half-open probe dispatch; <= 0 means DefaultBreakerCooldown.
 	Cooldown time.Duration
-
-	// Rate, when > 0, additionally opens the breaker when the failure
-	// fraction over the last Window dispatch outcomes reaches it (e.g.
-	// 0.5 opens on half the window failing, consecutively or not). 0
-	// disables the error-rate trigger.
-	Rate float64
-
-	// Window is the outcome-window size the Rate trigger evaluates over;
-	// <= 0 means DefaultBreakerWindow. The trigger only fires once the
-	// window is full, so a single early failure cannot open a breaker by
-	// rate.
-	Window int
 }
 
 func (c BreakerConfig) failures() int {
@@ -86,13 +69,6 @@ func (c BreakerConfig) cooldown() time.Duration {
 	return c.Cooldown
 }
 
-func (c BreakerConfig) window() int {
-	if c.Window <= 0 {
-		return DefaultBreakerWindow
-	}
-	return c.Window
-}
-
 // breaker is one worker's circuit breaker. It is not self-locking: the
 // Registry serializes every call under its own mutex, and passes `now`
 // in so tests can drive the clock.
@@ -102,21 +78,6 @@ type breaker struct {
 	state    BreakerState
 	fails    int // consecutive failures while closed
 	openedAt time.Time
-
-	// window is a ring of recent outcomes (true = failure) feeding the
-	// error-rate trigger; wpos is the next write slot, wlen the fill.
-	window []bool
-	wpos   int
-	wlen   int
-}
-
-// newBreaker builds a closed breaker from cfg.
-func newBreaker(cfg BreakerConfig) breaker {
-	b := breaker{cfg: cfg}
-	if cfg.Rate > 0 {
-		b.window = make([]bool, cfg.window())
-	}
-	return b
 }
 
 // admissible reports whether a dispatch may be sent through the breaker
@@ -159,25 +120,18 @@ func (b *breaker) retryAt() (time.Time, bool) {
 func (b *breaker) recordSuccess() {
 	b.state = BreakerClosed
 	b.fails = 0
-	if b.window != nil {
-		b.record(false)
-	}
 }
 
 // recordFailure feeds a failed dispatch outcome at time now: a half-open
 // probe failure re-opens immediately; closed-state failures open the
-// breaker when they hit the consecutive-failure threshold or push the
-// windowed error rate past the configured fraction.
+// breaker when they hit the consecutive-failure threshold.
 func (b *breaker) recordFailure(now time.Time) {
-	if b.window != nil {
-		b.record(true)
-	}
 	switch b.state {
 	case BreakerHalfOpen:
 		b.open(now)
 	case BreakerClosed:
 		b.fails++
-		if b.fails >= b.cfg.failures() || b.rateTripped() {
+		if b.fails >= b.cfg.failures() {
 			b.open(now)
 		}
 	}
@@ -190,28 +144,4 @@ func (b *breaker) open(now time.Time) {
 	b.state = BreakerOpen
 	b.openedAt = now
 	b.fails = 0
-}
-
-// record pushes one outcome into the rate window.
-func (b *breaker) record(failed bool) {
-	b.window[b.wpos] = failed
-	b.wpos = (b.wpos + 1) % len(b.window)
-	if b.wlen < len(b.window) {
-		b.wlen++
-	}
-}
-
-// rateTripped reports whether the windowed error rate reaches the
-// configured threshold (only once the window is full).
-func (b *breaker) rateTripped() bool {
-	if b.window == nil || b.wlen < len(b.window) {
-		return false
-	}
-	failed := 0
-	for _, f := range b.window {
-		if f {
-			failed++
-		}
-	}
-	return float64(failed)/float64(len(b.window)) >= b.cfg.Rate
 }

@@ -11,7 +11,7 @@ import (
 // re-close on probe success.
 func TestBreakerConsecutiveFailures(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := newBreaker(BreakerConfig{Failures: 3, Cooldown: time.Second})
+	b := breaker{cfg: BreakerConfig{Failures: 3, Cooldown: time.Second}}
 
 	for i := 0; i < 2; i++ {
 		b.recordFailure(now)
@@ -68,7 +68,7 @@ func TestBreakerConsecutiveFailures(t *testing.T) {
 // open the breaker: a success between failures resets the streak.
 func TestBreakerSuccessResetsCount(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := newBreaker(BreakerConfig{Failures: 3, Cooldown: time.Second})
+	b := breaker{cfg: BreakerConfig{Failures: 3, Cooldown: time.Second}}
 	for i := 0; i < 5; i++ {
 		b.recordFailure(now)
 		b.recordFailure(now)
@@ -79,34 +79,11 @@ func TestBreakerSuccessResetsCount(t *testing.T) {
 	}
 }
 
-// TestBreakerRateTrigger pins the windowed error-rate trigger: failures
-// that never run three-in-a-row still open the breaker once the window
-// fills past the configured fraction — and never before the window is
-// full.
-func TestBreakerRateTrigger(t *testing.T) {
-	now := time.Unix(1000, 0)
-	b := newBreaker(BreakerConfig{Failures: 10, Cooldown: time.Second, Rate: 0.5, Window: 4})
-
-	// F S F: window not yet full, nothing trips.
-	b.recordFailure(now)
-	b.recordSuccess()
-	b.recordFailure(now)
-	if b.state != BreakerClosed {
-		t.Fatalf("rate trigger fired on a part-full window: state %v", b.state)
-	}
-	// Fourth outcome fills the window at 3/4 failed >= 0.5: open, with the
-	// consecutive count (2) still far below Failures (10).
-	b.recordFailure(now)
-	if b.state != BreakerOpen {
-		t.Fatalf("full window at 75%% failure rate did not open: state %v", b.state)
-	}
-}
-
 // TestBreakerLateFailureWhileOpen pins that outcomes of dispatches
 // launched before the trip do not disturb an open breaker's cooldown.
 func TestBreakerLateFailureWhileOpen(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := newBreaker(BreakerConfig{Failures: 1, Cooldown: time.Second})
+	b := breaker{cfg: BreakerConfig{Failures: 1, Cooldown: time.Second}}
 	b.recordFailure(now)
 	if b.state != BreakerOpen {
 		t.Fatal("breaker did not open")

@@ -137,7 +137,7 @@ func TestChaosMatrix(t *testing.T) {
 			faulty, good := newWorker(t, nil), newWorker(t, nil)
 			tr := chaos.NewTransport(nil)
 			opts, check := tc.inject(tr, faulty.URL)
-			opts.Workers = []string{faulty.URL, good.URL}
+			opts.Registry = registryOf(RegistryConfig{}, faulty.URL, good.URL)
 			report := chaosRun(t, 4, tr, opts)
 			if check != nil {
 				check(t, report)
@@ -157,8 +157,7 @@ func TestChaosBreakerShedsLoad(t *testing.T) {
 
 	const n = 12
 	report := chaosRun(t, n, tr, Options{
-		Workers: []string{faulty.URL, good.URL},
-		Breaker: BreakerConfig{Failures: 2, Cooldown: time.Minute},
+		Registry: registryOf(RegistryConfig{Breaker: BreakerConfig{Failures: 2, Cooldown: time.Minute}}, faulty.URL, good.URL),
 	})
 
 	fs, gs := statusOf(t, report, faulty.URL), statusOf(t, report, good.URL)
@@ -190,9 +189,8 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	const cooldown = 300 * time.Millisecond
 	start := time.Now()
 	report := chaosRun(t, 1, tr, Options{
-		Workers:    []string{worker.URL},
+		Registry:   registryOf(RegistryConfig{Breaker: BreakerConfig{Failures: 2, Cooldown: cooldown}}, worker.URL),
 		MaxRetries: 5,
-		Breaker:    BreakerConfig{Failures: 2, Cooldown: cooldown},
 	})
 	if elapsed := time.Since(start); elapsed < cooldown {
 		t.Fatalf("run finished in %v, inside the %v cooldown — the open breaker admitted a dispatch early", elapsed, cooldown)
@@ -217,7 +215,7 @@ func TestChaosThroughputAllocation(t *testing.T) {
 	tr.Always(slow.URL, chaos.SlowDrip(200*time.Millisecond, 1<<20))
 
 	report := chaosRun(t, 10, tr, Options{
-		Workers: []string{fast.URL, slow.URL},
+		Registry: registryOf(RegistryConfig{}, fast.URL, slow.URL),
 	})
 	fs, ss := statusOf(t, report, fast.URL), statusOf(t, report, slow.URL)
 	if fs.Completions <= ss.Completions {
@@ -237,7 +235,7 @@ func TestChaosWorkerJoins(t *testing.T) {
 	tr := chaos.NewTransport(nil)
 	tr.Always(slow.URL, chaos.SlowDrip(100*time.Millisecond, 1<<20))
 
-	reg := NewRegistry([]string{slow.URL}, RegistryConfig{PerWorker: 1})
+	reg := registryOf(RegistryConfig{PerWorker: 1}, slow.URL)
 	dir := t.TempDir()
 	done := make(chan *Report, 1)
 	go func() {
@@ -284,13 +282,12 @@ func TestChaosLastWorkerDies(t *testing.T) {
 		tr := chaos.NewTransport(nil)
 		tr.Always(worker.URL, chaos.Refuse())
 		_, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
-			Workers:     []string{worker.URL},
+			Registry:    registryOf(RegistryConfig{Breaker: BreakerConfig{Cooldown: 20 * time.Millisecond}}, worker.URL),
 			Dir:         t.TempDir(),
 			Client:      tr.Client(),
 			MaxRetries:  1,
 			BaseBackoff: time.Millisecond,
 			MaxBackoff:  2 * time.Millisecond,
-			Breaker:     BreakerConfig{Cooldown: 20 * time.Millisecond},
 		})
 		if !errors.Is(err, ErrRetriesExhausted) {
 			t.Fatalf("run error %v, want ErrRetriesExhausted", err)
@@ -301,7 +298,7 @@ func TestChaosLastWorkerDies(t *testing.T) {
 		worker := newWorker(t, nil)
 		tr := chaos.NewTransport(nil)
 		tr.Always(worker.URL, chaos.Hang())
-		reg := NewRegistry([]string{worker.URL}, RegistryConfig{})
+		reg := registryOf(RegistryConfig{}, worker.URL)
 		errc := make(chan error, 1)
 		go func() {
 			_, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
@@ -337,7 +334,7 @@ func TestChaosLastWorkerDies(t *testing.T) {
 		tr := chaos.NewTransport(nil)
 		tr.Always(worker.URL, chaos.Refuse())
 		report, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
-			Workers:      []string{worker.URL},
+			Registry:     registryOf(RegistryConfig{}, worker.URL),
 			Dir:          dir,
 			Client:       tr.Client(),
 			MaxRetries:   -1,

@@ -79,7 +79,7 @@ const (
 	DefaultMaxBackoff  = 5 * time.Second
 
 	// DefaultPerWorker is the per-worker concurrent-dispatch cap when
-	// Options.PerWorker is unset.
+	// RegistryConfig.PerWorker is unset.
 	DefaultPerWorker = 2
 
 	// maxShardDeferrals bounds how many Retry-After deferrals one shard
@@ -140,8 +140,7 @@ type ShardRequest struct {
 }
 
 // Options tunes a run. Dir is required; the rest have working zero
-// values. Without Workers and with a nil or empty Registry every shard
-// runs in process.
+// values. With a nil or empty Registry every shard runs in process.
 type Options struct {
 	// Dir is the spool directory: shard k of n lives at ShardPath(Dir,
 	// k, n) — the checkpoint target of an in-process attempt, the landing
@@ -188,15 +187,6 @@ type Options struct {
 	// flush of every in-process shard.
 	OnCheckpoint func(shard.Manifest)
 
-	// Workers are base URLs of peer workers (each serving POST
-	// /v1/shard), e.g. "http://host:8080". Any worker here, or a
-	// non-empty Registry, makes every attempt of the run a dispatch.
-	Workers []string
-
-	// PerWorker caps concurrent dispatches per worker of a run-owned
-	// registry; <= 0 means DefaultPerWorker.
-	PerWorker int
-
 	// SpeculateAfter, when positive, launches a duplicate dispatch of a
 	// still-running slice on an idle different worker after this delay;
 	// the first valid response wins. Zero disables speculation.
@@ -208,23 +198,14 @@ type Options struct {
 	// tests use.
 	Client *http.Client
 
-	// Registry, when non-nil, is an externally owned membership the run
-	// dispatches through: health, breaker, hold and throughput state
-	// persist across runs (serve shares one Registry per server), and
-	// runtime Add/Remove/SetWorkers calls steer this run live. Workers
-	// listed in Options.Workers are joined to it. When nil, a dispatching
-	// run builds a private registry from Workers.
+	// Registry is the worker membership the run dispatches through
+	// (base URLs of peers serving POST /v1/shard). A non-empty Registry
+	// makes every attempt of the run a dispatch. Its health, breaker,
+	// hold and throughput state persist across runs (serve shares one
+	// Registry per server), runtime Add/Remove/SetWorkers calls steer
+	// this run live, and health probing is the owner's
+	// (Registry.StartProbing).
 	Registry *Registry
-
-	// ProbeInterval, when positive and the run owns its registry (no
-	// Options.Registry), probes each member's /readyz on this period for
-	// the duration of the run. An externally owned registry does its own
-	// probing (Registry.StartProbing).
-	ProbeInterval time.Duration
-
-	// Breaker tunes the per-worker circuit breakers of a run-owned
-	// registry; ignored when Options.Registry is set.
-	Breaker BreakerConfig
 }
 
 func (o *Options) logf(format string, args ...any) {
@@ -384,8 +365,8 @@ func (c *coord) record(worker string, elapsed time.Duration, err error) {
 // result. mkJob builds the job for one shard of the plan; all jobs must
 // describe the same derivation (same workload and options digests),
 // which every spooled partial and the final merge re-verify. Attempts
-// run in process unless Options names workers or a non-empty Registry,
-// in which case each is a dispatch shipping the job's embedded
+// run in process unless Options.Registry has members, in which case
+// each is a dispatch shipping the job's embedded
 // canonical spec (shard.Job.Spec) to a worker.
 //
 // Shards already complete in the spool are honored without an attempt,
@@ -411,24 +392,8 @@ func Run(ctx context.Context, n int, mkJob func(shard.Plan) (shard.Job, error), 
 	// concurrent shards than CPUs rarely helps; dispatches are bounded by
 	// the registry's per-worker slots instead.
 	parallel := min(n, runtime.GOMAXPROCS(0))
-	if len(opts.Workers) > 0 || (opts.Registry != nil && opts.Registry.Len() > 0) {
+	if opts.Registry != nil && opts.Registry.Len() > 0 {
 		c.reg = opts.Registry
-		if c.reg == nil {
-			c.reg = NewRegistry(opts.Workers, RegistryConfig{
-				PerWorker: opts.PerWorker,
-				Breaker:   opts.Breaker,
-				Logf:      opts.Logf,
-			})
-			if opts.ProbeInterval > 0 {
-				pctx, pcancel := context.WithCancel(ctx)
-				defer pcancel()
-				c.reg.StartProbing(pctx, opts.ProbeInterval, opts.client())
-			}
-		} else {
-			for _, w := range opts.Workers {
-				c.reg.Add(w)
-			}
-		}
 		// Wake registry waiters when the run is cancelled, so shards
 		// blocked on a slot observe ctx promptly.
 		stopWake := context.AfterFunc(ctx, c.reg.wakeAll)

@@ -30,6 +30,12 @@ func jobsOf(spec *workload.Spec) func(shard.Plan) (shard.Job, error) {
 	return func(p shard.Plan) (shard.Job, error) { return spec.Compile(p, workload.Exec{Workers: 2}) }
 }
 
+// registryOf builds the worker membership a test run dispatches through
+// (Options.Registry) — the one way fleet and chaos tests name workers.
+func registryOf(cfg RegistryConfig, urls ...string) *Registry {
+	return NewRegistry(urls, cfg)
+}
+
 // wantCurve is the single-process reference curve, serialized.
 func wantCurve(t *testing.T) string {
 	t.Helper()
@@ -127,8 +133,8 @@ func TestFleetParity(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			dir := t.TempDir()
 			report, err := Run(context.Background(), n, jobsOf(testSpec()), Options{
-				Workers: []string{w1.URL, w2.URL},
-				Dir:     dir,
+				Registry: registryOf(RegistryConfig{}, w1.URL, w2.URL),
+				Dir:      dir,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -181,8 +187,8 @@ func TestFleetResumesSpooledPartials(t *testing.T) {
 	defer refuse.Close()
 
 	report, err := Run(context.Background(), 2, jobsOf(spec), Options{
-		Workers: []string{refuse.URL},
-		Dir:     dir,
+		Registry: registryOf(RegistryConfig{}, refuse.URL),
+		Dir:      dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +224,8 @@ func TestFleetInterruptAndRerun(t *testing.T) {
 
 	dir := t.TempDir()
 	report, err := Run(ctx, 2, jobsOf(testSpec()), Options{
-		Workers: []string{blocked.URL},
-		Dir:     dir,
+		Registry: registryOf(RegistryConfig{}, blocked.URL),
+		Dir:      dir,
 	})
 	if err == nil || !report.Interrupted {
 		t.Fatalf("cancelled run: err=%v interrupted=%v", err, report.Interrupted)
@@ -228,8 +234,8 @@ func TestFleetInterruptAndRerun(t *testing.T) {
 
 	good := newWorker(t, nil)
 	report, err = Run(context.Background(), 2, jobsOf(testSpec()), Options{
-		Workers: []string{good.URL},
-		Dir:     dir,
+		Registry: registryOf(RegistryConfig{}, good.URL),
+		Dir:      dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +258,7 @@ func TestFleetKillAWorker(t *testing.T) {
 
 	dir := t.TempDir()
 	report, err := Run(context.Background(), 4, jobsOf(testSpec()), Options{
-		Workers:     []string{dead.URL, good.URL},
+		Registry:    registryOf(RegistryConfig{}, dead.URL, good.URL),
 		Dir:         dir,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  2 * time.Millisecond,
@@ -286,9 +292,8 @@ func TestFleetSpeculation(t *testing.T) {
 
 	dir := t.TempDir()
 	report, err := Run(context.Background(), 1, jobsOf(testSpec()), Options{
-		Workers:        []string{slow.URL, fast.URL},
+		Registry:       registryOf(RegistryConfig{PerWorker: 1}, slow.URL, fast.URL),
 		Dir:            dir,
-		PerWorker:      1,
 		SpeculateAfter: 20 * time.Millisecond,
 	})
 	if err != nil {
@@ -402,7 +407,7 @@ func TestFleetFaultMatrix(t *testing.T) {
 			good := newWorker(t, nil)
 			dir := t.TempDir()
 			report, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
-				Workers:     []string{faulty.URL, good.URL},
+				Registry:    registryOf(RegistryConfig{}, faulty.URL, good.URL),
 				Dir:         dir,
 				BaseBackoff: time.Millisecond,
 				MaxBackoff:  2 * time.Millisecond,
@@ -462,7 +467,7 @@ func TestFleetRetryAfterRecovery(t *testing.T) {
 	defer worker.Close()
 
 	report, err := Run(context.Background(), 1, jobsOf(testSpec()), Options{
-		Workers:    []string{worker.URL},
+		Registry:   registryOf(RegistryConfig{}, worker.URL),
 		Dir:        dir,
 		MaxRetries: -1, // zero budget: any non-deferral retry would fail the run
 	})
@@ -514,7 +519,7 @@ func TestFleetDegradedMerge(t *testing.T) {
 	defer worker.Close()
 
 	report, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
-		Workers:      []string{worker.URL},
+		Registry:     registryOf(RegistryConfig{}, worker.URL),
 		Dir:          dir,
 		MaxRetries:   -1,
 		AllowPartial: true,
@@ -538,7 +543,7 @@ func TestFleetDegradedMerge(t *testing.T) {
 
 	// Without AllowPartial the same fleet must refuse.
 	if _, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
-		Workers:    []string{worker.URL},
+		Registry:   registryOf(RegistryConfig{}, worker.URL),
 		Dir:        t.TempDir(),
 		MaxRetries: -1,
 	}); err == nil {
@@ -555,8 +560,8 @@ func TestFleetPermanentRejection(t *testing.T) {
 	defer worker.Close()
 
 	report, err := Run(context.Background(), 1, jobsOf(testSpec()), Options{
-		Workers: []string{worker.URL},
-		Dir:     t.TempDir(),
+		Registry: registryOf(RegistryConfig{}, worker.URL),
+		Dir:      t.TempDir(),
 	})
 	if err == nil {
 		t.Fatal("deterministic rejection did not fail the run")
@@ -605,8 +610,8 @@ func TestFleetQuarantinesForeignSpoolPartial(t *testing.T) {
 
 	good := newWorker(t, nil)
 	report, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
-		Workers: []string{good.URL},
-		Dir:     dir,
+		Registry: registryOf(RegistryConfig{}, good.URL),
+		Dir:      dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -629,7 +634,7 @@ func TestFleetQuarantinesForeignSpoolPartial(t *testing.T) {
 // TestAllocator unit-tests the registry's allocation preferences: the
 // ranking pickLocked applies under the lock.
 func TestAllocator(t *testing.T) {
-	r := NewRegistry([]string{"A", "B"}, RegistryConfig{PerWorker: 2})
+	r := registryOf(RegistryConfig{PerWorker: 2}, "A", "B")
 	now := time.Now()
 	pick := func(avoid string, exclude map[string]bool) (string, bool) {
 		r.mu.Lock()

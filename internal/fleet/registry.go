@@ -10,20 +10,20 @@ import (
 	"time"
 )
 
-// Defaults for the registry's health and throughput policy; tests
-// shorten or tune them via RegistryConfig.
+// The registry's health and throughput policy.
 const (
 	// DefaultEWMAAlpha is the smoothing factor of the per-worker
-	// shards/sec estimate when RegistryConfig.EWMAAlpha is unset: each
-	// completed dispatch contributes 30% of the new estimate.
+	// shards/sec estimate: each completed dispatch contributes 30% of the
+	// new estimate.
 	DefaultEWMAAlpha = 0.3
 
 	// DefaultProbeFailures is how many consecutive failed health probes
-	// mark a worker unhealthy when RegistryConfig.ProbeFailures is unset.
+	// mark a worker unhealthy (skipped by allocation while alternatives
+	// exist). A single successful probe — or a successful dispatch —
+	// restores health.
 	DefaultProbeFailures = 2
 
-	// DefaultProbeTimeout bounds one health-probe request when
-	// RegistryConfig.ProbeTimeout is unset.
+	// DefaultProbeTimeout bounds one health-probe request.
 	DefaultProbeTimeout = 2 * time.Second
 )
 
@@ -36,20 +36,6 @@ type RegistryConfig struct {
 	// Breaker configures the per-worker circuit breakers.
 	Breaker BreakerConfig
 
-	// EWMAAlpha is the smoothing factor of the per-worker throughput
-	// estimate (shards/sec) in (0, 1]; <= 0 means DefaultEWMAAlpha.
-	EWMAAlpha float64
-
-	// ProbeFailures is how many consecutive failed health probes mark a
-	// worker unhealthy (skipped by allocation while alternatives exist);
-	// <= 0 means DefaultProbeFailures. A single successful probe — or a
-	// successful dispatch — restores health.
-	ProbeFailures int
-
-	// ProbeTimeout bounds each health-probe request; <= 0 means
-	// DefaultProbeTimeout.
-	ProbeTimeout time.Duration
-
 	// Logf, when non-nil, receives membership and health transitions.
 	Logf func(format string, args ...any)
 }
@@ -59,27 +45,6 @@ func (c RegistryConfig) perWorker() int {
 		return DefaultPerWorker
 	}
 	return c.PerWorker
-}
-
-func (c RegistryConfig) alpha() float64 {
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		return DefaultEWMAAlpha
-	}
-	return c.EWMAAlpha
-}
-
-func (c RegistryConfig) probeFailures() int {
-	if c.ProbeFailures <= 0 {
-		return DefaultProbeFailures
-	}
-	return c.ProbeFailures
-}
-
-func (c RegistryConfig) probeTimeout() time.Duration {
-	if c.ProbeTimeout <= 0 {
-		return DefaultProbeTimeout
-	}
-	return c.ProbeTimeout
 }
 
 // member is one worker's live state: dispatch slots, probed health, its
@@ -207,7 +172,7 @@ func (r *Registry) addLocked(url string) bool {
 		url:     url,
 		free:    r.cfg.perWorker(),
 		healthy: true,
-		br:      newBreaker(r.cfg.Breaker),
+		br:      breaker{cfg: r.cfg.Breaker},
 	}
 	r.order = append(r.order, url)
 	return true
@@ -514,7 +479,7 @@ func (r *Registry) success(url string, elapsed time.Duration) {
 		if m.completions == 1 {
 			m.ewma = sample
 		} else {
-			a := r.cfg.alpha()
+			a := DefaultEWMAAlpha
 			m.ewma = a*sample + (1-a)*m.ewma
 		}
 		m.br.recordSuccess()
@@ -586,7 +551,7 @@ func (e *ProbeError) Error() string {
 
 // Probe runs one synchronous health round: every member's /readyz is
 // fetched (concurrently, each under the probe timeout) and verdicts are
-// applied — a 200 restores health immediately; ProbeFailures
+// applied — a 200 restores health immediately; DefaultProbeFailures
 // consecutive failures mark the worker unhealthy, demoting it in
 // allocation without removing it. Probes observe health; breakers, fed
 // by real dispatch outcomes, own the load-shedding decision.
@@ -613,7 +578,7 @@ func (r *Registry) Probe(ctx context.Context, client *http.Client) {
 
 // probeOne fetches one worker's /readyz under the probe timeout.
 func (r *Registry) probeOne(ctx context.Context, client *http.Client, url string) error {
-	pctx, cancel := context.WithTimeout(ctx, r.cfg.probeTimeout())
+	pctx, cancel := context.WithTimeout(ctx, DefaultProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, url+"/readyz", nil)
 	if err != nil {
@@ -647,7 +612,7 @@ func (r *Registry) applyProbe(url string, err error) {
 	} else {
 		m.probeFails++
 		m.lastProbe = err.Error()
-		if m.probeFails >= r.cfg.probeFailures() && m.healthy {
+		if m.probeFails >= DefaultProbeFailures && m.healthy {
 			m.healthy = false
 			becameUnhealthy = true
 		}
@@ -658,7 +623,7 @@ func (r *Registry) applyProbe(url string, err error) {
 		r.cond.Broadcast()
 	}
 	if becameUnhealthy {
-		r.logf("fleet: worker %s failed %d consecutive probes; marked unhealthy (%v)", url, r.cfg.probeFailures(), err)
+		r.logf("fleet: worker %s failed %d consecutive probes; marked unhealthy (%v)", url, DefaultProbeFailures, err)
 	}
 }
 

@@ -166,13 +166,13 @@ func TestRegistryBreakerShedsAndProbes(t *testing.T) {
 // success folds a shards/sec sample into the estimate, and the snapshot
 // exposes it.
 func TestRegistryThroughputEWMA(t *testing.T) {
-	r := NewRegistry([]string{"A"}, RegistryConfig{EWMAAlpha: 0.5})
+	r := NewRegistry([]string{"A"}, RegistryConfig{})
 	r.success("A", time.Second) // first sample sets the estimate: 1/s
 	r.success("A", 250*time.Millisecond)
 	ws := r.Snapshot()[0]
-	// 0.5*4 + 0.5*1 = 2.5 shards/sec.
-	if ws.ShardsPerSec < 2.49 || ws.ShardsPerSec > 2.51 {
-		t.Fatalf("EWMA %v, want 2.5", ws.ShardsPerSec)
+	// DefaultEWMAAlpha 0.3: 0.3*4 + 0.7*1 = 1.9 shards/sec.
+	if ws.ShardsPerSec < 1.89 || ws.ShardsPerSec > 1.91 {
+		t.Fatalf("EWMA %v, want 1.9", ws.ShardsPerSec)
 	}
 	if ws.Completions != 2 {
 		t.Fatalf("completions %d, want 2", ws.Completions)
@@ -180,7 +180,7 @@ func TestRegistryThroughputEWMA(t *testing.T) {
 }
 
 // TestRegistryProbe pins probe semantics against live endpoints: a 200
-// /readyz keeps (or restores) health, ProbeFailures consecutive
+// /readyz keeps (or restores) health, DefaultProbeFailures consecutive
 // failures mark a worker unhealthy, and one success heals it.
 func TestRegistryProbe(t *testing.T) {
 	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -200,7 +200,7 @@ func TestRegistryProbe(t *testing.T) {
 	}))
 	defer flaky.Close()
 
-	r := NewRegistry([]string{healthy.URL, flaky.URL}, RegistryConfig{ProbeFailures: 2})
+	r := NewRegistry([]string{healthy.URL, flaky.URL}, RegistryConfig{})
 	ctx := context.Background()
 	r.Probe(ctx, nil)
 	if g := r.Gauges(); g.Healthy != 2 {

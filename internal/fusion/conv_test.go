@@ -96,10 +96,7 @@ func TestConvHaloCostsBufferAndTraffic(t *testing.T) {
 func TestConvChainSegmentation(t *testing.T) {
 	c := convChain()
 	perOp := c.PerOpCurves(bound.Options{Workers: 1})
-	best, err := BestSegmentation(c, perOp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := bestSegmentation(t, c, perOp, 1)
 	unfused := UnfusedCurve(perOp)
 	for _, p := range unfused.Points() {
 		got, ok := best.AccessesAt(p.BufferBytes)

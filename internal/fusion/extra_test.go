@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/einsum"
-	"repro/internal/pareto"
 )
 
 func TestFromEinsumsErrors(t *testing.T) {
@@ -63,33 +62,6 @@ func TestUntiledFusionErrors(t *testing.T) {
 	}
 	if _, err := PipelinedFusion(bad); err == nil {
 		t.Fatal("invalid chain accepted by PipelinedFusion")
-	}
-}
-
-func TestReductionFactorsSorted(t *testing.T) {
-	base := pareto.FromPoints([]pareto.Point{
-		{BufferBytes: 10, AccessBytes: 1000},
-		{BufferBytes: 100, AccessBytes: 400},
-	})
-	cand := pareto.FromPoints([]pareto.Point{
-		{BufferBytes: 50, AccessBytes: 500},
-		{BufferBytes: 100, AccessBytes: 100},
-	})
-	rf := ReductionFactors(base, cand)
-	for i := 1; i < len(rf); i++ {
-		if rf[i].BufferBytes < rf[i-1].BufferBytes {
-			t.Fatalf("reduction points unsorted: %+v", rf)
-		}
-	}
-	// At 100 B: base 400 / cand 100 = 4x.
-	found := false
-	for _, p := range rf {
-		if p.BufferBytes == 100 && p.Factor == 4 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("missing 4x point: %+v", rf)
 	}
 }
 

@@ -1,7 +1,9 @@
 package fusion
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -201,6 +203,20 @@ func TestSegmentationAt(t *testing.T) {
 	}
 }
 
+// bestSegmentation sweeps the whole mask space of c, as Analyze does.
+func bestSegmentation(t testing.TB, c *Chain, perOp []*pareto.Curve, workers int) *pareto.Curve {
+	t.Helper()
+	sw, err := NewSegmentationSweep(c, perOp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, _, err := sw.Range(context.Background(), 0, sw.space, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return best
+}
+
 func TestSegmentationRangeUnionMatchesBest(t *testing.T) {
 	c := MustChain("three", 16,
 		GEMMOp("g0", 16, 4, 16),
@@ -208,7 +224,27 @@ func TestSegmentationRangeUnionMatchesBest(t *testing.T) {
 		GEMMOp("g2", 16, 8, 4),
 	)
 	perOp := c.PerOpCurves(bound.Options{Workers: 1})
-	best, _, err := BestSegmentationStats(c, perOp, 1)
+	// The reference is the capacity-wise minimum over every
+	// segmentation's own curve.
+	study, _, err := SegmentationStudyContext(context.Background(), c, perOp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves := make([]*pareto.Curve, len(study))
+	for i, s := range study {
+		curves[i] = s.Curve
+	}
+	best := pareto.MergeMin(curves...)
+	best.AlgoMinBytes = c.FusedAlgoMinBytes()
+	best.TotalOperandBytes = c.UnfusedAlgoMinBytes()
+	wantJSON, err := json.Marshal(best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotJSON, _ := json.Marshal(bestSegmentation(t, c, perOp, 1)); !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("whole-space range %s != study minimum %s", gotJSON, wantJSON)
+	}
+	sw, err := NewSegmentationSweep(c, perOp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +254,11 @@ func TestSegmentationRangeUnionMatchesBest(t *testing.T) {
 	}
 	// Any disjoint cover of the mask space merges back to the best curve.
 	for _, cut := range []int64{1, 2, 3} {
-		loCurve, _, err := SegmentationRange(context.Background(), c, perOp, 0, cut, 1)
+		loCurve, _, err := sw.Range(context.Background(), 0, cut, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hiCurve, _, err := SegmentationRange(context.Background(), c, perOp, cut, space, 1)
+		hiCurve, _, err := sw.Range(context.Background(), cut, space, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,8 +270,8 @@ func TestSegmentationRangeUnionMatchesBest(t *testing.T) {
 		}
 	}
 	// Out-of-range slices are rejected.
-	if _, _, err := SegmentationRange(context.Background(), c, perOp, 0, space+1, 1); err == nil {
-		t.Fatal("SegmentationRange beyond the space should fail")
+	if _, _, err := sw.Range(context.Background(), 0, space+1, 1); err == nil {
+		t.Fatal("a range beyond the space should fail")
 	}
 }
 
@@ -266,10 +302,7 @@ func TestBestSegmentationDominates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := BestSegmentation(c, perOp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := bestSegmentation(t, c, perOp, 1)
 	// Best segmentation includes both extremes, so it is pointwise at
 	// least as good wherever those are feasible.
 	for _, ref := range []*pareto.Curve{unfused, fullFusion} {
@@ -285,7 +318,7 @@ func TestBestSegmentationDominates(t *testing.T) {
 func TestSegmentationStudyLabels(t *testing.T) {
 	c := twoGEMMChain()
 	perOp := c.PerOpCurves(bound.Options{Workers: 1})
-	study, err := SegmentationStudy(c, perOp)
+	study, _, err := SegmentationStudyContext(context.Background(), c, perOp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,15 +331,6 @@ func TestSegmentationStudyLabels(t *testing.T) {
 	}
 	if !labels["[0:2)"] || !labels["[0:1)[1:2)"] {
 		t.Fatalf("unexpected labels: %v", labels)
-	}
-}
-
-func TestReductionFactors(t *testing.T) {
-	base := pareto.FromPoints([]pareto.Point{{BufferBytes: 10, AccessBytes: 1000}})
-	cand := pareto.FromPoints([]pareto.Point{{BufferBytes: 10, AccessBytes: 250}})
-	rf := ReductionFactors(base, cand)
-	if len(rf) != 1 || rf[0].Factor != 4 {
-		t.Fatalf("ReductionFactors = %+v, want one 4x point", rf)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -51,14 +52,14 @@ func TestTiledFusionStatsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestSegmentationStudyStatsDeterministicAcrossWorkerCounts(t *testing.T) {
+func TestSegmentationStudyDeterministicAcrossWorkerCounts(t *testing.T) {
 	c := fourOpChain()
 	perOp := c.PerOpCurves(bound.Options{})
-	serial, _, err := SegmentationStudyStats(c, perOp, 1)
+	serial, _, err := SegmentationStudyContext(context.Background(), c, perOp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := SegmentationStudyStats(c, perOp, 4)
+	par, _, err := SegmentationStudyContext(context.Background(), c, perOp, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,15 +74,7 @@ func TestSegmentationStudyStatsDeterministicAcrossWorkerCounts(t *testing.T) {
 		sameCurve(t, "segmentation "+serial[i].Label, serial[i].Curve, par[i].Curve)
 	}
 
-	bs, _, err := BestSegmentationStats(c, perOp, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs1, err := BestSegmentation(c, perOp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCurve(t, "best segmentation", bs1, bs)
+	sameCurve(t, "best segmentation", bestSegmentation(t, c, perOp, 1), bestSegmentation(t, c, perOp, 4))
 }
 
 func BenchmarkSegmentationStudy(b *testing.B) {
@@ -100,7 +93,7 @@ func BenchmarkSegmentationStudy(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := SegmentationStudyStats(c, perOp, w); err != nil {
+				if _, _, err := SegmentationStudyContext(context.Background(), c, perOp, w); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -52,7 +52,7 @@ func SegmentationAt(n int, mask int64) Segmentation {
 }
 
 // SegmentationSpace returns the size of the segmentation index space of c —
-// the [0, Space) mask range that SegmentationRange slices and a
+// the [0, Space) mask range that SegmentationSweep.Range slices and a
 // cross-process shard plan (internal/shard) divides: 2^(n-1) for n ops.
 func SegmentationSpace(c *Chain) (int64, error) {
 	if err := c.Validate(); err != nil {
@@ -93,7 +93,7 @@ type SegmentationSweep struct {
 }
 
 // NewSegmentationSweep validates the chain and its per-op curves and
-// returns a sweep over the [0, Space()) segmentation masks.
+// returns a sweep over the [0, SegmentationSpace(c)) segmentation masks.
 func NewSegmentationSweep(c *Chain, perOp []*pareto.Curve) (*SegmentationSweep, error) {
 	space, err := SegmentationSpace(c)
 	if err != nil {
@@ -105,9 +105,6 @@ func NewSegmentationSweep(c *Chain, perOp []*pareto.Curve) (*SegmentationSweep, 
 	}
 	return &SegmentationSweep{c: c, perOp: perOp, space: space}, nil
 }
-
-// Space returns the number of segmentation masks the sweep addresses.
-func (sw *SegmentationSweep) Space() int64 { return sw.space }
 
 // fusedFor memoizes the tiled-fusion curve of the [lo, hi) sub-chain.
 // Sub-chain sweeps stay serial: the outer sweep already saturates the
@@ -147,15 +144,16 @@ func (sw *SegmentationSweep) curveAt(ctx context.Context, mask int64) (Segmentat
 
 // Range derives the capacity-wise best curve over the segmentation masks
 // [lo, hi) — one shard's (or one checkpoint block's) share of the study.
-// Deriving a disjoint cover of [0, Space()) and merging the partial curves
-// with pareto.Union reproduces BestSegmentationStats' curve byte-for-byte;
-// the annotations are already set on every partial.
+// Deriving a disjoint cover of [0, SegmentationSpace) and merging the
+// partial curves with pareto.Union gives the byte-identical whole-space
+// curve, which is also pareto.MergeMin over SegmentationStudyContext's
+// curves; the annotations are already set on every partial.
 //
 // Cancelling ctx aborts the sweep within about one worker chunk and
 // returns the context's error with no curve.
 func (sw *SegmentationSweep) Range(ctx context.Context, lo, hi int64, workers int) (*pareto.Curve, traverse.Stats, error) {
 	if lo < 0 || hi < lo || hi > sw.space {
-		return nil, traverse.Stats{}, fmt.Errorf("fusion: SegmentationRange [%d, %d) outside [0, %d)", lo, hi, sw.space)
+		return nil, traverse.Stats{}, fmt.Errorf("fusion: segmentation range [%d, %d) outside [0, %d)", lo, hi, sw.space)
 	}
 	// FrontierRange chunk funcs cannot return errors, so a failed
 	// sub-chain derivation is recorded out-of-band; without this check a
@@ -203,37 +201,12 @@ func (sw *SegmentationSweep) Range(ctx context.Context, lo, hi int64, workers in
 	return curve, ts, nil
 }
 
-// SegmentationRange derives the partial best-segmentation frontier over
-// the global mask indices [lo, hi) with a fresh sweep. Processes sharing
-// many sub-chain spans across calls should hold a SegmentationSweep
-// instead, which keeps its memo across Range calls.
-func SegmentationRange(ctx context.Context, c *Chain, perOp []*pareto.Curve, lo, hi int64, workers int) (*pareto.Curve, traverse.Stats, error) {
-	sw, err := NewSegmentationSweep(c, perOp)
-	if err != nil {
-		return nil, traverse.Stats{}, err
-	}
-	return sw.Range(ctx, lo, hi, workers)
-}
-
-// SegmentationStudy derives the bound of every segmentation of the chain.
-// perOp supplies each op's standalone ski-slope curve (used for
-// single-op segments, which execute unfused). Multi-op segments use the
-// tiled-fusion bound. The curve of a segmentation is the capacity-wise sum
-// of its segments' curves.
-func SegmentationStudy(c *Chain, perOp []*pareto.Curve) ([]SegmentedResult, error) {
-	out, _, err := SegmentationStudyStats(c, perOp, 0)
-	return out, err
-}
-
-// SegmentationStudyStats is SegmentationStudy with an explicit worker
-// count (<= 0 means GOMAXPROCS) and traversal statistics, under the
-// non-cancellable background context.
-func SegmentationStudyStats(c *Chain, perOp []*pareto.Curve, workers int) ([]SegmentedResult, traverse.Stats, error) {
-	return SegmentationStudyContext(context.Background(), c, perOp, workers)
-}
-
-// SegmentationStudyContext derives every segmentation's curve under ctx.
-// The 2^(n-1) segmentations are distributed across workers; fused
+// SegmentationStudyContext derives the bound of every segmentation of
+// the chain under ctx. perOp supplies each op's standalone ski-slope
+// curve, used for single-op segments, which execute unfused; multi-op
+// segments use the tiled-fusion bound, and a segmentation's curve is the
+// capacity-wise sum of its segments' curves. The 2^(n-1) segmentations
+// are distributed across workers (<= 0 means GOMAXPROCS); fused
 // sub-chain curves are shared through a concurrency-safe memo so each
 // [lo, hi) span is derived exactly once no matter which workers need it.
 // Results are written by segmentation index, so the output order (and
@@ -268,36 +241,4 @@ func SegmentationStudyContext(ctx context.Context, c *Chain, perOp []*pareto.Cur
 		}
 	}
 	return out, ts, nil
-}
-
-// BestSegmentation returns the capacity-wise best curve over all
-// segmentations (the yellow curve of Fig. 21).
-func BestSegmentation(c *Chain, perOp []*pareto.Curve) (*pareto.Curve, error) {
-	best, _, err := BestSegmentationStats(c, perOp, 0)
-	return best, err
-}
-
-// BestSegmentationStats is BestSegmentation with an explicit worker count
-// (<= 0 means GOMAXPROCS) and traversal statistics, under the
-// non-cancellable background context.
-func BestSegmentationStats(c *Chain, perOp []*pareto.Curve, workers int) (*pareto.Curve, traverse.Stats, error) {
-	return BestSegmentationContext(context.Background(), c, perOp, workers)
-}
-
-// BestSegmentationContext derives the capacity-wise best curve over all
-// segmentations under ctx. The result is byte-identical to merging a
-// disjoint SegmentationRange cover of the mask space with pareto.Union.
-func BestSegmentationContext(ctx context.Context, c *Chain, perOp []*pareto.Curve, workers int) (*pareto.Curve, traverse.Stats, error) {
-	study, ts, err := SegmentationStudyContext(ctx, c, perOp, workers)
-	if err != nil {
-		return nil, ts, err
-	}
-	curves := make([]*pareto.Curve, len(study))
-	for i, s := range study {
-		curves[i] = s.Curve
-	}
-	best := pareto.MergeMin(curves...)
-	best.AlgoMinBytes = c.FusedAlgoMinBytes()
-	best.TotalOperandBytes = c.UnfusedAlgoMinBytes()
-	return best, ts, nil
 }

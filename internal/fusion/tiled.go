@@ -308,45 +308,3 @@ func ioPeak(c *Chain, m0, n2, lastOut int64) int64 {
 	}
 	return peak
 }
-
-// ReductionFactor evaluates how much a candidate curve improves on a
-// baseline at each of the given capacities: baseline accesses divided by
-// candidate accesses (Fig. 18b). Infeasible probes are skipped.
-type ReductionPoint struct {
-	BufferBytes int64
-	Factor      float64
-}
-
-// ReductionFactors computes baseline/candidate access ratios at the union
-// of both curves' breakpoints.
-func ReductionFactors(baseline, candidate *pareto.Curve) []ReductionPoint {
-	var out []ReductionPoint
-	seen := map[int64]bool{}
-	for _, src := range []*pareto.Curve{baseline, candidate} {
-		for _, p := range src.Points() {
-			if seen[p.BufferBytes] {
-				continue
-			}
-			seen[p.BufferBytes] = true
-			ba, ok1 := baseline.AccessesAt(p.BufferBytes)
-			ca, ok2 := candidate.AccessesAt(p.BufferBytes)
-			if !ok1 || !ok2 || ca == 0 {
-				continue
-			}
-			out = append(out, ReductionPoint{
-				BufferBytes: p.BufferBytes,
-				Factor:      float64(ba) / float64(ca),
-			})
-		}
-	}
-	sortReduction(out)
-	return out
-}
-
-func sortReduction(pts []ReductionPoint) {
-	for i := 1; i < len(pts); i++ {
-		for j := i; j > 0 && pts[j].BufferBytes < pts[j-1].BufferBytes; j-- {
-			pts[j], pts[j-1] = pts[j-1], pts[j]
-		}
-	}
-}

@@ -152,28 +152,21 @@ type BlockStudy struct {
 	BlockMACs           int64
 }
 
-// NewBlockStudy derives every curve of the Sec. VII-B/VII-C analysis.
-// It is the heavyweight entry point: at full GPT-3-6.7b scale it runs a
-// few hundred thousand Snowcat evaluations plus the fused mapspace search.
+// NewBlockStudy derives every curve of the Sec. VII-B/VII-C analysis:
+// the six-Einsum chain through fusion.Analyze, plus the unfused K_proj
+// and V_proj. It is the heavyweight entry point: at full GPT-3-6.7b
+// scale it runs a few hundred thousand Snowcat evaluations plus the
+// fused mapspace search.
 func NewBlockStudy(c Config, opts bound.Options) (*BlockStudy, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	chain := c.SixEinsumChain()
-	perOp := chain.PerOpCurves(opts)
-
-	chainUnfused := fusion.UnfusedCurve(perOp)
-	chainFused, _, err := fusion.TiledFusionStats(chain, opts.Workers)
+	a, err := fusion.Analyze(chain, opts)
 	if err != nil {
 		return nil, err
 	}
-	chainSegmented, _, err := fusion.BestSegmentationStats(chain, perOp, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
+	chainUnfused, chainFused, chainSegmented := a.Unfused, a.Tiled, a.Best
 
 	kProj := bound.Derive(c.KProj(), opts).Curve
 	vProj := bound.Derive(c.VProj(), opts).Curve

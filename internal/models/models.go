@@ -101,12 +101,6 @@ func Llama2_70B_GQA(seq int64) *einsum.Einsum {
 		fmt.Sprintf("llama2-70b-gqa-s%d", seq), 64, 8, seq, 128, seq)
 }
 
-// MQAAttention returns a multi-query attention score BMM (G=1) with the
-// given head count for contrast studies.
-func MQAAttention(name string, heads, seq, headDim int64) *einsum.Einsum {
-	return einsum.GroupedBMM(name, heads, 1, seq, headDim, seq)
-}
-
 // TransformerBlocks lists the catalog's transformer configurations at a
 // standard decode-prefill shape (seq 2048, batch 16 for GPT; seq 512,
 // batch 32 for BERT).

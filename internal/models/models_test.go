@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bound"
+	"repro/internal/einsum"
 )
 
 func TestConvCatalogsValidate(t *testing.T) {
@@ -66,15 +67,12 @@ func TestLlamaGQA(t *testing.T) {
 	if sz := e.TensorSize(w); sz != 8*128*1024 {
 		t.Fatalf("GQA weight size = %d, want %d", sz, 8*128*1024)
 	}
-	// GQA moves less data than full MHA at equal compute.
-	mha := MQAAttention("mha", 64, 1024, 128)
-	_ = mha
 }
 
 func TestGQABeatsMHAOnTraffic(t *testing.T) {
 	gqa := Llama2_70B_GQA(256)
 	// Equivalent MHA: G = H.
-	mha := MQAAttention("ref", 64, 256, 128) // G=1 extreme for contrast
+	mha := einsum.GroupedBMM("ref", 64, 1, 256, 128, 256) // MQA: G=1 extreme for contrast
 	cg := bound.Derive(gqa, bound.Options{Workers: 1}).Curve
 	cm := bound.Derive(mha, bound.Options{Workers: 1}).Curve
 	// MQA (G=1) has the least traffic, GQA (G=8) sits between it and MHA;

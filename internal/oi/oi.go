@@ -51,14 +51,6 @@ func OIAt(c *pareto.Curve, macs, elementSize, bufferBytes int64) (float64, bool)
 	return float64(macs) / (float64(acc) / float64(elementSize)), true
 }
 
-// Roofline computes attainable throughput in MACs/s for a machine with the
-// given peak compute (MACs/s) and memory bandwidth (bytes/s), at an
-// operational intensity of oi MACs/element with elementSize-byte elements.
-func Roofline(peakMACsPerSec, bandwidthBytesPerSec float64, oi float64, elementSize int64) float64 {
-	macsPerByte := oi / float64(elementSize)
-	return math.Min(peakMACsPerSec, macsPerByte*bandwidthBytesPerSec)
-}
-
 // ChipSpec describes the fixed chip envelope of the Sec. VII-D provisioning
 // study. Areas are in µm², die area in mm².
 type ChipSpec struct {

@@ -60,17 +60,6 @@ func TestGEMMPeakOIFromDerivedCurve(t *testing.T) {
 	}
 }
 
-func TestRoofline(t *testing.T) {
-	// OI 100 MACs/elem, 2B elems -> 50 MACs/B; with 10 B/s bandwidth ->
-	// 500 MACs/s, below a 1000 MACs/s compute peak.
-	if got := Roofline(1000, 10, 100, 2); got != 500 {
-		t.Fatalf("memory-bound roofline = %f, want 500", got)
-	}
-	if got := Roofline(400, 10, 100, 2); got != 400 {
-		t.Fatalf("compute-bound roofline = %f, want 400", got)
-	}
-}
-
 func TestChipSpec(t *testing.T) {
 	s := GF100()
 	usable := s.UsableAreaUM2()

@@ -53,19 +53,6 @@ func TestUnionCarriesDegraded(t *testing.T) {
 	}
 }
 
-func TestCurveCopiesCarryDegraded(t *testing.T) {
-	partial := degradedCurve(Point{BufferBytes: 5, AccessBytes: 300})
-	if !partial.ScaleAccesses(2).Degraded {
-		t.Fatal("ScaleAccesses dropped the degraded flag")
-	}
-	if !partial.ShiftBuffer(1).Degraded {
-		t.Fatal("ShiftBuffer dropped the degraded flag")
-	}
-	if !partial.AddAccesses(1).Degraded {
-		t.Fatal("AddAccesses dropped the degraded flag")
-	}
-}
-
 func TestDegradedJSONRoundTrip(t *testing.T) {
 	partial := degradedCurve(Point{BufferBytes: 5, AccessBytes: 300})
 	data, err := json.Marshal(partial)

@@ -144,18 +144,6 @@ func (c *Curve) String() string {
 		shape.FormatBytes(c.pts[len(c.pts)-1].AccessBytes))
 }
 
-// Table renders the frontier as aligned text rows (buffer, accesses),
-// useful for quick inspection in examples and benchmarks.
-func (c *Curve) Table() string {
-	var b strings.Builder
-	for _, p := range c.pts {
-		fmt.Fprintf(&b, "%12d  %14d    %10s  %12s\n",
-			p.BufferBytes, p.AccessBytes,
-			shape.FormatBytes(p.BufferBytes), shape.FormatBytes(p.AccessBytes))
-	}
-	return b.String()
-}
-
 // Canonical renders the curve as a deterministic one-line encoding —
 // annotations, degraded flag, and every frontier point — for use in
 // content digests (e.g. a shard manifest whose workload includes input
@@ -336,53 +324,6 @@ func MergeMin(curves ...*Curve) *Curve {
 	out.TotalOperandBytes = curves[0].TotalOperandBytes
 	for _, c := range curves {
 		out.Degraded = out.Degraded || c.Degraded
-	}
-	return out
-}
-
-// ScaleAccesses returns a copy of c with every access count multiplied by
-// k — the curve for k identical instances executed sequentially through
-// the same buffer.
-func (c *Curve) ScaleAccesses(k int64) *Curve {
-	out := &Curve{
-		pts:               make([]Point, len(c.pts)),
-		AlgoMinBytes:      c.AlgoMinBytes * k,
-		TotalOperandBytes: c.TotalOperandBytes * k,
-		Degraded:          c.Degraded,
-	}
-	for i, p := range c.pts {
-		out.pts[i] = Point{BufferBytes: p.BufferBytes, AccessBytes: p.AccessBytes * k}
-	}
-	return out
-}
-
-// ShiftBuffer returns a copy of c with delta bytes added to every buffer
-// requirement — e.g. untiled fusion, which additionally pins the whole
-// intermediate tensor in the buffer.
-func (c *Curve) ShiftBuffer(delta int64) *Curve {
-	out := &Curve{
-		pts:               make([]Point, len(c.pts)),
-		AlgoMinBytes:      c.AlgoMinBytes,
-		TotalOperandBytes: c.TotalOperandBytes,
-		Degraded:          c.Degraded,
-	}
-	for i, p := range c.pts {
-		out.pts[i] = Point{BufferBytes: p.BufferBytes + delta, AccessBytes: p.AccessBytes}
-	}
-	return out
-}
-
-// AddAccesses returns a copy of c with a constant added to every access
-// count (e.g. traffic of unfused layers appended to a fused chain's curve).
-func (c *Curve) AddAccesses(delta int64) *Curve {
-	out := &Curve{
-		pts:               make([]Point, len(c.pts)),
-		AlgoMinBytes:      c.AlgoMinBytes,
-		TotalOperandBytes: c.TotalOperandBytes,
-		Degraded:          c.Degraded,
-	}
-	for i, p := range c.pts {
-		out.pts[i] = Point{BufferBytes: p.BufferBytes, AccessBytes: p.AccessBytes + delta}
 	}
 	return out
 }

@@ -154,33 +154,6 @@ func TestMergeMin(t *testing.T) {
 	}
 }
 
-func TestScaleShiftAdd(t *testing.T) {
-	c := buildCurve(Point{100, 1000}, Point{400, 100})
-	c.AlgoMinBytes = 10
-	s := c.ScaleAccesses(3)
-	if got, _ := s.AccessesAt(100); got != 3000 {
-		t.Fatalf("ScaleAccesses: got %d", got)
-	}
-	if s.AlgoMinBytes != 30 {
-		t.Fatalf("ScaleAccesses annotation: %d", s.AlgoMinBytes)
-	}
-	sh := c.ShiftBuffer(50)
-	if _, ok := sh.AccessesAt(100); ok {
-		t.Fatal("ShiftBuffer: old breakpoint should now be infeasible")
-	}
-	if got, _ := sh.AccessesAt(150); got != 1000 {
-		t.Fatalf("ShiftBuffer: got %d", got)
-	}
-	ad := c.AddAccesses(7)
-	if got, _ := ad.AccessesAt(400); got != 107 {
-		t.Fatalf("AddAccesses: got %d", got)
-	}
-	// Originals untouched.
-	if got, _ := c.AccessesAt(100); got != 1000 {
-		t.Fatal("ScaleAccesses/ShiftBuffer mutated the source curve")
-	}
-}
-
 func TestBuilderCompaction(t *testing.T) {
 	b := NewBuilder()
 	rng := rand.New(rand.NewSource(42))
@@ -330,10 +303,10 @@ func TestFrontierProperty(t *testing.T) {
 	}
 }
 
-func TestStringAndTable(t *testing.T) {
+func TestString(t *testing.T) {
 	c := buildCurve(Point{1 << 20, 1 << 30}, Point{1 << 21, 1 << 29})
-	if c.String() == "" || c.Table() == "" {
-		t.Fatal("String/Table should be non-empty")
+	if c.String() == "" {
+		t.Fatal("String should be non-empty")
 	}
 	if (&Curve{}).String() != "pareto.Curve{empty}" {
 		t.Fatal("empty curve String")

@@ -38,8 +38,8 @@ func (c *Curve) MarshalJSON() ([]byte, error) {
 // positive AlgoMinBytes must not exceed any point's access count — the
 // algorithmic minimum is a lower bound on every mapping's traffic, so a
 // curve that dips below its own annotation is corrupt, not conservative.
-// (TotalOperandBytes has no point-relative invariant: fusion transforms
-// like ShiftBuffer legitimately move buffer requirements past it.)
+// (TotalOperandBytes has no point-relative invariant: fusion curves
+// legitimately move buffer requirements past it.)
 func (c *Curve) UnmarshalJSON(data []byte) error {
 	var cj curveJSON
 	if err := json.Unmarshal(data, &cj); err != nil {

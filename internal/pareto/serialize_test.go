@@ -145,12 +145,19 @@ func TestAnnotatedRoundTripDerived(t *testing.T) {
 	base.AlgoMinBytes = 600
 	base.TotalOperandBytes = 900
 
+	shifted := FromPoints([]Point{
+		{BufferBytes: 192, AccessBytes: 4000},
+		{BufferBytes: 384, AccessBytes: 1200},
+		{BufferBytes: 1152, AccessBytes: 600},
+	})
+	shifted.AlgoMinBytes = base.AlgoMinBytes
+	shifted.TotalOperandBytes = base.TotalOperandBytes
+
 	for name, c := range map[string]*Curve{
-		"base":    base,
-		"sum":     Sum(base, base),
-		"scaled":  base.ScaleAccesses(3),
-		"shifted": base.ShiftBuffer(512),
-		"merged":  MergeMin(base, base.ShiftBuffer(128)),
+		"base":   base,
+		"sum":    Sum(base, base),
+		"union":  Union(base, shifted),
+		"merged": MergeMin(base, shifted),
 	} {
 		data, err := json.Marshal(c)
 		if err != nil {

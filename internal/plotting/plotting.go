@@ -36,19 +36,6 @@ func WriteCSV(w io.Writer, series ...Series) error {
 	return nil
 }
 
-// WriteXYCSV emits generic float series: series,x,y.
-func WriteXYCSV(w io.Writer, name string, xs, ys []float64) error {
-	if len(xs) != len(ys) {
-		return fmt.Errorf("plotting: %d xs vs %d ys", len(xs), len(ys))
-	}
-	for i := range xs {
-		if _, err := fmt.Fprintf(w, "%s,%g,%g\n", name, xs[i], ys[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AsciiOptions controls chart rendering.
 type AsciiOptions struct {
 	Width  int

@@ -33,19 +33,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestWriteXYCSV(t *testing.T) {
-	var b strings.Builder
-	if err := WriteXYCSV(&b, "mesa", []float64{0.1, 0.2}, []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "mesa,0.1,1") {
-		t.Fatalf("bad output: %q", b.String())
-	}
-	if err := WriteXYCSV(&b, "bad", []float64{1}, []float64{}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 func TestAscii(t *testing.T) {
 	out := Ascii(AsciiOptions{Width: 40, Height: 10},
 		Series{Name: "bound", Curve: curve()})
@@ -69,7 +56,11 @@ func TestAsciiEmpty(t *testing.T) {
 func TestAsciiMultiSeriesMarkers(t *testing.T) {
 	out := Ascii(AsciiOptions{Width: 40, Height: 10},
 		Series{Name: "a", Curve: curve()},
-		Series{Name: "b", Curve: curve().ScaleAccesses(2)},
+		Series{Name: "b", Curve: pareto.FromPoints([]pareto.Point{
+			{BufferBytes: 128, AccessBytes: 1 << 21},
+			{BufferBytes: 1 << 12, AccessBytes: 1 << 17},
+			{BufferBytes: 1 << 20, AccessBytes: 1 << 13},
+		})},
 	)
 	if !strings.Contains(out, "o") {
 		t.Fatal("second series marker missing")

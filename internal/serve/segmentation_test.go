@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,20 +41,19 @@ func segTestChain(t *testing.T, exprs []string) *fusion.Chain {
 
 // TestServedSegmentationMatchesInProcess: the segmentation workload kind
 // — in-process and sharded — returns the byte-identical best curve of
-// fusion.BestSegmentationStats, and the in-process envelope carries every
+// the fusion.Analyze chain flow, and the in-process envelope carries every
 // per-segmentation curve of the study.
 func TestServedSegmentationMatchesInProcess(t *testing.T) {
 	c := segTestChain(t, segEinsums)
-	perOp := c.PerOpCurves(bound.Options{Workers: 2})
-	want, _, err := fusion.BestSegmentationStats(c, perOp, 2)
+	a, err := fusion.Analyze(c, bound.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBytes, err := json.Marshal(want)
+	wantBytes, err := json.Marshal(a.Best)
 	if err != nil {
 		t.Fatal(err)
 	}
-	study, _, err := fusion.SegmentationStudyStats(c, perOp, 2)
+	study, _, err := fusion.SegmentationStudyContext(context.Background(), c, a.PerOp, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestServedSegmentationMatchesInProcess(t *testing.T) {
 		t.Fatalf("kind %q, want segmentation", env.Kind)
 	}
 	if string(env.Curve) != string(wantBytes) {
-		t.Fatalf("served segmentation curve differs from fusion.BestSegmentationStats\n got %s\nwant %s", env.Curve, wantBytes)
+		t.Fatalf("served segmentation curve differs from fusion.Analyze\n got %s\nwant %s", env.Curve, wantBytes)
 	}
 
 	// The in-process envelope carries the whole study, segmentation by
-	// segmentation, byte-identical to SegmentationStudyStats.
+	// segmentation, byte-identical to SegmentationStudyContext.
 	var segEnv struct {
 		Segments []struct {
 			Label string          `json:"label"`
@@ -210,7 +210,13 @@ func TestServedSegmentationDegraded206(t *testing.T) {
 	if len(matches) == 0 {
 		t.Fatal("spool empty after degraded merge; resume point lost")
 	}
-	d, err := shard.MergeDegradedFiles(matches...)
+	partials := make([]*shard.Partial, len(matches))
+	for i, path := range matches {
+		if partials[i], err = shard.ReadPartial(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := shard.MergeDegraded(partials...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,12 +149,11 @@ func TestResumeOrphansCompletesSpooledDerivation(t *testing.T) {
 func TestResumeOrphansSegmentation(t *testing.T) {
 	spool := t.TempDir()
 	c := segTestChain(t, segEinsums)
-	perOp := c.PerOpCurves(bound.Options{Workers: 2})
-	best, _, err := fusion.BestSegmentationStats(c, perOp, 2)
+	a, err := fusion.Analyze(c, bound.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(best)
+	want, err := json.Marshal(a.Best)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +195,8 @@ func TestResumeOrphansSegmentation(t *testing.T) {
 	if err := json.Unmarshal(env.Spec, &embedded); err != nil {
 		t.Fatal(err)
 	}
-	if len(embedded.PerOp) != len(perOp) {
-		t.Fatalf("spec.json embeds %d per-op curves, want %d", len(embedded.PerOp), len(perOp))
+	if len(embedded.PerOp) != len(a.PerOp) {
+		t.Fatalf("spec.json embeds %d per-op curves, want %d", len(embedded.PerOp), len(a.PerOp))
 	}
 
 	srv2, ts2 := newTestServer(t, Config{Workers: 2, SpoolDir: spool, CheckpointEvery: 1})

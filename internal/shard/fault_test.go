@@ -170,6 +170,20 @@ func TestCorruptPartialMatrix(t *testing.T) {
 	}
 }
 
+// mergeDegradedFiles reads the named partial-frontier files and merges
+// them best-effort, as shardmerge -allow-partial does.
+func mergeDegradedFiles(paths ...string) (*Degraded, error) {
+	partials := make([]*Partial, len(paths))
+	for i, path := range paths {
+		p, err := ReadPartial(path)
+		if err != nil {
+			return nil, err
+		}
+		partials[i] = p
+	}
+	return MergeDegraded(partials...)
+}
+
 // rewritePartial loads a valid partial, applies mutate, and writes it
 // back — corruption that keeps the JSON well-formed.
 func rewritePartial(t *testing.T, path string, mutate func(*Partial)) {
@@ -430,7 +444,7 @@ func TestDegradedMergeAnnotations(t *testing.T) {
 		t.Fatalf("setup kill: %v", err)
 	}
 
-	d, err := MergeDegradedFiles(p0path, p2path)
+	d, err := mergeDegradedFiles(p0path, p2path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +496,7 @@ func TestMergeDegradedRefusesForeign(t *testing.T) {
 	other := syntheticJob(90, Plan{Index: 1, Count: 3})
 	other.WorkloadDigest = Digest("a different workload")
 	completeRun(t, other, b)
-	if _, err := MergeDegradedFiles(a, b); !errors.Is(err, ErrForeignPartial) {
+	if _, err := mergeDegradedFiles(a, b); !errors.Is(err, ErrForeignPartial) {
 		t.Fatalf("err = %v, want ErrForeignPartial", err)
 	}
 }

@@ -241,17 +241,3 @@ func MergeDegraded(partials ...*Partial) (*Degraded, error) {
 	d.Curve.Degraded = !d.Complete()
 	return d, nil
 }
-
-// MergeDegradedFiles reads the named partial-frontier files and merges
-// them best-effort (MergeDegraded).
-func MergeDegradedFiles(paths ...string) (*Degraded, error) {
-	partials := make([]*Partial, len(paths))
-	for i, path := range paths {
-		p, err := ReadPartial(path)
-		if err != nil {
-			return nil, err
-		}
-		partials[i] = p
-	}
-	return MergeDegraded(partials...)
-}

@@ -136,14 +136,14 @@ func segChain(t testing.TB) (*fusion.Chain, []*pareto.Curve) {
 
 // TestSegmentationShardingParity pins the tentpole acceptance criterion:
 // the sharded segmentation study merges byte-identically to the
-// in-process BestSegmentationStats curve for N ∈ {2, 4, 8}.
+// in-process fusion.Analyze best curve for N ∈ {2, 4, 8}.
 func TestSegmentationShardingParity(t *testing.T) {
 	c, perOp := segChain(t)
-	want, _, err := fusion.BestSegmentationStats(c, perOp, 0)
+	a, err := fusion.Analyze(c, bound.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBytes := curveBytes(t, want)
+	wantBytes := curveBytes(t, a.Best)
 
 	for _, n := range []int{2, 4, 8} {
 		paths := runShards(t, t.TempDir(), n, workload.NewSegmentation(c, perOp), 2)
@@ -165,11 +165,11 @@ func TestSegmentationShardingParity(t *testing.T) {
 // must be retried, not replayed as a stale error).
 func TestSegmentationKillAndResumeParity(t *testing.T) {
 	c, perOp := segChain(t)
-	want, _, err := fusion.BestSegmentationStats(c, perOp, 0)
+	a, err := fusion.Analyze(c, bound.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBytes := curveBytes(t, want)
+	wantBytes := curveBytes(t, a.Best)
 
 	const n = 4
 	dir := t.TempDir()

@@ -56,7 +56,7 @@ const (
 	KindBound        Kind = "bound"        // bound.DeriveRange over a single Einsum's mapspace
 	KindFusionTiled  Kind = "fusion-tiled" // fusion.TiledFusionRange over a chain's FFMT template space
 	KindMultiLevel   Kind = "multilevel"   // multilevel.DeriveRange over the three-split combination space (DRAM frontier)
-	KindSegmentation Kind = "segmentation" // fusion.SegmentationRange over a chain's 2^(n-1) cut-pattern mask space
+	KindSegmentation Kind = "segmentation" // fusion.SegmentationSweep.Range over a chain's 2^(n-1) cut-pattern mask space
 )
 
 // Manifest is the partial-frontier file header: everything a merge needs
@@ -181,15 +181,10 @@ type Partial struct {
 	Curve    *pareto.Curve `json:"curve"`
 }
 
-// WritePartial atomically and durably replaces path with the serialized
-// partial (WriteFileAtomic over the OS filesystem), so a process kill
-// mid-flush leaves the previous checkpoint intact and a committed
-// checkpoint survives a host crash.
-func WritePartial(path string, p *Partial) error {
-	return writePartial(osFS{}, path, p)
-}
-
-// writePartial is WritePartial over an injectable filesystem.
+// writePartial atomically and durably replaces path with the serialized
+// partial (WriteFileAtomic over fsys), so a process kill mid-flush
+// leaves the previous checkpoint intact and a committed checkpoint
+// survives a host crash.
 func writePartial(fsys FS, path string, p *Partial) error {
 	if err := p.Manifest.Validate(); err != nil {
 		return err

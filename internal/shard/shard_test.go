@@ -178,7 +178,7 @@ func TestPartialRoundTrip(t *testing.T) {
 	curve.AlgoMinBytes = 40
 	curve.TotalOperandBytes = 60
 	p := &Partial{Manifest: testManifest(), Curve: curve}
-	if err := WritePartial(path, p); err != nil {
+	if err := writePartial(osFS{}, path, p); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadPartial(path)

@@ -2,10 +2,8 @@ package simba
 
 import (
 	"context"
-	"sort"
 	"time"
 
-	"repro/internal/pareto"
 	"repro/internal/shape"
 	"repro/internal/traverse"
 )
@@ -221,58 +219,6 @@ func SearchBest(g GEMM, a Arch, opts Options) DSEResult {
 	}
 	res.Elapsed = time.Since(start)
 	return res
-}
-
-// Samples collects every evaluated (GB footprint, DRAM accesses) point of
-// a configuration — the scatter of Fig. 24b — in serial enumeration order
-// regardless of worker count. When limit > 0 and the mapspace is larger,
-// exactly limit points are returned, sampled evenly across the whole
-// enumeration (index i*len/limit), so the scatter is deterministic and
-// unbiased rather than a stride-truncated prefix.
-func Samples(g GEMM, a Arch, limit int, opts Options) []pareto.Point {
-	s := newSpace(g, a)
-	items := s.combos()
-
-	type posPoint struct {
-		pos position
-		pt  pareto.Point
-	}
-	w := traverse.WorkerCount(items, opts.Workers)
-	buckets := make([][]posPoint, w)
-	traverse.Partition(context.Background(), items, w, func(wi int) traverse.RangeFunc {
-		return func(lo, hi int64) int64 {
-			return s.visit(lo, hi, func(m *Mapping, combo int64, ord int) {
-				r := Evaluate(g, a, m)
-				buckets[wi] = append(buckets[wi], posPoint{
-					pos: position{combo, ord},
-					pt:  pareto.Point{BufferBytes: r.GBBytesUsed, AccessBytes: r.DRAMAccessBytes},
-				})
-			})
-		}
-	})
-
-	total := 0
-	for _, b := range buckets {
-		total += len(b)
-	}
-	all := make([]posPoint, 0, total)
-	for _, b := range buckets {
-		all = append(all, b...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].pos.before(all[j].pos) })
-
-	if limit <= 0 || len(all) <= limit {
-		out := make([]pareto.Point, len(all))
-		for i, p := range all {
-			out[i] = p.pt
-		}
-		return out
-	}
-	out := make([]pareto.Point, limit)
-	for i := range out {
-		out[i] = all[int64(i)*int64(len(all))/int64(limit)].pt
-	}
-	return out
 }
 
 // DSE runs SearchBest across many Global-Buffer capacities, reproducing

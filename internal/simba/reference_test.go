@@ -3,7 +3,6 @@ package simba
 import (
 	"testing"
 
-	"repro/internal/pareto"
 	"repro/internal/shape"
 )
 
@@ -123,8 +122,8 @@ func TestMappingsEvaluatedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestParallelSearchMatchesSerial is the determinism contract: SearchBest,
-// Samples, and DSE return byte-identical results for every worker count.
+// TestParallelSearchMatchesSerial is the determinism contract: SearchBest
+// and DSE return byte-identical results for every worker count.
 func TestParallelSearchMatchesSerial(t *testing.T) {
 	g := GEMM{M: 64, K: 64, N: 64}
 	a := smallArch(1 << 12)
@@ -133,8 +132,6 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 	if serial.Workers != 1 {
 		t.Fatalf("serial search launched %d workers", serial.Workers)
 	}
-	serialPts := Samples(g, a, 0, Options{Workers: 1})
-	serialCapped := Samples(g, a, 37, Options{Workers: 1})
 	serialDSE := DSE(g, []int64{256, 1024, 4096}, Options{Workers: 1})
 
 	for _, w := range []int{2, 3, 0} {
@@ -147,21 +144,6 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 				serial.BestDRAMBytes, serial.BestGBBytesUsed, serial.MappingsEvaluated)
 		}
 
-		for name, pair := range map[string][2][]pareto.Point{
-			"all":    {serialPts, Samples(g, a, 0, Options{Workers: w})},
-			"capped": {serialCapped, Samples(g, a, 37, Options{Workers: w})},
-		} {
-			sp, pp := pair[0], pair[1]
-			if len(sp) != len(pp) {
-				t.Fatalf("workers=%d Samples(%s): %d points vs serial %d", w, name, len(pp), len(sp))
-			}
-			for i := range sp {
-				if sp[i] != pp[i] {
-					t.Fatalf("workers=%d Samples(%s) point %d: %v vs serial %v", w, name, i, pp[i], sp[i])
-				}
-			}
-		}
-
 		parDSE := DSE(g, []int64{256, 1024, 4096}, Options{Workers: w})
 		for i := range serialDSE {
 			if parDSE[i].BestDRAMBytes != serialDSE[i].BestDRAMBytes ||
@@ -170,31 +152,5 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d DSE[%d] differs from serial", w, i)
 			}
 		}
-	}
-}
-
-// TestSamplesEvenCoverage verifies the sampling-bias fix: a capped sample
-// returns exactly limit points drawn evenly from the whole enumeration, so
-// the last sampled point comes from the final stretch of the mapspace
-// rather than a stride-truncated prefix.
-func TestSamplesEvenCoverage(t *testing.T) {
-	g := GEMM{M: 16, K: 16, N: 16}
-	a := smallArch(1 << 12)
-	all := Samples(g, a, 0, Options{})
-	if len(all) <= 40 {
-		t.Skipf("mapspace too small: %d", len(all))
-	}
-	limit := 40
-	capped := Samples(g, a, limit, Options{})
-	if len(capped) != limit {
-		t.Fatalf("Samples(limit=%d) returned %d points", limit, len(capped))
-	}
-	for i := range capped {
-		if want := all[int64(i)*int64(len(all))/int64(limit)]; capped[i] != want {
-			t.Fatalf("sample %d = %v, want even-coverage point %v", i, capped[i], want)
-		}
-	}
-	if lastIdx := int64(limit-1) * int64(len(all)) / int64(limit); lastIdx < int64(len(all))*3/4 {
-		t.Fatalf("last sample index %d not in the final quarter of %d points", lastIdx, len(all))
 	}
 }

@@ -131,19 +131,6 @@ func TestSearchBestImprovesWithGB(t *testing.T) {
 	}
 }
 
-func TestSamplesLimit(t *testing.T) {
-	g := GEMM{M: 16, K: 16, N: 16}
-	a := smallArch(1 << 12)
-	all := Samples(g, a, 0, Options{})
-	capped := Samples(g, a, 10, Options{})
-	if len(all) <= 10 {
-		t.Skipf("mapspace too small to test capping: %d", len(all))
-	}
-	if len(capped) != 10 {
-		t.Fatalf("Samples(limit=10) returned %d points", len(capped))
-	}
-}
-
 func TestDSESweep(t *testing.T) {
 	g := GEMM{M: 32, K: 32, N: 32}
 	results := DSE(g, []int64{256, 512, 1024}, Options{})

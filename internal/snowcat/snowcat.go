@@ -123,9 +123,3 @@ func iterations(t *einsum.Tensor, m *mapping.Mapping) int64 {
 		return shape.Max(1, shape.CeilDiv(l.Bound*in, shape.Max(in, gd)))
 	})
 }
-
-// OperationalIntensity returns MACs per element of backing-store traffic
-// for the evaluated mapping (the metric plotted on the paper's OI mesas).
-func OperationalIntensity(e *einsum.Einsum, r Result) float64 {
-	return float64(e.MACs()) / (float64(r.AccessBytes) / float64(e.ElementSize))
-}

@@ -163,23 +163,6 @@ func TestGroupedFactorNotAppliedWhenHNotInnermost(t *testing.T) {
 	}
 }
 
-func TestOperationalIntensity(t *testing.T) {
-	g := einsum.GEMM("g", 8, 8, 8)
-	m := &mapping.Mapping{
-		Splits: map[string]shape.Split{
-			"M": {Inner: 8, Outer: 1},
-			"K": {Inner: 8, Outer: 1},
-			"N": {Inner: 8, Outer: 1},
-		},
-		OuterOrder: []string{"M", "K", "N"},
-	}
-	r := Evaluate(g, m)
-	want := float64(8*8*8) / float64(3*8*8)
-	if oi := OperationalIntensity(g, r); oi != want {
-		t.Fatalf("OI = %f, want %f", oi, want)
-	}
-}
-
 func TestBufferRequirementMatchesFootprintsProperty(t *testing.T) {
 	g := einsum.GEMM("g", 16, 16, 16)
 	f := func(mi, ki, ni uint8, perm uint8) bool {

@@ -139,7 +139,8 @@ func TestFaultKillMidWrite(t *testing.T) {
 	if err := os.WriteFile(torn, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := open(t, store.Options{Dir: dir, StaleTempAge: -1, Logf: t.Logf})
+	backdate(t, torn)
+	s := open(t, store.Options{Dir: dir, Logf: t.Logf})
 	if _, err := os.Stat(torn); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("torn temp survived the startup sweep: %v", err)
 	}

@@ -163,11 +163,6 @@ type Options struct {
 	// (shard.FaultFS satisfies it). Nil means the real OS filesystem.
 	FS shard.FS
 
-	// StaleTempAge overrides how old a leftover temp file must be before
-	// the Open sweep removes it; 0 means DefaultStaleTempAge, negative
-	// sweeps every temp regardless of age (tests).
-	StaleTempAge time.Duration
-
 	// Logf, when non-nil, receives operational log lines (quarantines,
 	// GC sweeps, the one-time disable notice).
 	Logf func(format string, args ...any)
@@ -179,7 +174,6 @@ type Store struct {
 	dir      string
 	maxBytes int64
 	fs       shard.FS
-	tempAge  time.Duration
 	logf     func(format string, args ...any)
 
 	// approxBytes tracks the committed entries' total size as this
@@ -234,9 +228,6 @@ func Open(opts Options) (*Store, error) {
 	if fsys == nil {
 		fsys = osFS{shard.OS()}
 	}
-	if opts.StaleTempAge == 0 {
-		opts.StaleTempAge = DefaultStaleTempAge
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", opts.Dir, err)
 	}
@@ -244,7 +235,6 @@ func Open(opts Options) (*Store, error) {
 		dir:      opts.Dir,
 		maxBytes: opts.MaxBytes,
 		fs:       fsys,
-		tempAge:  opts.StaleTempAge,
 		logf:     opts.Logf,
 	}
 	// Probe writability now, so a read-only directory fails Open (and
@@ -479,13 +469,11 @@ func (s *Store) sweepStaleTemps() {
 		s.log("store: sweeping stale temps: %v", err)
 		return
 	}
-	cutoff := time.Now().Add(-s.tempAge)
+	cutoff := time.Now().Add(-DefaultStaleTempAge)
 	for _, m := range matches {
-		if s.tempAge > 0 {
-			fi, err := s.fs.Stat(m)
-			if err != nil || fi.ModTime().After(cutoff) {
-				continue
-			}
+		fi, err := s.fs.Stat(m)
+		if err != nil || fi.ModTime().After(cutoff) {
+			continue
 		}
 		if err := s.fs.Remove(m); err != nil && !errors.Is(err, os.ErrNotExist) {
 			s.log("store: sweeping stale temp %s: %v", m, err)

@@ -209,6 +209,16 @@ func TestQuarantineNamesAccumulate(t *testing.T) {
 	}
 }
 
+// backdate ages a file past DefaultStaleTempAge, as a temp left by a
+// writer killed long ago.
+func backdate(t *testing.T, path string) {
+	t.Helper()
+	old := time.Now().Add(-2 * store.DefaultStaleTempAge)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStaleTempSweep(t *testing.T) {
 	dir := t.TempDir()
 	stale := filepath.Join(dir, shard.Digest("x")+".curve.tmp123")
@@ -223,9 +233,9 @@ func TestStaleTempSweep(t *testing.T) {
 		t.Fatalf("fresh temp swept by age-gated Open: %v", err)
 	}
 
-	// A negative age sweeps unconditionally (and any real reopen after
-	// StaleTempAge would do the same for an old temp).
-	open(t, store.Options{Dir: dir, StaleTempAge: -1})
+	// Once older than DefaultStaleTempAge, no live writer can own it.
+	backdate(t, stale)
+	open(t, store.Options{Dir: dir})
 	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("stale temp survived the sweep: %v", err)
 	}

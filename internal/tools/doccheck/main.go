@@ -1,6 +1,6 @@
-// Command doccheck is the CI documentation gate. It enforces two rules
-// with go/ast, failing (exit 1) with a file:line listing when either is
-// violated:
+// Command doccheck is the CI documentation and dead-code gate. It
+// enforces four rules with go/ast, failing (exit 1) with a file:line
+// listing when any is violated:
 //
 //  1. Every package under internal/ and cmd/ (and the root orojenesis
 //     facade) has a package doc comment, so each package states which
@@ -12,6 +12,11 @@
 //  3. Every "docs/<name>.md" reference in a comment points at a file
 //     that exists, so doc comments cannot drift away from the documents
 //     they cite (e.g. docs/fleet-protocol.md, docs/shard-format.md).
+//  4. Every func and method declared in a non-test file under internal/
+//     (internal/tools excluded) has a production caller: a reference
+//     from a non-test file of the module or of bench/ (see
+//     checkCallers). Exceptions live in zeroCallerAllow, one reason per
+//     entry, and a stale entry is itself a failure.
 //
 // Usage (from the module root, as `make docs` does):
 //
@@ -67,6 +72,12 @@ func main() {
 		}
 		problems = append(problems, ps...)
 	}
+	ps, err := checkCallers(root, zeroCallerAllow)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+		os.Exit(2)
+	}
+	problems = append(problems, ps...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
@@ -84,28 +95,11 @@ func main() {
 func packageDirs(root string) ([]string, error) {
 	dirs := []string{"."}
 	for _, top := range []string{"internal", "cmd"} {
-		err := filepath.WalkDir(filepath.Join(root, top), func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			if hasGoFiles(path) {
-				rel, err := filepath.Rel(root, path)
-				if err != nil {
-					return err
-				}
-				dirs = append(dirs, filepath.ToSlash(rel))
-			}
-			return nil
-		})
+		sub, err := goDirs(root, top)
 		if err != nil {
 			return nil, err
 		}
+		dirs = append(dirs, sub...)
 	}
 	sort.Strings(dirs)
 	return dirs, nil

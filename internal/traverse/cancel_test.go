@@ -20,7 +20,7 @@ func TestCancelReturnsWithinOneChunk(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var started atomic.Int64
-	c, stats, err := Frontier(ctx, items, workers, func() ChunkFunc {
+	c, stats, err := FrontierRange(ctx, 0, items, workers, func() ChunkFunc {
 		return func(lo, hi int64, b *pareto.Builder) int64 {
 			started.Add(1)
 			cancel()
@@ -49,7 +49,7 @@ func TestCancelSerialBetweenChunks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
-	_, stats, err := Frontier(ctx, items, 1, func() ChunkFunc {
+	_, stats, err := FrontierRange(ctx, 0, items, 1, func() ChunkFunc {
 		return func(lo, hi int64, b *pareto.Builder) int64 {
 			if calls.Add(1) == 1 {
 				cancel()
@@ -73,7 +73,7 @@ func TestCancelSerialBetweenChunks(t *testing.T) {
 func TestCancelAfterCompletionIsSuccess(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	c, stats, err := Frontier(ctx, 1000, 4, func() ChunkFunc {
+	c, stats, err := FrontierRange(ctx, 0, 1000, 4, func() ChunkFunc {
 		return func(lo, hi int64, b *pareto.Builder) int64 {
 			for i := lo; i < hi; i++ {
 				b.Add(i+1, 2000-i)

@@ -16,7 +16,7 @@ import (
 // process, for both the parallel pool and the serial fast path.
 func TestPanicInChunkFailsTraversalCleanly(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		c, _, err := Frontier(context.Background(), 10000, workers, func() ChunkFunc {
+		c, _, err := FrontierRange(context.Background(), 0, 10000, workers, func() ChunkFunc {
 			return func(lo, hi int64, b *pareto.Builder) int64 {
 				panic("evaluator bug")
 			}
@@ -48,7 +48,7 @@ func TestPanicStopsPeerWorkers(t *testing.T) {
 	const items = 1 << 20
 	const workers = 4
 	var chunks atomic.Int64
-	_, stats, err := Frontier(context.Background(), items, workers, func() ChunkFunc {
+	_, stats, err := FrontierRange(context.Background(), 0, items, workers, func() ChunkFunc {
 		return func(lo, hi int64, b *pareto.Builder) int64 {
 			if chunks.Add(1) == 1 {
 				panic("first chunk dies")

@@ -274,22 +274,16 @@ func Partition(ctx context.Context, items int64, workerCount int, newWorker func
 // candidates to b, and returns the number of points it evaluated.
 type ChunkFunc func(lo, hi int64, b *pareto.Builder) int64
 
-// Frontier distributes the index range [0, items) over workers and merges
-// the per-worker Pareto frontiers — Partition instantiated with a private
-// pareto.Builder per worker and pareto.Union as the merge. newWorker is
-// called once per worker to build its chunk function, so per-worker state
-// (an evaluator, a reusable mapping) lives in the closure without
-// synchronization. The result is byte-identical for every worker count.
-// A cancelled traversal returns (nil, stats, ctx.Err()).
-func Frontier(ctx context.Context, items int64, workers int, newWorker func() ChunkFunc) (*pareto.Curve, Stats, error) {
-	return FrontierRange(ctx, 0, items, workers, newWorker)
-}
-
-// FrontierRange is Frontier restricted to the global index window
-// [lo, hi): chunk functions receive global indices from that window only,
-// so a caller holding one slice of a larger enumeration — a shard of a
-// cross-process traversal (internal/shard), or one checkpoint block of a
-// resumable run — evaluates exactly its share and nothing else. Because
+// FrontierRange distributes the global index window [lo, hi) over
+// workers and merges the per-worker Pareto frontiers — Partition
+// instantiated with a private pareto.Builder per worker and pareto.Union
+// as the merge. newWorker is called once per worker to build its chunk
+// function, so per-worker state (an evaluator, a reusable mapping) lives
+// in the closure without synchronization. The result is byte-identical
+// for every worker count. Chunk functions receive global indices from the
+// window only, so a caller holding one slice of a larger enumeration — a
+// shard of a cross-process traversal (internal/shard), or one checkpoint
+// block of a resumable run — evaluates exactly its share. Because
 // the Pareto frontier of a union equals the frontier of the per-part
 // frontiers' union, curves derived over a disjoint cover of [0, items)
 // merge (pareto.Union) to the byte-identical full-range curve.

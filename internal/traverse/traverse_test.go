@@ -33,7 +33,7 @@ func syntheticWorker() ChunkFunc {
 // that never cancel: Background context, fatal on the impossible error.
 func mustFrontier(t *testing.T, items int64, workers int, nw func() ChunkFunc) (*pareto.Curve, Stats) {
 	t.Helper()
-	c, st, err := Frontier(context.Background(), items, workers, nw)
+	c, st, err := FrontierRange(context.Background(), 0, items, workers, nw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,6 @@ import (
 	"io"
 
 	"repro/internal/bound"
-	"repro/internal/core"
 	"repro/internal/einsum"
 	"repro/internal/fusion"
 	"repro/internal/hierarchy"
@@ -87,13 +86,40 @@ type Curve = pareto.Curve
 // Point is one Pareto-optimal point of a Curve.
 type Point = pareto.Point
 
-// Analysis is the full single-Einsum report.
-type Analysis = core.EinsumAnalysis
+// Analysis is the full single-Einsum report: the ski-slope curve, the
+// OI mesa, and the paper's headline scalar queries.
+type Analysis struct {
+	Einsum *Einsum
+	Curve  *Curve
+	Mesa   []MesaPoint
+	Stats  bound.Stats
 
-// Analyze runs the Orojenesis flow for a single Einsum: exhaustive
-// Snowcat mapspace traversal, ski-slope curve, OI mesa and gap queries.
+	AlgorithmicMinBytes int64
+	TotalOperandBytes   int64
+	MACs                int64
+	PeakOI              float64 // MACs per element at the mesa top
+	AlgorithmicOI       float64
+	MaxEffectualBytes   int64
+	Gap1                float64 // max effectual buffer / total operand size
+}
+
+// Analyze runs the Orojenesis flow for a single Einsum (Fig. 5):
+// exhaustive Snowcat mapspace traversal, ski-slope curve, OI mesa and
+// gap queries.
 func Analyze(e *Einsum, opts Options) (*Analysis, error) {
-	return core.AnalyzeEinsum(e, opts)
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if err := e.Validate(); err != nil {
+		return nil, err
+	}
+	res := bound.Derive(e, opts)
+	a, err := AnalyzeCurve(e, res.Curve)
+	if err != nil {
+		return nil, err
+	}
+	a.Stats = res.Stats
+	return a, nil
 }
 
 // Bound derives just the ski-slope curve (the green line of Fig. 1).
@@ -101,11 +127,40 @@ func Bound(e *Einsum, opts Options) *Curve {
 	return bound.Derive(e, opts).Curve
 }
 
-// AnalyzeCurve rebuilds the full single-Einsum report from an already
+// AnalyzeCurve builds the full single-Einsum report from an already
 // derived curve — e.g. one replayed from the durable curve store —
-// without re-traversing the mapspace. Stats is zero: nothing ran.
+// without re-traversing the mapspace. Every field except Stats is a pure
+// function of the Einsum and its frontier; Stats stays zero because no
+// traversal ran.
 func AnalyzeCurve(e *Einsum, c *Curve) (*Analysis, error) {
-	return core.AnalyzeEinsumCurve(e, c)
+	if err := e.Validate(); err != nil {
+		return nil, err
+	}
+	a := &Analysis{
+		Einsum:              e,
+		Curve:               c,
+		Mesa:                oi.Mesa(c, e.MACs(), e.ElementSize),
+		AlgorithmicMinBytes: e.AlgorithmicMinBytes(),
+		TotalOperandBytes:   e.TotalOperandBytes(),
+		MACs:                e.MACs(),
+		PeakOI:              oi.PeakOI(c, e.MACs(), e.ElementSize),
+		AlgorithmicOI:       e.AlgorithmicOI(),
+		MaxEffectualBytes:   c.MaxEffectualBufferBytes(),
+	}
+	if g, ok := c.Gap1(); ok {
+		a.Gap1 = g
+	}
+	return a, nil
+}
+
+// Gap0 returns attainable-accesses / algorithmic-minimum at a capacity.
+func (a *Analysis) Gap0(bufBytes int64) (float64, bool) {
+	return a.Curve.Gap0(bufBytes)
+}
+
+// OIAt returns the attainable operational intensity at a capacity.
+func (a *Analysis) OIAt(bufBytes int64) (float64, bool) {
+	return oi.OIAt(a.Curve, a.MACs, a.Einsum.ElementSize, bufBytes)
 }
 
 // LevelBound is a probe of a curve at one memory level's capacity.
@@ -156,11 +211,12 @@ func MustChain(name string, m int64, ops ...Op) *Chain {
 
 // ChainAnalysis is the multi-Einsum report: unfused baseline, tiled and
 // untiled fusion bounds, and the best segmentation.
-type ChainAnalysis = core.ChainAnalysis
+type ChainAnalysis = fusion.ChainAnalysis
 
-// AnalyzeChain runs the multi-Einsum Orojenesis flow.
+// AnalyzeChain runs the multi-Einsum Orojenesis flow for a chain of at
+// least two ops (see fusion.Analyze).
 func AnalyzeChain(c *Chain, opts Options) (*ChainAnalysis, error) {
-	return core.AnalyzeChain(c, opts)
+	return fusion.Analyze(c, opts)
 }
 
 // TiledFusion derives the FFMT tiled-fusion bound (Sec. V).
