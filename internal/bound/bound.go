@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/einsum"
@@ -96,7 +97,8 @@ func (o Options) Validate() error {
 // excluded: the curve is byte-identical for every worker count, so shards
 // run with different parallelism must still merge.
 func (o Options) Canonical() string {
-	return fmt.Sprintf("bound{imperfect_extra=%d charge_spills=%t}", o.ImperfectExtra, o.ChargeSpills)
+	return "bound{imperfect_extra=" + strconv.Itoa(o.ImperfectExtra) +
+		" charge_spills=" + strconv.FormatBool(o.ChargeSpills) + "}"
 }
 
 // newEnum builds the mapspace enumeration selected by opts.

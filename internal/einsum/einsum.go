@@ -15,7 +15,9 @@ package einsum
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/shape"
 )
@@ -286,25 +288,7 @@ func (e *Einsum) SmallestOperandElements() int64 {
 // String renders the Einsum in a compact notation close to the paper's,
 // e.g. "B[m,n] = A[m,k] * W[k,n] {M=4096 K=4096 N=4096}".
 func (e *Einsum) String() string {
-	var b strings.Builder
-	out := e.Output()
-	b.WriteString(tensorSig(out))
-	b.WriteString(" = ")
-	for i, in := range e.Inputs() {
-		if i > 0 {
-			b.WriteString(" * ")
-		}
-		b.WriteString(tensorSig(in))
-	}
-	b.WriteString(" {")
-	for i, r := range e.Ranks {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", r.Name, r.Shape)
-	}
-	b.WriteByte('}')
-	return b.String()
+	return string(e.appendString(make([]byte, 0, 96)))
 }
 
 // Canonical renders a complete, deterministic encoding of the Einsum —
@@ -314,30 +298,85 @@ func (e *Einsum) String() string {
 // includes the name and element size, so curves derived for differently
 // labelled but otherwise equal workloads are still distinguished.
 func (e *Einsum) Canonical() string {
-	return fmt.Sprintf("einsum{name=%s es=%d %s}", e.Name, e.ElementSize, e.String())
+	b := make([]byte, 0, 128)
+	b = append(b, "einsum{name="...)
+	b = append(b, e.Name...)
+	b = append(b, " es="...)
+	b = strconv.AppendInt(b, e.ElementSize, 10)
+	b = append(b, ' ')
+	b = e.appendString(b)
+	return string(append(b, '}'))
 }
 
-func tensorSig(t *Tensor) string {
-	var b strings.Builder
-	b.WriteString(t.Name)
-	b.WriteByte('[')
+// appendString appends the String rendering to b: the output tensor, its
+// inputs in declaration order, then every rank's shape.
+func (e *Einsum) appendString(b []byte) []byte {
+	b = appendTensorSig(b, e.Output())
+	b = append(b, " = "...)
+	first := true
+	for i := range e.Tensors {
+		if e.Tensors[i].Output {
+			continue
+		}
+		if !first {
+			b = append(b, " * "...)
+		}
+		first = false
+		b = appendTensorSig(b, &e.Tensors[i])
+	}
+	b = append(b, " {"...)
+	for i, r := range e.Ranks {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, r.Name...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, r.Shape, 10)
+	}
+	return append(b, '}')
+}
+
+// appendTensorSig appends t's signature, e.g. "A[2p+r,c]": each dim's
+// terms with their coefficients and lower-cased rank names, and a grouped
+// dim's divisor.
+func appendTensorSig(b []byte, t *Tensor) []byte {
+	b = append(b, t.Name...)
+	b = append(b, '[')
 	for i, d := range t.Dims {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
 		for j, term := range d.Terms {
 			if j > 0 {
-				b.WriteByte('+')
+				b = append(b, '+')
 			}
 			if term.Coeff != 1 {
-				fmt.Fprintf(&b, "%d", term.Coeff)
+				b = strconv.AppendInt(b, term.Coeff, 10)
 			}
-			b.WriteString(strings.ToLower(term.Rank))
+			b = appendLower(b, term.Rank)
 		}
 		if d.GroupDiv > 1 {
-			fmt.Fprintf(&b, "/%d", d.GroupDiv)
+			b = append(b, '/')
+			b = strconv.AppendInt(b, d.GroupDiv, 10)
 		}
 	}
-	b.WriteByte(']')
-	return b.String()
+	return append(b, ']')
+}
+
+// appendLower appends strings.ToLower(s) to b, without the intermediate
+// string when s is ASCII (every name Parse accepts).
+func appendLower(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return append(b, strings.ToLower(s)...)
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return b
 }

@@ -42,8 +42,9 @@ func MustParse(s string) *Einsum {
 }
 
 type parser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	ranks map[string]string // rank name as written -> upper-cased
 }
 
 func (p *parser) parse() (*Einsum, error) {
@@ -61,7 +62,7 @@ func (p *parser) parse() (*Einsum, error) {
 		if err != nil {
 			return nil, err
 		}
-		tensors = append(tensors, *in)
+		tensors = append(tensors, in)
 		if p.eat("*") || p.eat("x") {
 			continue
 		}
@@ -89,7 +90,7 @@ func (p *parser) parse() (*Einsum, error) {
 			}
 		}
 	}
-	collect(out)
+	collect(&out)
 	for i := range tensors {
 		collect(&tensors[i])
 	}
@@ -110,68 +111,67 @@ func (p *parser) parse() (*Einsum, error) {
 			return nil, fmt.Errorf("shape given for unused rank %s", r)
 		}
 	}
-	e.Tensors = append(e.Tensors, tensors...)
-	e.Tensors = append(e.Tensors, *out)
+	e.Tensors = append(tensors, out)
 	return e, nil
 }
 
 // tensor parses NAME '[' dim (',' dim)* ']'.
-func (p *parser) tensor() (*Tensor, error) {
+func (p *parser) tensor() (Tensor, error) {
 	p.ws()
 	name := p.ident()
 	if name == "" {
-		return nil, p.errf("expected tensor name")
+		return Tensor{}, p.errf("expected tensor name")
 	}
 	if !p.eat("[") {
-		return nil, p.errf("expected '[' after tensor %s", name)
+		return Tensor{}, p.errf("expected '[' after tensor %s", name)
 	}
-	t := &Tensor{Name: name}
+	t := Tensor{Name: name}
 	for {
 		d, err := p.dim()
 		if err != nil {
-			return nil, err
+			return Tensor{}, err
 		}
-		t.Dims = append(t.Dims, *d)
+		t.Dims = append(t.Dims, d)
 		if p.eat(",") {
 			continue
 		}
 		if p.eat("]") {
 			break
 		}
-		return nil, p.errf("expected ',' or ']' in tensor %s", name)
+		return Tensor{}, p.errf("expected ',' or ']' in tensor %s", name)
 	}
 	return t, nil
 }
 
 // dim parses either a grouped index "h/4" or an affine sum "2p+2r".
-func (p *parser) dim() (*Dim, error) {
+func (p *parser) dim() (Dim, error) {
 	first, err := p.term()
 	if err != nil {
-		return nil, err
+		return Dim{}, err
 	}
 	if p.eat("/") {
 		if first.Coeff != 1 {
-			return nil, p.errf("grouped dims cannot carry a coefficient")
+			return Dim{}, p.errf("grouped dims cannot carry a coefficient")
 		}
 		div := p.number()
 		if div < 2 {
-			return nil, p.errf("group divisor must be >= 2")
+			return Dim{}, p.errf("group divisor must be >= 2")
 		}
-		return &Dim{Terms: []Term{*first}, GroupDiv: div}, nil
+		return Dim{Terms: []Term{first}, GroupDiv: div}, nil
 	}
-	d := &Dim{Terms: []Term{*first}}
+	d := Dim{Terms: []Term{first}}
 	for p.eat("+") {
 		t, err := p.term()
 		if err != nil {
-			return nil, err
+			return Dim{}, err
 		}
-		d.Terms = append(d.Terms, *t)
+		d.Terms = append(d.Terms, t)
 	}
 	return d, nil
 }
 
 // term parses an optional coefficient followed by a rank name.
-func (p *parser) term() (*Term, error) {
+func (p *parser) term() (Term, error) {
 	p.ws()
 	coeff := int64(1)
 	if n := p.number(); n > 0 {
@@ -179,9 +179,23 @@ func (p *parser) term() (*Term, error) {
 	}
 	name := p.ident()
 	if name == "" {
-		return nil, p.errf("expected rank name")
+		return Term{}, p.errf("expected rank name")
 	}
-	return &Term{Rank: strings.ToUpper(name), Coeff: coeff}, nil
+	return Term{Rank: p.rank(name), Coeff: coeff}, nil
+}
+
+// rank canonicalizes a rank name to upper case, upper-casing each
+// spelling once per parse.
+func (p *parser) rank(name string) string {
+	if r, ok := p.ranks[name]; ok {
+		return r
+	}
+	if p.ranks == nil {
+		p.ranks = make(map[string]string)
+	}
+	r := strings.ToUpper(name)
+	p.ranks[name] = r
+	return r
 }
 
 // shapes parses '{' NAME '=' INT (',' ...)* '}'.
@@ -204,7 +218,7 @@ func (p *parser) shapes() (map[string]int64, error) {
 		if v < 1 {
 			return nil, p.errf("bad shape for rank %s", name)
 		}
-		key := strings.ToUpper(name)
+		key := p.rank(name)
 		if _, dup := out[key]; dup {
 			return nil, p.errf("duplicate shape for rank %s", key)
 		}

@@ -19,6 +19,11 @@ type result struct {
 	// disk rather than derived in this process. Responses report it as
 	// cached; finish republishes it to the memory LRU.
 	fromStore bool
+
+	// fields is the encoded tail of every success envelope that serves
+	// this result (encodeResultFields), filled once when the result is
+	// published by finish or put: a cache hit encodes only its header.
+	fields []byte
 }
 
 // flight is one in-progress derivation that any number of identical
@@ -120,14 +125,17 @@ func (s *memCache) leave(f *flight) {
 	}
 }
 
-// finish publishes the flight's outcome: result and error are recorded,
-// waiters are released, the flight leaves the table, and — in the same
-// critical section — a successful result enters the cache. Failed
-// derivations are never cached; the next identical request retries.
-// Degraded merges are also never cached: their spool survives, so the
-// next identical request resumes the missing slices instead of replaying
-// an incomplete answer.
+// finish publishes the flight's outcome: a successful result's fields are
+// encoded (before taking the lock), result and error are recorded, waiters
+// are released, the flight leaves the table, and — in the same critical
+// section — a successful result enters the cache. Failed derivations are
+// never cached; the next identical request retries. Degraded merges are
+// also never cached: their spool survives, so the next identical request
+// resumes the missing slices instead of replaying an incomplete answer.
 func (s *memCache) finish(f *flight, res result, err error) {
+	if err == nil {
+		res.fields, err = encodeResultFields(res.deriveOut)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f.res, f.err = res, err
@@ -158,13 +166,19 @@ func (s *memCache) putLocked(key string, res result) {
 	}
 }
 
-// put inserts a result that was computed outside any flight — the
-// spool-orphan recovery path uses it to publish derivations it completed
-// before the server started taking traffic.
-func (s *memCache) put(key string, res result) {
+// put encodes and inserts a result that was computed outside any flight —
+// the spool-orphan recovery path uses it to publish derivations it
+// completed before the server started taking traffic.
+func (s *memCache) put(key string, res result) error {
+	fields, err := encodeResultFields(res.deriveOut)
+	if err != nil {
+		return err
+	}
+	res.fields = fields
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.putLocked(key, res)
+	return nil
 }
 
 // len reports the number of cached results.

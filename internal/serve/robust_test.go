@@ -423,3 +423,27 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestPrimeExtentSizedPromptly pins that sizing the mapspace before
+// admission — outside any request deadline — stays cheap for extents whose
+// divisors once took an O(√n) trial loop: a prime extent of 2^61 - 1 took
+// about 6 s there. The answer itself is a one-point curve.
+func TestPrimeExtentSizedPromptly(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	start := time.Now()
+	status, data := postCurve(t, ts.URL, `{"gemm":{"m":2305843009213693951,"k":1,"n":1}}`)
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("answered in %v, want under a second", el)
+	}
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, data)
+	}
+	var resp CurveResponse
+	if err := json.Unmarshal(data, &resp); err != nil {
+		t.Fatalf("decoding %s: %v", data, err)
+	}
+	pts := resp.Curve.Points()
+	if len(pts) != 1 || pts[0].BufferBytes != 6 || pts[0].AccessBytes != 2*(1<<62-1) {
+		t.Fatalf("curve %v, want one point at 6 buffer bytes and 2(2^62-1) accesses", pts)
+	}
+}

@@ -33,6 +33,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -45,6 +46,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/fleet"
 	"repro/internal/pareto"
@@ -347,7 +349,9 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// CurveResponse is the success body of POST /v1/curve.
+// CurveResponse is the success body of POST /v1/curve. Its fields up to
+// Points are per request; the embedded ResultFields depend only on the
+// derivation's result.
 type CurveResponse struct {
 	// Workload is the human-readable workload label.
 	Workload string `json:"workload"`
@@ -367,6 +371,16 @@ type CurveResponse struct {
 	ElapsedMS int64 `json:"elapsed_ms"`
 	// Points is the number of frontier breakpoints in Curve.
 	Points int `json:"points"`
+
+	ResultFields
+}
+
+// ResultFields are the fields of a CurveResponse that depend only on the
+// derivation's result: the curve, any per-segmentation curves, and a
+// degraded merge's coverage annotation. The server encodes them once per
+// result, when the result is published, and splices the same bytes into
+// every response that serves it.
+type ResultFields struct {
 	// Curve is the Pareto frontier in the pareto package's JSON schema.
 	Curve *pareto.Curve `json:"curve"`
 	// Segments are the per-segmentation curves of an in-process
@@ -402,11 +416,57 @@ type ErrorResponse struct {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	data, _ := encodeJSON(v) // error, health and stats bodies always encode
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	_, _ = w.Write(data)
+}
+
+// encodeJSON encodes v the way every response body is written: by
+// encoding/json with HTML escaping off, newline-terminated.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// encodeResultFields encodes a result's ResultFields as they end a
+// success envelope: every field from "curve" on plus the closing brace and
+// newline — the encoded object minus its opening brace.
+func encodeResultFields(out deriveOut) ([]byte, error) {
+	rf := ResultFields{Curve: out.curve, Segments: out.segments}
+	if dg := out.degraded; dg != nil {
+		rf.Degraded = true
+		rf.Items = dg.Items
+		rf.CoveredIndices = dg.CoveredIndices
+		rf.CoveredFraction = dg.CoveredFraction
+		rf.MissingShards = dg.MissingShards
+		rf.IncompleteShards = dg.IncompleteShards
+	}
+	data, err := encodeJSON(rf)
+	if err != nil {
+		return nil, fmt.Errorf("serve: encoding result: %w", err)
+	}
+	return data[1:], nil
+}
+
+// appendJSONString appends s as encodeJSON writes a string. Labels, kinds
+// and digests are printable ASCII without quotes or backslashes, which
+// encode verbatim; anything else goes through encoding/json itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' {
+			data, _ := encodeJSON(s) // a string always encodes
+			return append(b, data[:len(data)-1]...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
@@ -479,16 +539,6 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		d.key += "|allow_partial"
 	}
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
 	if !req.NoCache {
 		if res, ok := s.mem.get(d.key); ok {
 			s.stats.hits.Add(1)
@@ -503,6 +553,16 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stats.misses.Add(1)
+
+	timeout := s.cfg.DefaultTimeout
+	if req.TimeoutMS > 0 {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		if timeout > s.cfg.MaxTimeout {
+			timeout = s.cfg.MaxTimeout
+		}
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
 
 	f, leader := s.mem.join(s.base, d.key)
 	if leader {
@@ -547,30 +607,40 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 // respond writes the success envelope: 200 for complete results, 206
 // (partial content) for degraded merges, whose coverage annotation rides
 // along so a client can never mistake a partial frontier for an exact one.
+// It is the one writer of every success body, fresh or cached. Only the
+// per-request fields, workload to points, are encoded here; the result's
+// fields were encoded once when the result was published (res.fields).
+// The body is byte-identical to encodeJSON of the CurveResponse, pinned by
+// TestWireBytesPinned.
 func (s *Server) respond(w http.ResponseWriter, d *derivation, req *Request, res result, cached bool) {
-	resp := CurveResponse{
-		Workload:  d.label,
-		Kind:      string(d.kind),
-		Digest:    d.digest,
-		Cached:    cached || res.fromStore,
-		Shards:    req.Shards,
-		Evaluated: res.evaluated,
-		ElapsedMS: res.elapsed.Milliseconds(),
-		Points:    res.curve.Len(),
-		Curve:     res.curve,
-		Segments:  res.segments,
+	b := make([]byte, 0, 256)
+	b = append(b, `{"workload":`...)
+	b = appendJSONString(b, d.label)
+	b = append(b, `,"kind":`...)
+	b = appendJSONString(b, string(d.kind))
+	b = append(b, `,"digest":`...)
+	b = appendJSONString(b, d.digest)
+	b = append(b, `,"cached":`...)
+	b = strconv.AppendBool(b, cached || res.fromStore)
+	if req.Shards != 0 {
+		b = append(b, `,"shards":`...)
+		b = strconv.AppendInt(b, int64(req.Shards), 10)
 	}
+	b = append(b, `,"evaluated":`...)
+	b = strconv.AppendInt(b, res.evaluated, 10)
+	b = append(b, `,"elapsed_ms":`...)
+	b = strconv.AppendInt(b, res.elapsed.Milliseconds(), 10)
+	b = append(b, `,"points":`...)
+	b = strconv.AppendInt(b, int64(res.curve.Len()), 10)
+	b = append(b, ',')
 	status := http.StatusOK
 	if res.degraded != nil {
 		status = http.StatusPartialContent
-		resp.Degraded = true
-		resp.Items = res.degraded.Items
-		resp.CoveredIndices = res.degraded.CoveredIndices
-		resp.CoveredFraction = res.degraded.CoveredFraction
-		resp.MissingShards = res.degraded.MissingShards
-		resp.IncompleteShards = res.degraded.IncompleteShards
 	}
-	writeJSON(w, status, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(b)
+	_, _ = w.Write(res.fields)
 }
 
 // writeDeriveError maps a flight failure onto the error taxonomy.
@@ -631,10 +701,8 @@ func (s *Server) runFlight(f *flight, d *derivation, shards int, allowPartial, n
 		if s.cfg.deriveWrap != nil {
 			fn = s.cfg.deriveWrap(d, fn)
 		}
-		if d.prepare != nil {
-			if err = d.prepare(f.ctx); err != nil {
-				return
-			}
+		if err = d.prepare(f.ctx); err != nil {
+			return
 		}
 		res.deriveOut, err = fn(f.ctx)
 	}()

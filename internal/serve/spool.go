@@ -137,9 +137,9 @@ func (s *Server) ResumeOrphans(ctx context.Context) (int, error) {
 			continue
 		}
 		// The spooled spec is materialized (spooledDerive persists mspec),
-		// so d.prepare is nil for every kind and the fleet can run
-		// directly. Resume never allows a degraded merge: an orphan that
-		// cannot complete exactly stays in the spool.
+		// so there is nothing to prepare and the fleet can run directly.
+		// Resume never allows a degraded merge: an orphan that cannot
+		// complete exactly stays in the spool.
 		fn := s.spooledDerive(d, env.Shards, false)
 		if s.cfg.deriveWrap != nil {
 			fn = s.cfg.deriveWrap(d, fn)
@@ -151,7 +151,9 @@ func (s *Server) ResumeOrphans(ctx context.Context) (int, error) {
 			continue
 		}
 		res := result{deriveOut: out, elapsed: time.Since(start)}
-		s.mem.put(d.key, res)
+		if err := s.mem.put(d.key, res); err != nil {
+			s.logf("serve: caching resumed spool %s (%s): %v", dir, d.label, err)
+		}
 		s.diskPut(d, res)
 		s.stats.derivations.Add(1)
 		s.stats.evaluated.Add(out.evaluated)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/einsum"
@@ -144,17 +143,16 @@ type deriveFn func(ctx context.Context) (deriveOut, error)
 
 // derivation is a validated, canonicalized unit of work: stable identity
 // (key, digest) for caching and single-flight, the in-process derive
-// function, and the shard-job constructor for the spooled path. Identity
-// uses the same canonical encodings as the compiled shard jobs, so a
-// spooled derivation interrupted by one server process is resumed — not
-// restarted — by the next.
+// function (run), and the shard-job constructor for the spooled path
+// (mkJob). Identity uses the same canonical encodings as the compiled
+// shard jobs, so a spooled derivation interrupted by one server process is
+// resumed — not restarted — by the next.
 type derivation struct {
 	kind   shard.Kind
 	label  string
 	key    string
 	digest string
-	run    deriveFn
-	mkJob  func(shard.Plan) (shard.Job, error)
+	exec   workload.Exec
 
 	// spec is the request's workload spec; mspec is its materialized
 	// form (filled by prepare; identical to spec when nothing needed
@@ -162,13 +160,6 @@ type derivation struct {
 	// spec.json, which is why mkJob and run read mspec, never spec.
 	spec  *workload.Spec
 	mspec *workload.Spec
-
-	// prepare, when non-nil, derives the derivation's inputs (e.g. the
-	// segmentation study's per-op curves) under the flight context before
-	// run or mkJob is used. It runs inside the flight — after admission,
-	// under panic containment — so input derivation is cancellable and
-	// never blocks the request handler.
-	prepare func(ctx context.Context) error
 }
 
 // buildDerivation validates the request's workload and compiles it into
@@ -243,9 +234,6 @@ func specFromRequest(req *Request) (*workload.Spec, error) {
 		}
 		e = einsum.GEMM(name, g.M, g.K, g.N)
 	}
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
 
 	if req.MultiLevel != nil {
 		if req.Options != (OptionsSpec{}) {
@@ -258,47 +246,52 @@ func specFromRequest(req *Request) (*workload.Spec, error) {
 	return &workload.Spec{Kind: shard.KindBound, Einsum: e, Bound: &req.Options}, nil
 }
 
-// derivationFromSpec compiles a Spec into a derivation: cache identity
-// from store.Identity (the shared rule that keys the memory LRU, the
-// durable curve store, the single flight, and the spool directory —
-// including segmentation's documented chain-only special case; it also
-// validates the Spec), in-process run and shard-job constructor from the
-// Spec, and — for Specs with underived inputs — a prepare hook that
-// materializes them under the flight context. Pinned by the cross-layer
-// identity test in identity_test.go.
+// derivationFromSpec compiles a Spec into a derivation. Its cache
+// identity comes from store.Identity — the shared rule that keys the
+// memory LRU, the durable curve store, the single flight, and the spool
+// directory, including segmentation's documented chain-only special case;
+// it also validates the Spec. Pinned by the cross-layer identity test in
+// identity_test.go.
 func derivationFromSpec(spec *workload.Spec, workers int) (*derivation, error) {
 	key, digest, err := store.Identity(spec)
 	if err != nil {
 		return nil, err
 	}
-	d := &derivation{
+	return &derivation{
 		kind:   spec.Kind,
 		label:  spec.Describe(),
 		key:    key,
 		digest: digest,
+		exec:   workload.Exec{Workers: workers},
 		spec:   spec,
 		mspec:  spec,
+	}, nil
+}
+
+// prepare materializes spec into mspec (Spec.Materialize derives inputs
+// such as the segmentation study's per-op curves, and returns an already
+// materialized Spec unchanged). The flight calls it before run or mkJob,
+// after admission and under panic containment, so input derivation is
+// cancellable and never blocks the request handler.
+func (d *derivation) prepare(ctx context.Context) error {
+	m, err := d.spec.Materialize(ctx, d.exec)
+	if err != nil {
+		return err
 	}
-	exec := workload.Exec{Workers: workers}
-	if _, _, err := spec.Digests(); errors.Is(err, workload.ErrUnmaterialized) {
-		d.prepare = func(ctx context.Context) error {
-			m, merr := spec.Materialize(ctx, exec)
-			if merr != nil {
-				return merr
-			}
-			d.mspec = m
-			return nil
-		}
+	d.mspec = m
+	return nil
+}
+
+// run derives the materialized Spec's full space in process.
+func (d *derivation) run(ctx context.Context) (deriveOut, error) {
+	r, err := d.mspec.Run(ctx, d.exec)
+	if err != nil {
+		return deriveOut{}, err
 	}
-	d.run = func(ctx context.Context) (deriveOut, error) {
-		r, err := d.mspec.Run(ctx, exec)
-		if err != nil {
-			return deriveOut{}, err
-		}
-		return deriveOut{curve: r.Curve, evaluated: r.Evaluated, segments: r.Segments}, nil
-	}
-	d.mkJob = func(plan shard.Plan) (shard.Job, error) {
-		return d.mspec.Compile(plan, exec)
-	}
-	return d, nil
+	return deriveOut{curve: r.Curve, evaluated: r.Evaluated, segments: r.Segments}, nil
+}
+
+// mkJob compiles one shard plan slice of the materialized Spec.
+func (d *derivation) mkJob(plan shard.Plan) (shard.Job, error) {
+	return d.mspec.Compile(plan, d.exec)
 }

@@ -9,29 +9,209 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
 // Divisors returns all positive divisors of n in ascending order.
 // n must be >= 1; Divisors panics otherwise because a rank shape of zero
 // or a negative bound is always a programming error in this code base.
+//
+// The divisors are generated from n's prime factorization, so the cost
+// is bounded for every int64: trial division by the primes below 256
+// settles any n < 257², and a larger cofactor is tested with Miller–Rabin
+// and split with Pollard's rho. A prime extent near 2^62 takes
+// microseconds, where trial division up to √n took seconds.
 func Divisors(n int64) []int64 {
 	if n < 1 {
 		panic(fmt.Sprintf("shape: Divisors(%d): argument must be >= 1", n))
 	}
-	var small, large []int64
-	for d := int64(1); d*d <= n; d++ {
-		if n%d == 0 {
-			small = append(small, d)
-			if q := n / d; q != d {
-				large = append(large, q)
+	var buf [15]primePower // 2·3·5·…·47 (15 primes) is the most an int64 has
+	fs := factor(uint64(n), buf[:0])
+	count := 1
+	for _, f := range fs {
+		count *= f.e + 1
+	}
+	divs := make([]int64, 1, count)
+	divs[0] = 1
+	for _, f := range fs {
+		m := len(divs)
+		pk := int64(1)
+		for e := 0; e < f.e; e++ {
+			pk *= int64(f.p)
+			for _, d := range divs[:m] {
+				divs = append(divs, d*pk)
 			}
 		}
 	}
-	for i := len(large) - 1; i >= 0; i-- {
-		small = append(small, large[i])
+	slices.Sort(divs)
+	return divs
+}
+
+// primePower is one prime factor p^e of a factorization.
+type primePower struct {
+	p uint64
+	e int
+}
+
+// smallPrimes are the primes below 256, the trial divisors of factor.
+var smallPrimes = func() []uint64 {
+	var ps []uint64
+	for n := uint64(2); n < 256; n++ {
+		prime := true
+		for _, p := range ps {
+			if n%p == 0 {
+				prime = false
+				break
+			}
+		}
+		if prime {
+			ps = append(ps, n)
+		}
 	}
-	return small
+	return ps
+}()
+
+// factor appends the prime factorization of n >= 1 to fs, one entry per
+// distinct prime.
+func factor(n uint64, fs []primePower) []primePower {
+	for _, p := range smallPrimes {
+		if p*p > n {
+			break
+		}
+		if n%p == 0 {
+			e := 0
+			for n%p == 0 {
+				n /= p
+				e++
+			}
+			fs = append(fs, primePower{p, e})
+		}
+	}
+	switch {
+	case n == 1:
+		return fs
+	case n < 257*257:
+		// No prime factor below 256 and no room for two above it.
+		return append(fs, primePower{n, 1})
+	}
+	return factorLarge(n, fs)
+}
+
+// factorLarge appends the factorization of n, which has no prime factor
+// below 256, splitting composites with Pollard's rho.
+func factorLarge(n uint64, fs []primePower) []primePower {
+	if n == 1 {
+		return fs
+	}
+	if isPrime(n) {
+		for i := range fs {
+			if fs[i].p == n {
+				fs[i].e++
+				return fs
+			}
+		}
+		return append(fs, primePower{n, 1})
+	}
+	d := n
+	for c := uint64(1); d == n; c++ {
+		d = rho(n, c)
+	}
+	return factorLarge(n/d, factorLarge(d, fs))
+}
+
+// mulMod returns a·b mod m for a, b < m.
+func mulMod(a, b, m uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	_, r := bits.Div64(hi, lo, m)
+	return r
+}
+
+// powMod returns a^e mod m for a < m.
+func powMod(a, e, m uint64) uint64 {
+	r := uint64(1)
+	for ; e > 0; e >>= 1 {
+		if e&1 == 1 {
+			r = mulMod(r, a, m)
+		}
+		a = mulMod(a, a, m)
+	}
+	return r
+}
+
+// isPrime is the Miller–Rabin test for odd n > 256; with the first twelve
+// primes as witnesses it is exact for every n below 3.3·10^24.
+func isPrime(n uint64) bool {
+	d := n - 1
+	s := bits.TrailingZeros64(d)
+	d >>= uint(s)
+	for _, a := range smallPrimes[:12] {
+		x := powMod(a, d, n)
+		if x == 1 || x == n-1 {
+			continue
+		}
+		composite := true
+		for i := 1; i < s && composite; i++ {
+			x = mulMod(x, x, n)
+			composite = x != n-1
+		}
+		if composite {
+			return false
+		}
+	}
+	return true
+}
+
+// rho looks for a nontrivial factor of the odd composite n with Brent's
+// variant of Pollard's rho over x² + c, taking one gcd per batch of 128
+// steps. It returns n when this c fails; the caller retries with another.
+func rho(n, c uint64) uint64 {
+	const batch = 128
+	next := func(x uint64) uint64 {
+		x = mulMod(x, x, n) + c
+		if x >= n {
+			x -= n
+		}
+		return x
+	}
+	diff := func(a, b uint64) uint64 {
+		if a > b {
+			return a - b
+		}
+		return b - a
+	}
+	y, q, g := uint64(2), uint64(1), uint64(1)
+	var x, ys uint64
+	for r := 1; g == 1; r *= 2 {
+		x = y
+		for i := 0; i < r; i++ {
+			y = next(y)
+		}
+		for k := 0; k < r && g == 1; k += batch {
+			ys = y
+			for i := 0; i < batch && i < r-k; i++ {
+				y = next(y)
+				q = mulMod(q, diff(x, y), n)
+			}
+			g = gcd(q, n)
+		}
+	}
+	if g == n {
+		// The batch overshot: redo it one step at a time.
+		for g = 1; g == 1; {
+			ys = next(ys)
+			g = gcd(diff(x, ys), n)
+		}
+	}
+	return g
+}
+
+// gcd is Euclid's greatest common divisor.
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // MulCount returns the product of two non-negative counts, and false

@@ -1,8 +1,11 @@
 package shape
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDivisors(t *testing.T) {
@@ -227,5 +230,126 @@ func TestSplitsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// divisorsByTrial is the O(√n) trial-division loop Divisors replaced,
+// kept as the reference its factorization-based output must reproduce.
+func divisorsByTrial(n int64) []int64 {
+	var small, large []int64
+	for d := int64(1); d*d <= n; d++ {
+		if n%d == 0 {
+			small = append(small, d)
+			if q := n / d; q != d {
+				large = append(large, q)
+			}
+		}
+	}
+	for i := len(large) - 1; i >= 0; i-- {
+		small = append(small, large[i])
+	}
+	return small
+}
+
+func TestDivisorsMatchTrialDivision(t *testing.T) {
+	check := func(n int64) {
+		got, want := Divisors(n), divisorsByTrial(n)
+		if !slices.Equal(got, want) {
+			t.Fatalf("Divisors(%d) = %v, want %v", n, got, want)
+		}
+	}
+	for n := int64(1); n <= 100000; n++ {
+		check(n)
+	}
+	// Highly composite and smooth extents, and products of two primes
+	// just above the trial-division bound.
+	for _, n := range []int64{
+		963761198400, 97821761637600, 1 << 40, 3486784401, 257 * 257, 257 * 263,
+		65521 * 65519, 4294967291 * 3, 1000003 * 1000033,
+	} {
+		check(n)
+	}
+}
+
+// TestDivisorsAdversarial covers extents the trial loop could not size in
+// bounded time (or at all: d*d overflows near MaxInt64), against their
+// known factorizations.
+func TestDivisorsAdversarial(t *testing.T) {
+	const (
+		p61 = 2305843009213693951 // 2^61 - 1, prime
+		p62 = 4611686018427387847 // 2^62 - 57, prime
+		q61 = 1518500213          // largest prime with q61² < 2^61
+		q62 = 2147483647          // 2^31 - 1, prime; q62² < 2^62
+		r62 = 2147483629          // prime just below q62
+	)
+	cases := []struct {
+		n       int64
+		factors map[int64]int
+	}{
+		{p61, map[int64]int{p61: 1}},
+		{p62, map[int64]int{p62: 1}},
+		{2 * p61, map[int64]int{2: 1, p61: 1}},
+		{q61 * q61, map[int64]int{q61: 2}},
+		{q62 * q62, map[int64]int{q62: 2}},
+		{q62 * r62, map[int64]int{q62: 1, r62: 1}},
+		{math.MaxInt64, map[int64]int{7: 2, 73: 1, 127: 1, 337: 1, 92737: 1, 649657: 1}},
+		{1 << 62, map[int64]int{2: 62}},
+		{3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 2, map[int64]int{
+			2: 1, 3: 1, 5: 1, 7: 1, 11: 1, 13: 1, 17: 1, 19: 1, 23: 1, 29: 1, 31: 1, 37: 1, 41: 1, 43: 1, 47: 1}},
+	}
+	for _, c := range cases {
+		start := time.Now()
+		got := Divisors(c.n)
+		if el := time.Since(start); el > 100*time.Millisecond {
+			t.Errorf("Divisors(%d) took %v", c.n, el)
+		}
+		want := []int64{1}
+		for p, e := range c.factors {
+			m := len(want)
+			pk := int64(1)
+			for i := 0; i < e; i++ {
+				pk *= p
+				for _, d := range want[:m] {
+					want = append(want, d*pk)
+				}
+			}
+		}
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("Divisors(%d): %d divisors %v..., want %d %v...", c.n, len(got), got[:min(len(got), 8)], len(want), want[:min(len(want), 8)])
+		}
+	}
+}
+
+// BenchmarkDivisors sizes every extent up to 2^16 — the range every
+// benchmark workload's rank shapes fall in.
+func BenchmarkDivisors(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for n := int64(1); n <= 1<<16; n += 97 {
+			Divisors(n)
+		}
+	}
+}
+
+// BenchmarkDivisorsPow2 sizes the power-of-two extents of the GPT-3 and
+// Fig. 12/13 workloads.
+func BenchmarkDivisorsPow2(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for n := int64(1); n <= 1<<16; n *= 2 {
+			Divisors(n)
+		}
+	}
+}
+
+// BenchmarkThreeSplits enumerates the three-level factorizations of the
+// extents the fusion templates split.
+func BenchmarkThreeSplits(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, n := range []int64{4096, 16384, 12288, 2048, 65536, 3 * 5 * 7 * 11 * 13} {
+			ThreeSplits(n)
+		}
 	}
 }

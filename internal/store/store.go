@@ -320,10 +320,11 @@ func (s *Store) Get(digest string) (*Entry, bool) {
 	return ent, true
 }
 
-// decodeEntry verifies an entry file end to end: envelope JSON, format
-// version, engine revision, digest (content address), payload checksum,
-// payload JSON, and curve invariants. Every failure wraps
-// ErrCorruptEntry.
+// decodeEntry turns the bytes of an entry file into a verified Entry —
+// the one validating decoder every Get goes through: envelope JSON,
+// format version, engine revision, digest (content address), payload
+// checksum, payload JSON, then the Entry's own invariants (validate).
+// Every failure wraps ErrCorruptEntry.
 func decodeEntry(data []byte, digest string) (*Entry, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -347,13 +348,41 @@ func decodeEntry(data []byte, digest string) (*Entry, error) {
 	if err := json.Unmarshal(env.Payload, &ent); err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrCorruptEntry, err)
 	}
-	if ent.Curve == nil {
-		return nil, fmt.Errorf("%w: missing curve", ErrCorruptEntry)
-	}
-	if ent.Curve.Degraded {
-		return nil, fmt.Errorf("%w: degraded curve persisted", ErrCorruptEntry)
+	if err := ent.validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptEntry, err)
 	}
 	return &ent, nil
+}
+
+// validate checks the invariants every stored Entry holds: a known kind,
+// non-negative counts, an exact (non-degraded) curve, and segments that
+// each carry an exact curve with the recorded point count. Put refuses
+// entries that fail it, so Get never has to quarantine one this process
+// wrote.
+func (e *Entry) validate() error {
+	switch e.Kind {
+	case shard.KindBound, shard.KindMultiLevel, shard.KindFusionTiled, shard.KindSegmentation:
+	default:
+		return fmt.Errorf("unknown kind %q", e.Kind)
+	}
+	if e.Evaluated < 0 || e.ElapsedMS < 0 {
+		return fmt.Errorf("negative evaluated %d or elapsed_ms %d", e.Evaluated, e.ElapsedMS)
+	}
+	if e.Curve == nil {
+		return errors.New("missing curve")
+	}
+	if e.Curve.Degraded {
+		return errors.New("degraded curve persisted")
+	}
+	for i, sg := range e.Segments {
+		if sg.Curve == nil || sg.Curve.Degraded {
+			return fmt.Errorf("segment %d: missing or degraded curve", i)
+		}
+		if sg.Points != sg.Curve.Len() {
+			return fmt.Errorf("segment %d: %d points recorded, curve has %d", i, sg.Points, sg.Curve.Len())
+		}
+	}
+	return nil
 }
 
 // quarantine renames an invalid entry aside to the first free
@@ -380,8 +409,9 @@ func (s *Store) quarantine(path string, cause error) {
 }
 
 // Put persists an exact derivation result under digest, atomically and
-// durably. Degraded curves are refused (ErrDegraded); a disabled store
-// refuses everything (ErrDisabled). An ENOSPC triggers one GC-and-retry
+// durably. Degraded curves are refused (ErrDegraded), as are entries that
+// fail the invariants Get verifies; a disabled store refuses everything
+// (ErrDisabled). An ENOSPC triggers one GC-and-retry
 // before the tier disables itself; an unwritable directory disables it
 // immediately. Concurrent Puts of one digest are safe: both write the
 // same bytes, and rename is atomic.
@@ -389,11 +419,11 @@ func (s *Store) Put(digest string, ent *Entry) error {
 	if s.disabled.Load() {
 		return ErrDisabled
 	}
-	if ent.Curve == nil {
-		return errors.New("store: entry has no curve")
-	}
-	if ent.Curve.Degraded {
+	if ent.Curve != nil && ent.Curve.Degraded {
 		return ErrDegraded
+	}
+	if err := ent.validate(); err != nil {
+		return fmt.Errorf("store: invalid entry: %w", err)
 	}
 	data, err := encodeEntry(digest, ent)
 	if err != nil {

@@ -29,6 +29,7 @@ var zeroCallerAllow = map[string]string{
 	"internal/mapping.SpaceImperfect":  "imperfect whole-space enumerator behind the reference tests",
 	"internal/einsum.MustParse":        "panicking parse for test fixtures across packages",
 	"internal/einsum.Einsum.RankShape": "rank-extent view the shape and snowcat tests build from",
+	"internal/einsum.Einsum.Inputs":    "input-tensor view the parse and models tests inspect",
 	"internal/shape.ThreeSplits":       "the split order multilevel's keyed splits are pinned against",
 	"internal/multilevel.Merge":        "combines per-range results in the range-cover parity tests",
 	"internal/bound.GEMMPeakOI":        "closed-form GEMM peak OI the figure tests check curves against",

@@ -363,13 +363,11 @@ func (s *Spec) Materialize(ctx context.Context, exec Exec) (*Spec, error) {
 // same Spec, with any worker count, produces partials that merge; Exec
 // only affects how fast one shard runs. It needs a materialized Spec.
 func (s *Spec) Compile(plan shard.Plan, exec Exec) (shard.Job, error) {
-	k, err := s.def()
+	wd, od, err := s.Digests()
 	if err != nil {
-		return shard.Job{}, err
+		return shard.Job{}, fmt.Errorf("workload: compiling %s job: %w", s.Kind, err)
 	}
-	if !k.materialized(s) {
-		return shard.Job{}, fmt.Errorf("workload: compiling %s job: %w", s.Kind, ErrUnmaterialized)
-	}
+	k, _ := lookup(s.Kind) // Digests validated the Spec against its kind
 	if err := plan.Validate(); err != nil {
 		return shard.Job{}, err
 	}
@@ -388,8 +386,8 @@ func (s *Spec) Compile(plan shard.Plan, exec Exec) (shard.Job, error) {
 	return shard.Job{
 		Kind:           s.Kind,
 		Workload:       k.label(s),
-		WorkloadDigest: shard.Digest(k.workload(s)),
-		OptionsDigest:  shard.Digest(k.options(s)),
+		WorkloadDigest: wd,
+		OptionsDigest:  od,
 		Items:          items,
 		Plan:           plan,
 		Spec:           enc,
