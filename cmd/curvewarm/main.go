@@ -30,6 +30,7 @@ import (
 
 	orojenesis "repro"
 	"repro/internal/cliutil"
+	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -135,9 +136,10 @@ func zoo() (map[string]*workload.Spec, error) {
 	return specs, nil
 }
 
-// writeZoo serializes the built-in zoo into dir, one spec per file,
-// atomically (temp + rename) so a concurrently starting warm walk never
-// reads a torn spec.
+// writeZoo serializes the built-in zoo into dir, one spec per file, with
+// shard.WriteFileAtomic: a uniquely named, fsynced temp renamed over the
+// spec, so neither a concurrently starting warm walk nor a second warmer
+// writing the same zoo ever sees a torn spec.
 func writeZoo(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -157,11 +159,7 @@ func writeZoo(dir string) error {
 			return fmt.Errorf("encoding zoo spec %s: %w", name, err)
 		}
 		path := filepath.Join(dir, name+".json")
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, path); err != nil {
+		if err := shard.WriteFileAtomic(nil, path, append(data, '\n')); err != nil {
 			return err
 		}
 		log.Printf("zoo spec -> %s", path)

@@ -65,7 +65,7 @@ func main() {
 
 	partials := make([]*shard.Partial, len(paths))
 	for i, path := range paths {
-		p, err := shard.ReadPartial(path)
+		p, err := shard.ReadPartial(nil, path)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -263,13 +263,7 @@ func emitMerged(cfg ShardRunConfig, f *ShardFlags, curve *pareto.Curve, degraded
 		if degraded != nil {
 			payload = degraded
 		}
-		data, err := json.Marshal(payload)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(f.Out, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
+		writeOut(f.Out, payload)
 		fmt.Printf("merged curve: %d points -> %s\n", curve.Len(), f.Out)
 	}
 }
@@ -331,13 +325,20 @@ func RunSpec(path string, f *ShardFlags, st *store.Store, workers int, stats boo
 		cfg.Summarize(res.Curve)
 	}
 	if f.Out != "" {
-		data, err := json.Marshal(res.Curve)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(f.Out, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
+		writeOut(f.Out, res.Curve)
 		fmt.Printf("curve: %d points -> %s\n", res.Curve.Len(), f.Out)
+	}
+}
+
+// writeOut writes v as one JSON line to the -out path with
+// shard.WriteFileAtomic, so a killed run leaves the previous file or the
+// complete new one, never a torn curve; any failure is fatal.
+func writeOut(path string, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := shard.WriteFileAtomic(nil, path, append(data, '\n')); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -163,7 +163,7 @@ func (c *coord) attemptWithSpeculation(ctx context.Context, st *ShardState, job 
 	results := make(chan attemptResult, 2)
 	inFlight := map[string]bool{primary: true}
 	launch := func(worker string) {
-		st.Dispatches++
+		st.Attempts++
 		c.dispatches.Add(1)
 		go func() {
 			defer c.reg.release(worker)
@@ -317,30 +317,28 @@ func validatePartial(data []byte, plan shard.Plan, expected *shard.Manifest) err
 	return nil
 }
 
-// quarantineBytes writes an invalid response's bytes to the first free
-// "<slot>.quarantine[.N]" file so the evidence survives next to the slot
-// it tried to fill. Returns the path, or "" when even that write failed
-// (logged; the dispatch error stands on its own).
+// quarantineBytes sets an invalid response's bytes aside beside the slot
+// it tried to fill, so the evidence survives: written through the spool
+// FS to a "<slot>.tmp*" temp (which the slot's next sweep collects if
+// this process dies first), then renamed to the first free
+// "<slot>.quarantine[.N]" name (shard.Quarantine). Returns the path, or
+// "" when that failed (logged; the dispatch error stands on its own).
 func (c *coord) quarantineBytes(slotPath string, data []byte) string {
-	for i := 0; ; i++ {
-		qpath := slotPath + ".quarantine"
-		if i > 0 {
-			qpath = fmt.Sprintf("%s.quarantine.%d", slotPath, i)
+	fsys := c.opts.FS
+	tmp, err := fsys.CreateTemp(filepath.Dir(slotPath), filepath.Base(slotPath)+".tmp*")
+	if err == nil {
+		_, err = tmp.Write(data)
+		if cerr := tmp.Close(); err == nil {
+			err = cerr
 		}
-		f, err := os.OpenFile(qpath, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if errors.Is(err, os.ErrExist) {
-			continue
+		if err == nil {
+			var qpath string
+			if qpath, err = shard.Quarantine(fsys, tmp.Name(), slotPath+".quarantine"); err == nil {
+				c.quarantines.Add(1)
+				return qpath
+			}
 		}
-		if err != nil {
-			c.opts.logf("fleet: cannot quarantine invalid response at %s: %v", qpath, err)
-			return ""
-		}
-		_, werr := f.Write(data)
-		cerr := f.Close()
-		if werr != nil || cerr != nil {
-			c.opts.logf("fleet: writing quarantine %s: %v %v", qpath, werr, cerr)
-		}
-		c.quarantines.Add(1)
-		return qpath
 	}
+	c.opts.logf("fleet: cannot quarantine invalid response for %s: %v", slotPath, err)
+	return ""
 }

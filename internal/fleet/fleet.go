@@ -60,7 +60,6 @@ import (
 	"io/fs"
 	"math/rand"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -178,9 +177,10 @@ type Options struct {
 	// lines (retries, quarantines, speculation, interrupts).
 	Logf func(format string, args ...any)
 
-	// FS is the filesystem seam of the spool (nil = OS): in-process
-	// shard runs, quarantines and spooled responses go through it; the
-	// robustness suite injects faults here.
+	// FS is the filesystem seam of the spool (nil = OS): the spool
+	// directory, slot reads, in-process shard runs, quarantines, spooled
+	// responses and the final merge all go through it; the robustness
+	// suite injects faults here.
 	FS shard.FS
 
 	// OnCheckpoint, when non-nil, observes every successful checkpoint
@@ -250,13 +250,11 @@ type ShardState struct {
 	Plan shard.Plan
 	Path string // partial-frontier file in the spool
 
-	// Attempts counts in-process shard.Run invocations (1 = the first
-	// try succeeded).
-	Attempts int
-
-	// Dispatches counts HTTP attempts launched for this shard, including
-	// speculative duplicates; Speculated counts just the duplicates.
-	Dispatches int
+	// Attempts counts the attempts launched for this shard: in-process
+	// shard.Run invocations, or HTTP dispatches including speculative
+	// duplicates (1 = the first try succeeded). Speculated counts just
+	// the duplicates.
+	Attempts   int
 	Speculated int
 
 	// Deferred counts Retry-After deferrals this shard absorbed (held
@@ -383,7 +381,10 @@ func Run(ctx context.Context, n int, mkJob func(shard.Plan) (shard.Job, error), 
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("fleet: no spool directory")
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	if opts.FS == nil {
+		opts.FS = shard.OS()
+	}
+	if err := opts.FS.MkdirAll(opts.Dir); err != nil {
 		return nil, err
 	}
 	c := &coord{n: n, mkJob: mkJob, opts: &opts}
@@ -439,7 +440,7 @@ func Run(ctx context.Context, n int, mkJob func(shard.Plan) (shard.Job, error), 
 		for k := range paths {
 			paths[k] = report.Shards[k].Path
 		}
-		curve, err := shard.MergeFiles(paths...)
+		curve, err := shard.MergeFiles(opts.FS, paths...)
 		if err != nil {
 			return report, fmt.Errorf("fleet: final merge: %w", err)
 		}
@@ -469,7 +470,7 @@ func mergeDegraded(report *Report, opts *Options) (*shard.Degraded, error) {
 	var partials []*shard.Partial
 	for k := range report.Shards {
 		st := &report.Shards[k]
-		p, err := shard.ReadPartial(st.Path)
+		p, err := shard.ReadPartial(opts.FS, st.Path)
 		if err != nil {
 			if !errors.Is(err, fs.ErrNotExist) {
 				opts.logf("fleet: degraded merge skips %s: %v", st.Path, err)
@@ -505,7 +506,7 @@ func (c *coord) runShard(ctx context.Context, k int) ShardState {
 	// this run's result can land cleanly. An incomplete one of ours is a
 	// checkpoint: the in-process attempt resumes it, a winning dispatch
 	// replaces it.
-	switch prev, err := shard.ReadPartial(st.Path); {
+	switch prev, err := shard.ReadPartial(c.opts.FS, st.Path); {
 	case err == nil:
 		if cerr := expected.CompatibleWith(&prev.Manifest); cerr != nil || prev.Manifest.ShardIndex != plan.Index {
 			if !c.quarantine(&st, "foreign spool partial") {

@@ -118,7 +118,7 @@ func assertCleanSpool(t *testing.T, dir string) {
 		if strings.Contains(name, ".quarantine") || strings.Contains(name, ".corrupt") {
 			continue
 		}
-		if _, err := shard.ReadPartial(filepath.Join(dir, name)); err != nil {
+		if _, err := shard.ReadPartial(nil, filepath.Join(dir, name)); err != nil {
 			t.Errorf("spool file %s is neither a valid partial nor quarantined: %v", name, err)
 		}
 	}
@@ -196,8 +196,8 @@ func TestFleetResumesSpooledPartials(t *testing.T) {
 	if !report.Shards[0].Resumed {
 		t.Fatal("shard 0 was not resumed from the spool")
 	}
-	if report.Shards[0].Dispatches != 0 {
-		t.Fatalf("resumed shard was dispatched %d times", report.Shards[0].Dispatches)
+	if report.Shards[0].Attempts != 0 {
+		t.Fatalf("resumed shard was dispatched %d times", report.Shards[0].Attempts)
 	}
 	got, err := json.Marshal(report.Curve)
 	if err != nil {
@@ -306,8 +306,8 @@ func TestFleetSpeculation(t *testing.T) {
 	if st.Speculated != 1 || report.Speculations != 1 {
 		t.Fatalf("speculated %d (total %d), want 1", st.Speculated, report.Speculations)
 	}
-	if st.Dispatches != 2 {
-		t.Fatalf("dispatches %d, want 2 (primary + speculative)", st.Dispatches)
+	if st.Attempts != 2 {
+		t.Fatalf("attempts %d, want 2 (primary + speculative)", st.Attempts)
 	}
 	got, err := json.Marshal(report.Curve)
 	if err != nil {
@@ -566,7 +566,7 @@ func TestFleetPermanentRejection(t *testing.T) {
 	if err == nil {
 		t.Fatal("deterministic rejection did not fail the run")
 	}
-	if got := report.Shards[0].Dispatches; got != 1 {
+	if got := report.Shards[0].Attempts; got != 1 {
 		t.Fatalf("dispatches %d, want 1 (no retries of a permanent rejection)", got)
 	}
 	var perm *PermanentError

@@ -129,7 +129,7 @@ func TestSupervisedInterruptThenResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		if _, rerr := shard.ReadPartial(f); rerr != nil {
+		if _, rerr := shard.ReadPartial(nil, f); rerr != nil {
 			t.Fatalf("checkpoint %s unreadable after interrupt: %v", f, rerr)
 		}
 	}

@@ -428,3 +428,11 @@ func TestSubChain(t *testing.T) {
 	}()
 	c.Sub(2, 2)
 }
+
+// Chain returns the two-op fused chain view of the attention pair.
+func (m MHAConfig) Chain() *Chain {
+	return MustChain("mha", m.Instances*m.Seq,
+		AttentionQKOp("bmm_QK", m.Instances, m.Seq, m.Heads, m.FeatureDim),
+		AttentionQKVOp("bmm_QKV", m.Instances, m.Seq, m.Heads, m.FeatureDim),
+	)
+}

@@ -35,14 +35,6 @@ func (m MHAConfig) QKVEinsum() *einsum.Einsum {
 	return einsum.BMM("bmm_QKV", m.Instances*m.Heads, m.Seq, m.Seq, m.FeatureDim)
 }
 
-// Chain returns the two-op fused chain view of the attention pair.
-func (m MHAConfig) Chain() *Chain {
-	return MustChain("mha", m.Instances*m.Seq,
-		AttentionQKOp("bmm_QK", m.Instances, m.Seq, m.Heads, m.FeatureDim),
-		AttentionQKVOp("bmm_QKV", m.Instances, m.Seq, m.Heads, m.FeatureDim),
-	)
-}
-
 // AlgoMinFusedBytes is the fused algorithmic minimum of the attention
 // pair: Q, K, V read once, the attention output written once; scores never
 // leave the chip.

@@ -94,27 +94,6 @@ func (c *combo) footprints(fp, tiles []int64) int64 {
 	return sum
 }
 
-// l1Elems computes the footprints of the combination in c.splits and
-// returns its L1 footprint in elements.
-func (c *combo) l1Elems() int64 {
-	for i, ts := range c.splits {
-		c.tiles0[i] = ts.L0
-		c.tiles1[i] = ts.L0 * ts.L1
-	}
-	c.l2Elems = c.footprints(c.fp1, c.tiles1)
-	return c.footprints(c.fp0, c.tiles0)
-}
-
-// best returns, in elements, the combination's L2 footprint, its least
-// DRAM traffic, its least L2 traffic, and the least L2 traffic among the
-// orders that attain the least DRAM traffic. l1Elems must run first.
-// It is the memo-free scoring a worker's memo reproduces.
-func (c *combo) best() (l2Elems, dram, freeL2, jointL2 int64) {
-	v := c.outer(c.midLoops())
-	midL2 := c.midL2()
-	return c.l2Elems, v.dram, midL2 + v.free, midL2 + v.share
-}
-
 // midLoops sets up the mid order problem of the combination in c.splits
 // and returns M, the mask of tensors with no iterating relevant mid loop.
 func (c *combo) midLoops() uint64 {

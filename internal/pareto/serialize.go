@@ -33,41 +33,57 @@ func (c *Curve) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a curve, re-deriving the Pareto frontier so that
-// hand-edited files cannot violate the invariants, and validating the
-// annotations against the points: annotations must be non-negative, and a
-// positive AlgoMinBytes must not exceed any point's access count — the
-// algorithmic minimum is a lower bound on every mapping's traffic, so a
-// curve that dips below its own annotation is corrupt, not conservative.
-// (TotalOperandBytes has no point-relative invariant: fusion curves
-// legitimately move buffer requirements past it.)
+// hand-edited files cannot violate the invariants, and checking the
+// points and annotations with the decoder's invariants (checkDecoded).
 func (c *Curve) UnmarshalJSON(data []byte) error {
 	var cj curveJSON
 	if err := json.Unmarshal(data, &cj); err != nil {
 		return err
 	}
-	for _, p := range cj.Points {
-		if p.BufferBytes < 1 || p.AccessBytes < 1 {
-			return fmt.Errorf("pareto: non-positive point %+v", p)
-		}
-	}
-	if cj.AlgoMinBytes < 0 {
-		return fmt.Errorf("pareto: negative algo_min_bytes %d", cj.AlgoMinBytes)
-	}
-	if cj.TotalOperandBytes < 0 {
-		return fmt.Errorf("pareto: negative total_operand_bytes %d", cj.TotalOperandBytes)
-	}
-	if cj.AlgoMinBytes > 0 {
-		for _, p := range cj.Points {
-			if p.AccessBytes < cj.AlgoMinBytes {
-				return fmt.Errorf("pareto: point %+v moves less than the annotated algorithmic minimum %d bytes",
-					p, cj.AlgoMinBytes)
-			}
-		}
+	if err := checkDecoded(cj.Points, cj.AlgoMinBytes, cj.TotalOperandBytes); err != nil {
+		return err
 	}
 	c.pts = FromPoints(cj.Points).pts
 	c.AlgoMinBytes = cj.AlgoMinBytes
 	c.TotalOperandBytes = cj.TotalOperandBytes
 	c.Degraded = cj.Degraded
+	return nil
+}
+
+// Validate reports whether c satisfies the invariants UnmarshalJSON
+// enforces (checkDecoded), so a curve that would not decode is caught
+// before it is persisted rather than on every read.
+func (c *Curve) Validate() error {
+	return checkDecoded(c.pts, c.AlgoMinBytes, c.TotalOperandBytes)
+}
+
+// checkDecoded is the one validator behind UnmarshalJSON and Validate:
+// every point strictly positive, annotations non-negative, and — when
+// AlgoMinBytes is positive — no point moving less than it: the
+// algorithmic minimum is a lower bound on every mapping's traffic, so a
+// curve that dips below its own annotation is corrupt, not conservative.
+// (TotalOperandBytes has no point-relative invariant: fusion curves
+// legitimately move buffer requirements past it.)
+func checkDecoded(pts []Point, algoMin, totalOperand int64) error {
+	for _, p := range pts {
+		if p.BufferBytes < 1 || p.AccessBytes < 1 {
+			return fmt.Errorf("pareto: non-positive point %+v", p)
+		}
+	}
+	if algoMin < 0 {
+		return fmt.Errorf("pareto: negative algo_min_bytes %d", algoMin)
+	}
+	if totalOperand < 0 {
+		return fmt.Errorf("pareto: negative total_operand_bytes %d", totalOperand)
+	}
+	if algoMin > 0 {
+		for _, p := range pts {
+			if p.AccessBytes < algoMin {
+				return fmt.Errorf("pareto: point %+v moves less than the annotated algorithmic minimum %d bytes",
+					p, algoMin)
+			}
+		}
+	}
 	return nil
 }
 

@@ -198,7 +198,7 @@ func TestFleetServeKillCoordinatorResume(t *testing.T) {
 	if err != nil || len(specs) != 1 {
 		t.Fatalf("%d spool spec.json files after kill (err=%v), want 1", len(specs), err)
 	}
-	partial, err := shard.ReadPartial(filepath.Join(filepath.Dir(specs[0]), "shard-1-of-2.json"))
+	partial, err := shard.ReadPartial(nil, filepath.Join(filepath.Dir(specs[0]), "shard-1-of-2.json"))
 	if err != nil {
 		t.Fatalf("spooled shard 0 unreadable after kill: %v", err)
 	}
@@ -299,7 +299,7 @@ func TestFleetServeDegraded(t *testing.T) {
 		t.Fatalf("degraded run kept no spooled partials (err=%v)", err)
 	}
 	for _, p := range dirs {
-		if _, err := shard.ReadPartial(p); err != nil {
+		if _, err := shard.ReadPartial(nil, p); err != nil {
 			t.Fatalf("spool file %s is not a valid partial: %v", p, err)
 		}
 	}

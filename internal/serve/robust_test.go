@@ -338,7 +338,7 @@ func TestKillAndResumeShardedDerivation(t *testing.T) {
 	}
 	var completed int64
 	for _, m := range matches {
-		p, err := shard.ReadPartial(m)
+		p, err := shard.ReadPartial(nil, m)
 		if err != nil {
 			t.Fatalf("partial %s unreadable after kill: %v", m, err)
 		}

@@ -160,7 +160,7 @@ func TestServedSegmentationDegraded206(t *testing.T) {
 		SpoolDir:        spool,
 		CheckpointEvery: 2,
 		ShardRetries:    -1,
-		shardFS:         ffs,
+		fs:              ffs,
 	})
 
 	body := fmt.Sprintf(
@@ -212,7 +212,7 @@ func TestServedSegmentationDegraded206(t *testing.T) {
 	}
 	partials := make([]*shard.Partial, len(matches))
 	for i, path := range matches {
-		if partials[i], err = shard.ReadPartial(path); err != nil {
+		if partials[i], err = shard.ReadPartial(nil, path); err != nil {
 			t.Fatal(err)
 		}
 	}

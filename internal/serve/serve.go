@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -177,15 +176,12 @@ type Config struct {
 	// counting derivations without touching the engine.
 	deriveWrap func(d *derivation, fn deriveFn) deriveFn
 
-	// shardFS, when non-nil, is the filesystem handed to spooled shard
-	// runs — the test seam for injecting persistent write faults so the
-	// degraded (allow_partial) path is reachable in tests.
-	shardFS shard.FS
-
-	// storeFS, when non-nil, is the filesystem handed to the durable
-	// curve store — the fault-injection seam of the store robustness
-	// suite (torn writes, ENOSPC, rename failures).
-	storeFS shard.FS
+	// fs, when non-nil, is the filesystem of every durable file the
+	// server touches — the curve store, the spool, fleet runs and worker
+	// checkpoints — and the fault-injection seam of the robustness
+	// suites (torn writes, ENOSPC, rename, lock and directory failures).
+	// Nil means the real OS filesystem.
+	fs shard.FS
 }
 
 // Server is the derivation service. Construct with New, mount Handler on
@@ -210,8 +206,8 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	// workerLocks serializes concurrent /v1/shard runs per checkpoint
-	// path (see lockShardPath) and workerDirs counts the live shard runs
-	// per digest directory (see holdShardDir); workerMu guards both.
+	// path and workerDirs counts the live shard runs per digest directory
+	// (see holdShard); workerMu guards both.
 	workerMu    sync.Mutex
 	workerLocks map[string]*wlock
 	workerDirs  map[string]int
@@ -256,6 +252,9 @@ func New(cfg Config) *Server {
 	if cfg.MaxShards <= 0 {
 		cfg.MaxShards = 64
 	}
+	if cfg.fs == nil {
+		cfg.fs = shard.OS()
+	}
 	if cfg.FleetProbeInterval == 0 {
 		cfg.FleetProbeInterval = 15 * time.Second
 	}
@@ -284,7 +283,7 @@ func New(cfg Config) *Server {
 		disk, err := store.Open(store.Options{
 			Dir:      cfg.StoreDir,
 			MaxBytes: cfg.StoreMaxBytes,
-			FS:       cfg.storeFS,
+			FS:       cfg.fs,
 			Logf:     cfg.Logf,
 		})
 		if err != nil {
@@ -800,15 +799,15 @@ func (s *Server) spooledDerive(d *derivation, shards int, allowPartial bool) der
 	return func(ctx context.Context) (deriveOut, error) {
 		var out deriveOut
 		dir := filepath.Join(s.cfg.SpoolDir, fmt.Sprintf("%.16s", d.digest))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return out, err
+		if err := s.cfg.fs.MkdirAll(dir); err != nil {
+			return out, fmt.Errorf("serve: creating spool %s: %w", dir, err)
 		}
 		// Make the spool self-describing before any shard runs: with
 		// spec.json in place, a server that dies mid-derivation leaves an
 		// orphan that ResumeOrphans can finish without ever seeing the
 		// original request. Failure to write it is logged, not fatal — the
 		// derivation itself does not depend on it.
-		if err := writeSpoolSpec(s.cfg.shardFS, dir, d, shards); err != nil {
+		if err := writeSpoolSpec(s.cfg.fs, dir, d, shards); err != nil {
 			s.logf("serve: writing %s in spool %s: %v", spoolSpecFile, dir, err)
 		}
 		report, err := fleet.Run(ctx, shards, d.mkJob, fleet.Options{
@@ -817,7 +816,7 @@ func (s *Server) spooledDerive(d *derivation, shards int, allowPartial bool) der
 			MaxRetries:      s.cfg.ShardRetries,
 			AllowPartial:    allowPartial,
 			Logf:            s.cfg.Logf,
-			FS:              s.cfg.shardFS,
+			FS:              s.cfg.fs,
 			OnCheckpoint:    s.cfg.OnCheckpoint,
 			Registry:        s.fleetReg,
 			SpeculateAfter:  s.cfg.FleetSpeculateAfter,
@@ -847,7 +846,7 @@ func (s *Server) spooledDerive(d *derivation, shards int, allowPartial bool) der
 			// anyway: the merge is exact, so serve it as one.
 			out.curve = report.Degraded.Curve
 		}
-		if rmErr := os.RemoveAll(dir); rmErr != nil {
+		if rmErr := s.cfg.fs.RemoveAll(dir); rmErr != nil {
 			s.logf("serve: cleaning spool %s: %v", dir, rmErr)
 		}
 		return out, nil

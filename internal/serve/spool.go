@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"time"
 
@@ -37,7 +37,7 @@ type spoolSpec struct {
 }
 
 // writeSpoolSpec persists the derivation's self-description into dir
-// over fsys (nil = OS) with shard.WriteFileAtomic, so a crash mid-write —
+// over fsys with shard.WriteFileAtomic, so a crash mid-write —
 // even a host crash — leaves either no spec.json or a complete one,
 // never a torn file.
 func writeSpoolSpec(fsys shard.FS, dir string, d *derivation, shards int) error {
@@ -57,9 +57,9 @@ func writeSpoolSpec(fsys shard.FS, dir string, d *derivation, shards int) error 
 	return shard.WriteFileAtomic(fsys, filepath.Join(dir, spoolSpecFile), data)
 }
 
-// readSpoolSpec loads and sanity-checks dir's spec.json.
-func readSpoolSpec(dir string) (*spoolSpec, error) {
-	data, err := os.ReadFile(filepath.Join(dir, spoolSpecFile))
+// readSpoolSpec loads and sanity-checks dir's spec.json over fsys.
+func readSpoolSpec(fsys shard.FS, dir string) (*spoolSpec, error) {
+	data, err := fsys.ReadFile(filepath.Join(dir, spoolSpecFile))
 	if err != nil {
 		return nil, err
 	}
@@ -93,28 +93,25 @@ func (s *Server) ResumeOrphans(ctx context.Context) (int, error) {
 	if s.cfg.SpoolDir == "" {
 		return 0, nil
 	}
-	entries, err := os.ReadDir(s.cfg.SpoolDir)
+	// A missing spool directory globs to nothing: no orphans.
+	dirs, err := s.cfg.fs.Glob(filepath.Join(s.cfg.SpoolDir, "*"))
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, nil
-		}
 		return 0, err
 	}
 	resumed := 0
-	for _, ent := range entries {
-		if !ent.IsDir() {
+	for _, dir := range dirs {
+		if fi, err := s.cfg.fs.Stat(dir); err != nil || !fi.IsDir() {
 			continue
 		}
-		dir := filepath.Join(s.cfg.SpoolDir, ent.Name())
 		if s.cfg.WorkerDir != "" && dir == filepath.Clean(s.cfg.WorkerDir) {
 			// The worker endpoint's own checkpoint tree (a sibling inside
 			// the spool when orojenesisd runs with -worker): its shards
 			// belong to remote coordinators, not this server's cache.
 			continue
 		}
-		env, err := readSpoolSpec(dir)
+		env, err := readSpoolSpec(s.cfg.fs, dir)
 		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
+			if errors.Is(err, fs.ErrNotExist) {
 				s.logf("serve: spool %s has no %s; waiting for a client to re-request it", dir, spoolSpecFile)
 			} else {
 				s.logf("serve: spool %s: %v", dir, err)
@@ -131,7 +128,7 @@ func (s *Server) ResumeOrphans(ctx context.Context) (int, error) {
 			s.logf("serve: spool %s: rebuilding derivation: %v", dir, err)
 			continue
 		}
-		if d.digest != env.Digest || fmt.Sprintf("%.16s", d.digest) != ent.Name() {
+		if d.digest != env.Digest || fmt.Sprintf("%.16s", d.digest) != filepath.Base(dir) {
 			s.logf("serve: spool %s: recorded digest %.16s does not match spec digest %.16s; skipping",
 				dir, env.Digest, d.digest)
 			continue

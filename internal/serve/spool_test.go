@@ -64,7 +64,7 @@ func TestResumeOrphansCompletesSpooledDerivation(t *testing.T) {
 		t.Fatalf("%d spool spec.json files after kill, want 1", len(specs))
 	}
 	orphanDir := filepath.Dir(specs[0])
-	env, err := readSpoolSpec(orphanDir)
+	env, err := readSpoolSpec(shard.OS(), orphanDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestResumeOrphansSegmentation(t *testing.T) {
 	if len(specs) != 1 {
 		t.Fatalf("%d spool spec.json files after kill, want 1", len(specs))
 	}
-	env, err := readSpoolSpec(filepath.Dir(specs[0]))
+	env, err := readSpoolSpec(shard.OS(), filepath.Dir(specs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +224,17 @@ func TestResumeOrphansSegmentation(t *testing.T) {
 func TestSpoolSpecWrittenDurably(t *testing.T) {
 	spool := t.TempDir()
 	ffs := &shard.FaultFS{}
-	_, ts := newTestServer(t, Config{SpoolDir: spool, shardFS: ffs})
+	_, ts := newTestServer(t, Config{SpoolDir: spool, fs: ffs})
 	if status, data := postCurve(t, ts.URL, `{"gemm":{"m":32,"k":24,"n":16},"shards":2}`); status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, data)
 	}
-	// spec.json is written before any shard runs, so its flush leads the log.
+	// spec.json is written right after the spool directory is created
+	// and before any shard runs, so its flush leads the log.
 	log := ffs.Log()
+	if len(log) < 7 || !strings.HasPrefix(log[0], string(shard.OpMkdirAll)+" ") {
+		t.Fatalf("spool directory creation does not lead the log:\n%s", strings.Join(log, "\n"))
+	}
+	log = log[1:]
 	if len(log) < 6 {
 		t.Fatalf("operation log too short:\n%s", strings.Join(log, "\n"))
 	}

@@ -223,7 +223,7 @@ func TestStoreOpenFailureDegradesToMemory(t *testing.T) {
 	var logged atomic.Int64
 	s, ts := newTestServer(t, Config{
 		StoreDir: t.TempDir(),
-		storeFS:  ffs,
+		fs:       ffs,
 		Logf: func(format string, _ ...any) {
 			if strings.Contains(format, "curve store disabled") {
 				logged.Add(1)
@@ -259,7 +259,7 @@ func TestStoreENOSPCDegradesLive(t *testing.T) {
 		}
 		return nil
 	}}
-	s, ts := newTestServer(t, Config{StoreDir: t.TempDir(), storeFS: ffs})
+	s, ts := newTestServer(t, Config{StoreDir: t.TempDir(), fs: ffs})
 	if s.disk == nil {
 		t.Fatal("disk tier missing before the disk fills")
 	}
@@ -268,7 +268,7 @@ func TestStoreENOSPCDegradesLive(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d on a full disk: %s", status, data1)
 	}
-	if !s.disk.Disabled() {
+	if !s.disk.StatsSnapshot().Disabled {
 		t.Fatal("store still enabled after persistent ENOSPC")
 	}
 	g := getStoreGauges(t, ts.URL)
@@ -338,6 +338,30 @@ func TestCorruptStoreEntryRederived(t *testing.T) {
 	}
 }
 
+// TestWrappedCountsNeverPersisted: the two requests whose byte counts
+// wrap int64 (an extent near 2^61 or 2^62) derive curves the curve
+// decoder rejects. The store must refuse them at Put rather than
+// persist them for every later Get to quarantine, so two server lives
+// over one store directory leave neither an entry nor a .corrupt file.
+func TestWrappedCountsNeverPersisted(t *testing.T) {
+	dir := t.TempDir()
+	bodies := []string{
+		`{"gemm":{"m":2305843009213693951,"k":2,"n":2}}`,
+		`{"gemm":{"m":4611686018427387847,"k":1,"n":1}}`,
+	}
+	for life := 0; life < 2; life++ {
+		_, ts := newTestServer(t, Config{StoreDir: dir})
+		for _, body := range bodies {
+			postCurve(t, ts.URL, body)
+		}
+		ts.Close()
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "*.c*"))
+	if err != nil || len(left) != 0 {
+		t.Fatalf("store directory holds %v (err %v), want no entries and no quarantines", left, err)
+	}
+}
+
 // TestDegraded206NeverPersisted: a partial (206) segmentation result
 // must not enter the durable tier — a later identical request with a
 // healthy fleet deserves the full derivation, and a restart must not
@@ -362,7 +386,7 @@ func TestDegraded206NeverPersisted(t *testing.T) {
 		SpoolDir:        t.TempDir(),
 		CheckpointEvery: 2,
 		ShardRetries:    -1,
-		shardFS:         ffs,
+		fs:              ffs,
 		StoreDir:        storeDir,
 	})
 	body := fmt.Sprintf(

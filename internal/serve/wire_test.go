@@ -96,7 +96,7 @@ func TestWireBytesPinnedDegraded206(t *testing.T) {
 		SpoolDir:        t.TempDir(),
 		CheckpointEvery: 2,
 		ShardRetries:    -1,
-		shardFS:         ffs,
+		fs:              ffs,
 	})
 	chain, _ := json.Marshal(append(wireChain, `E[m,n] = D[m,k] * T[k,n] {M=16,K=4,N=4}`))
 	body := fmt.Sprintf(`{"segmentation":{"einsums":%s},"shards":3,"allow_partial":true}`, chain)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -29,16 +28,24 @@ type wlock struct {
 	refs int
 }
 
-// lockShardPath serializes worker shard runs on one checkpoint path: a
-// retry of a shard the coordinator gave up on may arrive while the first
-// attempt is still deriving, and two shard.Run calls on one path would
-// interleave checkpoint flushes (each valid, but the slower writer can
-// roll the high-water mark backwards). The second caller blocks, then
-// resumes from whatever the first flushed. Returns the unlock func.
-func (s *Server) lockShardPath(path string) func() {
+// holdShard pins one worker shard run on its checkpoint path. Runs on
+// one path are serialized: a retry of a shard the coordinator gave up on
+// may arrive while the first attempt is still deriving, and two
+// shard.Run calls on one path would interleave checkpoint flushes (each
+// valid, but the slower writer can roll the high-water mark backwards),
+// so the second caller blocks, then resumes from whatever the first
+// flushed. The path's digest directory is created here and removed by
+// the release of the last live run of its derivation — only then, so a
+// finishing shard never deletes it under a sibling that has created it
+// but not yet checkpointed into it. Removal is best-effort: a directory
+// still holding a failed shard's checkpoint is not empty and stays for
+// the retry.
+func (s *Server) holdShard(path string) (func(), error) {
+	dir := filepath.Dir(path)
 	s.workerMu.Lock()
 	if s.workerLocks == nil {
 		s.workerLocks = make(map[string]*wlock)
+		s.workerDirs = make(map[string]int)
 	}
 	e := s.workerLocks[path]
 	if e == nil {
@@ -46,46 +53,28 @@ func (s *Server) lockShardPath(path string) func() {
 		s.workerLocks[path] = e
 	}
 	e.refs++
+	s.workerDirs[dir]++
 	s.workerMu.Unlock()
+	drop := func() {
+		s.workerMu.Lock()
+		defer s.workerMu.Unlock()
+		if e.refs--; e.refs == 0 {
+			delete(s.workerLocks, path)
+		}
+		if s.workerDirs[dir]--; s.workerDirs[dir] == 0 {
+			delete(s.workerDirs, dir)
+			_ = s.cfg.fs.Remove(dir)
+		}
+	}
+	if err := s.cfg.fs.MkdirAll(dir); err != nil {
+		drop()
+		return nil, err
+	}
 	e.mu.Lock()
 	return func() {
 		e.mu.Unlock()
-		s.workerMu.Lock()
-		e.refs--
-		if e.refs == 0 {
-			delete(s.workerLocks, path)
-		}
-		s.workerMu.Unlock()
-	}
-}
-
-// holdShardDir creates a derivation's worker checkpoint directory and
-// pins it for one shard run. The returned release removes the directory
-// once no shard of that derivation is live on this worker any more — and
-// only then, so a finishing shard never deletes it under a sibling that
-// has created it but not yet checkpointed into it. Removal is
-// best-effort: a directory still holding a failed shard's checkpoint is
-// not empty and stays for the retry.
-func (s *Server) holdShardDir(dir string) (release func(), err error) {
-	s.workerMu.Lock()
-	if s.workerDirs == nil {
-		s.workerDirs = make(map[string]int)
-	}
-	s.workerDirs[dir]++
-	s.workerMu.Unlock()
-	release = func() {
-		s.workerMu.Lock()
-		defer s.workerMu.Unlock()
-		if s.workerDirs[dir]--; s.workerDirs[dir] == 0 {
-			delete(s.workerDirs, dir)
-			_ = os.Remove(dir)
-		}
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		release()
-		return nil, err
-	}
-	return release, nil
+		drop()
+	}, nil
 }
 
 // handleShard is POST /v1/shard: the worker half of the derivation
@@ -240,14 +229,14 @@ func (s *Server) workerShardPath(job *shard.Job, plan shard.Plan) string {
 
 // runWorkerShard executes one dispatched shard to completion under the
 // worker spool and returns the partial-frontier file bytes. Runs on the
-// same path are serialized (lockShardPath); a corrupt or foreign
+// same path are serialized (holdShard); a corrupt or foreign
 // checkpoint left by an earlier life of this worker is quarantined to
 // the first free "<path>.corrupt[.N]" (shard.Quarantine) and the slice
 // re-derived once, matching the scheduler's policy. On success the
 // checkpoint is removed — the coordinator owns the durable
 // copy from here on; a response the coordinator never received is simply
 // re-dispatched and re-derived. The digest directory goes with the last
-// live shard of its derivation (holdShardDir).
+// live shard of its derivation (holdShard).
 func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.Plan, stride int64) (data []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -261,26 +250,24 @@ func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.P
 		}
 	}()
 	path := s.workerShardPath(&job, plan)
-	release, err := s.holdShardDir(filepath.Dir(path))
+	release, err := s.holdShard(path)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	unlock := s.lockShardPath(path)
-	defer unlock()
 	start := time.Now()
 	run := func() (shard.RunStats, error) {
 		_, rs, err := shard.Run(ctx, job, shard.RunOptions{
 			Path:            path,
 			CheckpointEvery: stride,
 			OnCheckpoint:    s.cfg.OnCheckpoint,
-			FS:              s.cfg.shardFS,
+			FS:              s.cfg.fs,
 		})
 		return rs, err
 	}
 	rs, rerr := run()
 	if errors.Is(rerr, shard.ErrCorruptPartial) || errors.Is(rerr, shard.ErrForeignPartial) {
-		qpath, qerr := shard.Quarantine(s.cfg.shardFS, path, path+".corrupt")
+		qpath, qerr := shard.Quarantine(s.cfg.fs, path, path+".corrupt")
 		if qerr != nil {
 			return nil, fmt.Errorf("serve: cannot quarantine corrupt worker checkpoint: %w (cause: %v)", qerr, rerr)
 		}
@@ -292,11 +279,11 @@ func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.P
 	}
 	s.stats.evaluated.Add(rs.Evaluated)
 	s.stats.deriveNanos.Add(int64(time.Since(start)))
-	data, err = os.ReadFile(path)
+	data, err = s.cfg.fs.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if rmErr := os.Remove(path); rmErr != nil {
+	if rmErr := s.cfg.fs.Remove(path); rmErr != nil {
 		s.logf("serve: cleaning worker checkpoint %s: %v", path, rmErr)
 	}
 	return data, nil

@@ -284,7 +284,7 @@ func TestWorkerSiblingShardKeepsDigestDir(t *testing.T) {
 		}
 	}
 	workerDir := t.TempDir()
-	ws, wts := newTestServer(t, Config{WorkerDir: workerDir, MaxConcurrent: 2, shardFS: gate})
+	ws, wts := newTestServer(t, Config{WorkerDir: workerDir, MaxConcurrent: 2, fs: gate})
 	cs, ts := newTestServer(t, Config{
 		SpoolDir:       t.TempDir(),
 		FleetWorkers:   []string{wts.URL},

@@ -154,7 +154,7 @@ func TestCorruptPartialMatrix(t *testing.T) {
 			tc.corrupt(t, path)
 
 			if errors.Is(tc.want, ErrCorruptPartial) {
-				if _, err := ReadPartial(path); !errors.Is(err, ErrCorruptPartial) {
+				if _, err := ReadPartial(nil, path); !errors.Is(err, ErrCorruptPartial) {
 					t.Fatalf("ReadPartial err = %v, want ErrCorruptPartial", err)
 				}
 			}
@@ -175,7 +175,7 @@ func TestCorruptPartialMatrix(t *testing.T) {
 func mergeDegradedFiles(paths ...string) (*Degraded, error) {
 	partials := make([]*Partial, len(paths))
 	for i, path := range paths {
-		p, err := ReadPartial(path)
+		p, err := ReadPartial(nil, path)
 		if err != nil {
 			return nil, err
 		}
@@ -237,7 +237,7 @@ func TestInjectedFailureNeverCorrupts(t *testing.T) {
 				// Whatever is on disk must be absent or a valid resumable
 				// checkpoint — never a torn artifact.
 				if _, serr := os.Stat(path); serr == nil {
-					if _, rerr := ReadPartial(path); rerr != nil {
+					if _, rerr := ReadPartial(nil, path); rerr != nil {
 						t.Fatalf("checkpoint at %s is corrupt after injected %s failure: %v", path, op, rerr)
 					}
 				}
@@ -354,7 +354,7 @@ func TestKillAtIndexThenResume(t *testing.T) {
 	if !errors.Is(err, errKill) {
 		t.Fatalf("err = %v, want the kill error", err)
 	}
-	cp, err := ReadPartial(path)
+	cp, err := ReadPartial(nil, path)
 	if err != nil {
 		t.Fatalf("no resumable checkpoint after kill: %v", err)
 	}
@@ -405,7 +405,7 @@ func TestCancelDuringBlockLeavesResumableCheckpoint(t *testing.T) {
 	if p == nil || p.Manifest.Complete() {
 		t.Fatalf("interrupted run returned %+v, want an incomplete resumable partial", p)
 	}
-	cp, rerr := ReadPartial(path)
+	cp, rerr := ReadPartial(nil, path)
 	if rerr != nil {
 		t.Fatalf("checkpoint unreadable after cancellation: %v", rerr)
 	}
@@ -481,7 +481,7 @@ func TestDegradedMergeAnnotations(t *testing.T) {
 	}
 
 	// The strict merge must still refuse the same set.
-	if _, err := MergeFiles(p0path, p2path); err == nil {
+	if _, err := MergeFiles(nil, p0path, p2path); err == nil {
 		t.Fatal("strict merge accepted an incomplete shard set")
 	}
 }

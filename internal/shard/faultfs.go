@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"sync"
+	"time"
 
 	"repro/internal/pareto"
 )
@@ -14,7 +15,8 @@ type Op string
 
 // The intercepted operations, in the order a checkpoint flush performs
 // them: CreateTemp, Write, Sync, Close, Rename, SyncDir (plus ReadFile on
-// resume, Remove/Glob/Stat for cleanup, sweep and quarantine).
+// resume, Remove/Glob/Stat for cleanup, sweep and quarantine, and the
+// directory, recency and lock operations of the store and the spool).
 const (
 	OpReadFile   Op = "readfile"
 	OpCreateTemp Op = "createtemp"
@@ -26,6 +28,10 @@ const (
 	OpSyncDir    Op = "syncdir"
 	OpGlob       Op = "glob"
 	OpStat       Op = "stat"
+	OpRemoveAll  Op = "removeall"
+	OpMkdirAll   Op = "mkdirall"
+	OpChtimes    Op = "chtimes"
+	OpLock       Op = "lock"
 )
 
 // FaultFS wraps an FS with scripted fault injection — the seam the
@@ -86,6 +92,15 @@ func (f *FaultFS) Count(op Op) int {
 
 func (f *FaultFS) inner() FS { return orOS(f.Inner) }
 
+// pass runs an error-only operation on the inner filesystem unless Fail
+// injects an error first.
+func (f *FaultFS) pass(op Op, path string, run func(FS) error) error {
+	if err := f.check(op, path); err != nil {
+		return err
+	}
+	return run(f.inner())
+}
+
 // ReadFile implements FS.
 func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 	if err := f.check(OpReadFile, name); err != nil {
@@ -108,26 +123,32 @@ func (f *FaultFS) CreateTemp(dir, pattern string) (File, error) {
 
 // Rename implements FS.
 func (f *FaultFS) Rename(oldpath, newpath string) error {
-	if err := f.check(OpRename, newpath); err != nil {
-		return err
-	}
-	return f.inner().Rename(oldpath, newpath)
+	return f.pass(OpRename, newpath, func(in FS) error { return in.Rename(oldpath, newpath) })
 }
 
 // Remove implements FS.
 func (f *FaultFS) Remove(name string) error {
-	if err := f.check(OpRemove, name); err != nil {
-		return err
-	}
-	return f.inner().Remove(name)
+	return f.pass(OpRemove, name, func(in FS) error { return in.Remove(name) })
+}
+
+// RemoveAll implements FS.
+func (f *FaultFS) RemoveAll(path string) error {
+	return f.pass(OpRemoveAll, path, func(in FS) error { return in.RemoveAll(path) })
+}
+
+// MkdirAll implements FS.
+func (f *FaultFS) MkdirAll(dir string) error {
+	return f.pass(OpMkdirAll, dir, func(in FS) error { return in.MkdirAll(dir) })
 }
 
 // SyncDir implements FS.
 func (f *FaultFS) SyncDir(dir string) error {
-	if err := f.check(OpSyncDir, dir); err != nil {
-		return err
-	}
-	return f.inner().SyncDir(dir)
+	return f.pass(OpSyncDir, dir, func(in FS) error { return in.SyncDir(dir) })
+}
+
+// Chtimes implements FS.
+func (f *FaultFS) Chtimes(name string, atime, mtime time.Time) error {
+	return f.pass(OpChtimes, name, func(in FS) error { return in.Chtimes(name, atime, mtime) })
 }
 
 // Glob implements FS.
@@ -144,6 +165,14 @@ func (f *FaultFS) Stat(name string) (fs.FileInfo, error) {
 		return nil, err
 	}
 	return f.inner().Stat(name)
+}
+
+// Lock implements FS.
+func (f *FaultFS) Lock(name string) (func(), error) {
+	if err := f.check(OpLock, name); err != nil {
+		return nil, err
+	}
+	return f.inner().Lock(name)
 }
 
 // faultFile interposes the per-file operations of a temp file.
@@ -163,17 +192,11 @@ func (f *faultFile) Write(p []byte) (int, error) {
 }
 
 func (f *faultFile) Sync() error {
-	if err := f.fs.check(OpSync, f.inner.Name()); err != nil {
-		return err
-	}
-	return f.inner.Sync()
+	return f.fs.pass(OpSync, f.inner.Name(), func(FS) error { return f.inner.Sync() })
 }
 
 func (f *faultFile) Close() error {
-	if err := f.fs.check(OpClose, f.inner.Name()); err != nil {
-		return err
-	}
-	return f.inner.Close()
+	return f.fs.pass(OpClose, f.inner.Name(), func(FS) error { return f.inner.Close() })
 }
 
 func (f *faultFile) Name() string { return f.inner.Name() }

@@ -7,13 +7,15 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"syscall"
+	"time"
 )
 
-// FS abstracts every filesystem operation the checkpoint path performs,
-// so the robustness suite can inject write, sync, rename and read
-// failures (see FaultFS) without touching the real disk contract. The
-// zero value of RunOptions uses the real OS filesystem; production code
-// never needs to implement this.
+// FS is the one durable-file layer: every file operation of the shard
+// checkpoints, the curve store, the fleet spool and quarantines, and the
+// server's spool and worker directories goes through it, so the
+// robustness suites can inject failures (see FaultFS) into all of them.
+// A nil FS option means the real OS filesystem (OS).
 type FS interface {
 	// ReadFile reads the whole named file (os.ReadFile).
 	ReadFile(name string) ([]byte, error)
@@ -21,17 +23,27 @@ type FS interface {
 	CreateTemp(dir, pattern string) (File, error)
 	// Rename atomically replaces newpath with oldpath (os.Rename).
 	Rename(oldpath, newpath string) error
-	// Remove deletes the named file (os.Remove).
+	// Remove deletes the named file or empty directory (os.Remove).
 	Remove(name string) error
+	// RemoveAll deletes a directory tree (os.RemoveAll).
+	RemoveAll(path string) error
+	// MkdirAll creates dir and its parents, mode 0755 (os.MkdirAll).
+	MkdirAll(dir string) error
 	// SyncDir durably commits a directory's entries — the fsync that
 	// makes a rename survive a host crash, not just a process kill.
 	SyncDir(dir string) error
-	// Glob lists the names matching pattern (filepath.Glob), used by the
-	// stale-temp sweep on Run startup.
+	// Glob lists the names matching pattern (filepath.Glob).
 	Glob(pattern string) ([]string, error)
-	// Stat describes the named file (os.Stat), used to pick a free
-	// quarantine name.
+	// Stat describes the named file (os.Stat).
 	Stat(name string) (fs.FileInfo, error)
+	// Chtimes sets the named file's access and modification times
+	// (os.Chtimes).
+	Chtimes(name string, atime, mtime time.Time) error
+	// Lock takes an exclusive lock on the named file, creating it if
+	// absent, and returns its release; a lock held elsewhere fails at
+	// once. The OS lock is a flock, which the kernel drops with its
+	// holder, so a crashed holder never wedges it.
+	Lock(name string) (unlock func(), err error)
 }
 
 // File is the writable temp-file handle CreateTemp returns: enough
@@ -66,22 +78,40 @@ func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, ne
 
 func (osFS) Remove(name string) error { return os.Remove(name) }
 
+func (osFS) RemoveAll(path string) error { return os.RemoveAll(path) }
+
+func (osFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
+
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return serr
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
 	}
-	return cerr
+	return d.Close()
 }
 
 func (osFS) Glob(pattern string) ([]string, error) { return filepath.Glob(pattern) }
 
 func (osFS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
+
+func (osFS) Chtimes(name string, atime, mtime time.Time) error {
+	return os.Chtimes(name, atime, mtime)
+}
+
+func (osFS) Lock(name string) (func(), error) {
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_RDWR, 0o644)
+	if err == nil {
+		if err = syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err == nil {
+			return func() { f.Close() }, nil // closing the file drops the flock
+		}
+		f.Close()
+	}
+	return nil, err
+}
 
 // orOS resolves a possibly-nil FS option to the real filesystem.
 func orOS(fsys FS) FS {
@@ -129,6 +159,35 @@ func WriteFileAtomic(fsys FS, path string, data []byte) error {
 		return fmt.Errorf("syncing directory of %s: %w", path, err)
 	}
 	return nil
+}
+
+// SweepTemps removes the "<base>.tmp*" temps WriteFileAtomic leaves
+// beside target when a process dies between CreateTemp and Rename, if
+// at least olderThan old, and returns their names; target's base may be
+// a glob ("*.curve"). The owner of a target passes 0; a directory that
+// other live writers share passes an age no write takes, so a fresh temp
+// about to be renamed survives. Leftover temps cost disk, never
+// correctness.
+func SweepTemps(fsys FS, target string, olderThan time.Duration) (removed []string, err error) {
+	fsys = orOS(fsys)
+	matches, err := fsys.Glob(target + ".tmp*")
+	if err != nil {
+		return nil, fmt.Errorf("sweeping stale temps for %s: %w", target, err)
+	}
+	cutoff := time.Now().Add(-olderThan)
+	for _, m := range matches {
+		if olderThan > 0 {
+			if fi, serr := fsys.Stat(m); serr != nil || fi.ModTime().After(cutoff) {
+				continue
+			}
+		}
+		if rerr := fsys.Remove(m); rerr != nil && !errors.Is(rerr, fs.ErrNotExist) {
+			err = fmt.Errorf("sweeping stale temp %s: %w", m, rerr)
+			continue
+		}
+		removed = append(removed, m)
+	}
+	return removed, err
 }
 
 // Quarantine renames path over fsys (nil = OS) to the first free name

@@ -67,11 +67,12 @@ func Merge(partials ...*Partial) (*pareto.Curve, error) {
 	return merged, nil
 }
 
-// MergeFiles reads the named partial-frontier files and merges them.
-func MergeFiles(paths ...string) (*pareto.Curve, error) {
+// MergeFiles reads the named partial-frontier files over fsys (nil =
+// OS) and merges them.
+func MergeFiles(fsys FS, paths ...string) (*pareto.Curve, error) {
 	partials := make([]*Partial, len(paths))
 	for i, path := range paths {
-		p, err := ReadPartial(path)
+		p, err := ReadPartial(fsys, path)
 		if err != nil {
 			return nil, err
 		}

@@ -54,7 +54,7 @@ func TestMultiLevelJobMergeParity(t *testing.T) {
 			t.Fatalf("N=%d: shards evaluated %d mappings, single process %d — the cover is not exact",
 				n, evaluated, full.Mappings)
 		}
-		merged, err := shard.MergeFiles(paths...)
+		merged, err := shard.MergeFiles(nil, paths...)
 		if err != nil {
 			t.Fatalf("N=%d: merge: %v", n, err)
 		}

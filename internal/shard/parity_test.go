@@ -61,7 +61,7 @@ func TestBoundShardingParity(t *testing.T) {
 
 	for _, n := range []int{2, 4, 8} {
 		paths := runShards(t, t.TempDir(), n, workload.NewBound(e, opts), opts.Workers)
-		merged, err := shard.MergeFiles(paths...)
+		merged, err := shard.MergeFiles(nil, paths...)
 		if err != nil {
 			t.Fatalf("N=%d: %v", n, err)
 		}
@@ -77,7 +77,7 @@ func TestBoundShardingParityImperfect(t *testing.T) {
 	want := curveBytes(t, bound.Derive(e, opts).Curve)
 
 	paths := runShards(t, t.TempDir(), 4, workload.NewBound(e, opts), opts.Workers)
-	merged, err := shard.MergeFiles(paths...)
+	merged, err := shard.MergeFiles(nil, paths...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFusionShardingParity(t *testing.T) {
 
 	for _, n := range []int{2, 4, 8} {
 		paths := runShards(t, t.TempDir(), n, workload.NewFusionTiled(c), 2)
-		merged, err := shard.MergeFiles(paths...)
+		merged, err := shard.MergeFiles(nil, paths...)
 		if err != nil {
 			t.Fatalf("N=%d: %v", n, err)
 		}
@@ -147,7 +147,7 @@ func TestSegmentationShardingParity(t *testing.T) {
 
 	for _, n := range []int{2, 4, 8} {
 		paths := runShards(t, t.TempDir(), n, workload.NewSegmentation(c, perOp), 2)
-		merged, err := shard.MergeFiles(paths...)
+		merged, err := shard.MergeFiles(nil, paths...)
 		if err != nil {
 			t.Fatalf("N=%d: %v", n, err)
 		}
@@ -195,7 +195,7 @@ func TestSegmentationKillAndResumeParity(t *testing.T) {
 		if err == nil {
 			t.Fatal("killed run reported success")
 		}
-		killed, rerr := shard.ReadPartial(paths[k])
+		killed, rerr := shard.ReadPartial(nil, paths[k])
 		if rerr != nil {
 			t.Fatalf("no resumable checkpoint after kill: %v", rerr)
 		}
@@ -213,7 +213,7 @@ func TestSegmentationKillAndResumeParity(t *testing.T) {
 				stats, killed.Manifest.CompletedThrough)
 		}
 	}
-	merged, err := shard.MergeFiles(paths...)
+	merged, err := shard.MergeFiles(nil, paths...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestKillAndResumeParity(t *testing.T) {
 					if err == nil {
 						t.Fatal("killed run reported success")
 					}
-					killed, rerr := shard.ReadPartial(paths[k])
+					killed, rerr := shard.ReadPartial(nil, paths[k])
 					if rerr != nil {
 						t.Fatalf("no resumable checkpoint after kill: %v", rerr)
 					}
@@ -306,7 +306,7 @@ func TestKillAndResumeParity(t *testing.T) {
 							stats, killed.Manifest.CompletedThrough)
 					}
 				}
-				merged, err := shard.MergeFiles(paths...)
+				merged, err := shard.MergeFiles(nil, paths...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -333,12 +333,12 @@ func TestMergeRefusesMismatchedDerivations(t *testing.T) {
 	}
 	perfect := mk("perfect.json", bound.Options{}, shard.Plan{Index: 0, Count: 2})
 	imperfect := mk("imperfect.json", bound.Options{ImperfectExtra: 2}, shard.Plan{Index: 1, Count: 2})
-	if _, err := shard.MergeFiles(perfect, imperfect); err == nil {
+	if _, err := shard.MergeFiles(nil, perfect, imperfect); err == nil {
 		t.Fatal("merge combined partials of different derivation options")
 	}
 
 	spills := mk("spills.json", bound.Options{ChargeSpills: true}, shard.Plan{Index: 1, Count: 2})
-	if _, err := shard.MergeFiles(perfect, spills); err == nil {
+	if _, err := shard.MergeFiles(nil, perfect, spills); err == nil {
 		t.Fatal("merge combined spill-charged with default accounting")
 	}
 }
@@ -376,7 +376,7 @@ func TestMoreShardsThanItems(t *testing.T) {
 	want := curveBytes(t, bound.Derive(e, opts).Curve)
 
 	paths := runShards(t, t.TempDir(), 16, workload.NewBound(e, opts), opts.Workers)
-	merged, err := shard.MergeFiles(paths...)
+	merged, err := shard.MergeFiles(nil, paths...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 
 	"repro/internal/pareto"
 )
@@ -199,17 +198,12 @@ func writePartial(fsys FS, path string, p *Partial) error {
 	return nil
 }
 
-// ReadPartial loads and structurally validates a partial-frontier file.
-// A file that exists but cannot be parsed or validated yields an error
-// wrapping ErrCorruptPartial; a missing file yields the underlying
-// fs.ErrNotExist.
-func ReadPartial(path string) (*Partial, error) {
-	return readPartial(osFS{}, path)
-}
-
-// readPartial is ReadPartial over an injectable filesystem.
-func readPartial(fsys FS, path string) (*Partial, error) {
-	data, err := fsys.ReadFile(path)
+// ReadPartial loads and structurally validates a partial-frontier file
+// over fsys (nil = OS). A file that exists but cannot be parsed or
+// validated yields an error wrapping ErrCorruptPartial; a missing file
+// yields the underlying fs.ErrNotExist.
+func ReadPartial(fsys FS, path string) (*Partial, error) {
+	data, err := orOS(fsys).ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("shard: reading partial: %w", err)
 	}
@@ -236,26 +230,4 @@ func DecodePartial(data []byte) (*Partial, error) {
 		return nil, fmt.Errorf("%w: missing curve", ErrCorruptPartial)
 	}
 	return &p, nil
-}
-
-// sweepStaleTemps removes leftover temp files of a previous kill for the
-// given checkpoint target: WriteFileAtomic names its temp files
-// "<base>.tmp<random>" in the target's directory, so a process killed
-// between CreateTemp and Rename leaks exactly those. Only the target's
-// own temps are touched — sibling shards checkpointing into the same
-// directory are unaffected. Sweep errors are reported but harmless:
-// leftover temps cost disk, never correctness.
-func sweepStaleTemps(fsys FS, path string) (removed []string, err error) {
-	matches, err := fsys.Glob(filepath.Join(filepath.Dir(path), filepath.Base(path)+".tmp*"))
-	if err != nil {
-		return nil, fmt.Errorf("shard: sweeping stale temps for %s: %w", path, err)
-	}
-	for _, m := range matches {
-		if rerr := fsys.Remove(m); rerr != nil {
-			err = fmt.Errorf("shard: sweeping stale temp %s: %w", m, rerr)
-			continue
-		}
-		removed = append(removed, m)
-	}
-	return removed, err
 }

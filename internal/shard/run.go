@@ -142,7 +142,9 @@ func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, err
 		return nil, stats, fmt.Errorf("shard: no partial-frontier path")
 	}
 	fsys := orOS(opts.FS)
-	if swept, err := sweepStaleTemps(fsys, opts.Path); err == nil {
+	// The run owns its slot (under the scheduler's or the worker's
+	// lock), so every temp beside it is a dead predecessor's.
+	if swept, err := SweepTemps(fsys, opts.Path, 0); err == nil {
 		stats.SweptTemps = len(swept)
 	}
 	m := job.Manifest()
@@ -152,7 +154,7 @@ func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, err
 	}
 
 	var acc *pareto.Curve
-	prev, err := readPartial(fsys, opts.Path)
+	prev, err := ReadPartial(fsys, opts.Path)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		// Fresh start: no checkpoint yet.

@@ -181,7 +181,7 @@ func TestPartialRoundTrip(t *testing.T) {
 	if err := writePartial(osFS{}, path, p); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPartial(path)
+	got, err := ReadPartial(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestReadPartialRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{\"manifest\":{}}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadPartial(path); err == nil {
+	if _, err := ReadPartial(nil, path); err == nil {
 		t.Fatal("structurally invalid partial accepted")
 	}
 }

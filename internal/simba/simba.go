@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"repro/internal/nest"
-	"repro/internal/shape"
 )
 
 // Arch describes one Simba-like configuration.
@@ -43,9 +42,6 @@ type GEMM struct {
 	M, K, N int64
 }
 
-// MACs returns the workload's multiply-accumulate count.
-func (g GEMM) MACs() int64 { return shape.Product(g.M, g.K, g.N) }
-
 // Mapping is one point in the three-level mapspace: each rank is split
 // into an RF tile (L0), a Global-Buffer temporal factor (L1) and a DRAM
 // loop bound (L2); the M rank is additionally partitioned across PEs by
@@ -70,37 +66,6 @@ type Result struct {
 // all PEs).
 func (m *Mapping) gbTiles() (tm, tk, tn int64) {
 	return m.M0 * m.M1 * m.Spatial, m.K0 * m.K1, m.N0 * m.N1
-}
-
-// Validate checks the mapping against the workload and architecture.
-func (m *Mapping) Validate(g GEMM, a Arch) error {
-	if m.M0*m.M1*m.Spatial*m.M2 != g.M {
-		return fmt.Errorf("simba: M factors %dx%dx%dx%d != %d", m.M0, m.M1, m.Spatial, m.M2, g.M)
-	}
-	if m.K0*m.K1*m.K2 != g.K {
-		return fmt.Errorf("simba: K factors %dx%dx%d != %d", m.K0, m.K1, m.K2, g.K)
-	}
-	if m.N0*m.N1*m.N2 != g.N {
-		return fmt.Errorf("simba: N factors %dx%dx%d != %d", m.N0, m.N1, m.N2, g.N)
-	}
-	if m.Spatial > a.PEs {
-		return fmt.Errorf("simba: spatial factor %d exceeds %d PEs", m.Spatial, a.PEs)
-	}
-	if rf := (m.M0*m.K0 + m.K0*m.N0 + m.M0*m.N0) * a.ElementSize; rf > a.RFBytes {
-		return fmt.Errorf("simba: RF requirement %d exceeds %d", rf, a.RFBytes)
-	}
-	tm, tk, tn := m.gbTiles()
-	if gb := (tm*tk + tk*tn + tm*tn) * a.ElementSize; gb > a.GBBytes {
-		return fmt.Errorf("simba: GB requirement %d exceeds %d", gb, a.GBBytes)
-	}
-	seen := map[string]bool{}
-	for _, r := range m.OrderDRAM {
-		if (r != "M" && r != "K" && r != "N") || seen[r] {
-			return fmt.Errorf("simba: bad DRAM loop order %v", m.OrderDRAM)
-		}
-		seen[r] = true
-	}
-	return nil
 }
 
 // tensorNames are the GEMM operands in evaluation order.

@@ -1,6 +1,7 @@
 package simba
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bound"
@@ -161,4 +162,35 @@ func TestGBTrafficExceedsDRAM(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("nothing checked")
 	}
+}
+
+// Validate checks the mapping against the workload and architecture.
+func (m *Mapping) Validate(g GEMM, a Arch) error {
+	if m.M0*m.M1*m.Spatial*m.M2 != g.M {
+		return fmt.Errorf("simba: M factors %dx%dx%dx%d != %d", m.M0, m.M1, m.Spatial, m.M2, g.M)
+	}
+	if m.K0*m.K1*m.K2 != g.K {
+		return fmt.Errorf("simba: K factors %dx%dx%d != %d", m.K0, m.K1, m.K2, g.K)
+	}
+	if m.N0*m.N1*m.N2 != g.N {
+		return fmt.Errorf("simba: N factors %dx%dx%d != %d", m.N0, m.N1, m.N2, g.N)
+	}
+	if m.Spatial > a.PEs {
+		return fmt.Errorf("simba: spatial factor %d exceeds %d PEs", m.Spatial, a.PEs)
+	}
+	if rf := (m.M0*m.K0 + m.K0*m.N0 + m.M0*m.N0) * a.ElementSize; rf > a.RFBytes {
+		return fmt.Errorf("simba: RF requirement %d exceeds %d", rf, a.RFBytes)
+	}
+	tm, tk, tn := m.gbTiles()
+	if gb := (tm*tk + tk*tn + tm*tn) * a.ElementSize; gb > a.GBBytes {
+		return fmt.Errorf("simba: GB requirement %d exceeds %d", gb, a.GBBytes)
+	}
+	seen := map[string]bool{}
+	for _, r := range m.OrderDRAM {
+		if (r != "M" && r != "K" && r != "N") || seen[r] {
+			return fmt.Errorf("simba: bad DRAM loop order %v", m.OrderDRAM)
+		}
+		seen[r] = true
+	}
+	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -258,7 +259,7 @@ func TestFaultENOSPCDisables(t *testing.T) {
 	if err := s.Put(digest, testEntry(testCurve())); err == nil {
 		t.Fatal("Put on a full disk succeeded")
 	}
-	if !s.Disabled() {
+	if !s.StatsSnapshot().Disabled {
 		t.Fatal("store still enabled after persistent ENOSPC")
 	}
 	if err := s.Put(digest, testEntry(testCurve())); !errors.Is(err, store.ErrDisabled) {
@@ -279,7 +280,7 @@ func TestFaultENOSPCRecovers(t *testing.T) {
 	if err := s.Put(digest, ent); err != nil {
 		t.Fatalf("Put with transient ENOSPC = %v, want recovery via GC+retry", err)
 	}
-	if s.Disabled() {
+	if s.StatsSnapshot().Disabled {
 		t.Fatal("store disabled by a transient ENOSPC")
 	}
 	got, ok := s.Get(digest)
@@ -299,7 +300,7 @@ func TestFaultUnwritableDisables(t *testing.T) {
 	if err := s.Put(shard.Digest("workload-a"), testEntry(testCurve())); err == nil {
 		t.Fatal("Put on an unwritable directory succeeded")
 	}
-	if !s.Disabled() {
+	if !s.StatsSnapshot().Disabled {
 		t.Fatal("store still enabled after EACCES")
 	}
 }
@@ -362,5 +363,69 @@ func TestFaultConcurrentWritersAndReaders(t *testing.T) {
 	}
 	if string(mustJSON(t, got)) != want {
 		t.Fatal("final entry not byte-identical")
+	}
+}
+
+// TestFaultLockSkipsGC: a GC lock that cannot be taken (another process
+// sweeping, or an unopenable lock file) skips the sweep — the store
+// stays over its cap without losing an entry or failing a Put — and the
+// next sweep that gets the lock shrinks it.
+func TestFaultLockSkipsGC(t *testing.T) {
+	var lockBroken atomic.Bool
+	lockBroken.Store(true)
+	ffs := &shard.FaultFS{Fail: func(op shard.Op, _ string) error {
+		if op == shard.OpLock && lockBroken.Load() {
+			return syscall.EWOULDBLOCK
+		}
+		return nil
+	}}
+	s := open(t, store.Options{FS: ffs, MaxBytes: 1, Logf: t.Logf}) // 1 MiB cap
+	big := bigCurve(10000)                                          // ~410 KiB per entry
+	digests := []string{shard.Digest("a"), shard.Digest("b"), shard.Digest("c")}
+	for _, d := range digests {
+		if err := s.Put(d, testEntry(big)); err != nil {
+			t.Fatalf("Put with the GC lock held elsewhere: %v", err)
+		}
+	}
+	s.GC()
+	for _, d := range digests {
+		if _, ok := s.Get(d); !ok {
+			t.Fatal("entry lost while GC could not lock")
+		}
+	}
+	if st := s.StatsSnapshot(); st.GCRemoved != 0 || st.Entries != 3 {
+		t.Fatalf("stats %+v after lockless GCs, want 3 entries and nothing removed", st)
+	}
+	lockBroken.Store(false)
+	s.GC()
+	if st := s.StatsSnapshot(); st.GCRemoved == 0 || st.Bytes > st.MaxBytes {
+		t.Fatalf("stats %+v after a locked GC, want the directory back under its cap", st)
+	}
+}
+
+// TestFaultChtimesStillHits: the recency touch is best-effort — a Get
+// whose Chtimes fails still returns the verified entry.
+func TestFaultChtimesStillHits(t *testing.T) {
+	ffs := &shard.FaultFS{Fail: func(op shard.Op, _ string) error {
+		if op == shard.OpChtimes {
+			return syscall.EROFS
+		}
+		return nil
+	}}
+	s := open(t, store.Options{FS: ffs, Logf: t.Logf})
+	digest := shard.Digest("workload-a")
+	ent := testEntry(testCurve())
+	if err := s.Put(digest, ent); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.Get(digest)
+	if !ok || string(mustJSON(t, got)) != string(mustJSON(t, ent)) {
+		t.Fatalf("Get with a failing recency touch: ok=%v", ok)
+	}
+	if n := ffs.Count(shard.OpChtimes); n != 1 {
+		t.Fatalf("%d recency touches, want 1", n)
+	}
+	if st := s.StatsSnapshot(); st.Hits != 1 || st.Quarantines != 0 {
+		t.Fatalf("stats %+v, want 1 hit and no quarantine", st)
 	}
 }

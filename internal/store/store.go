@@ -49,6 +49,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/pareto"
@@ -196,21 +197,6 @@ type Store struct {
 	gcRemoved   atomic.Int64
 }
 
-// chtimesFS is the optional FS extension Get uses to refresh an entry's
-// recency; filesystems without it (the fault seam) skip the touch.
-type chtimesFS interface {
-	// Chtimes sets the named file's access and modification times.
-	Chtimes(name string, atime, mtime time.Time) error
-}
-
-// osFS is the default filesystem: shard.OS plus the Chtimes extension.
-type osFS struct{ shard.FS }
-
-// Chtimes implements chtimesFS.
-func (osFS) Chtimes(name string, atime, mtime time.Time) error {
-	return os.Chtimes(name, atime, mtime)
-}
-
 // Open validates the directory, sweeps stale temp files, scans the
 // committed entries, and probes writability. An error means the tier is
 // unusable (missing and uncreatable directory, unwritable directory);
@@ -226,9 +212,9 @@ func Open(opts Options) (*Store, error) {
 	}
 	fsys := opts.FS
 	if fsys == nil {
-		fsys = osFS{shard.OS()}
+		fsys = shard.OS()
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(opts.Dir); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", opts.Dir, err)
 	}
 	s := &Store{
@@ -248,7 +234,15 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: directory %s probe: %w", s.dir, err)
 	}
 	_ = fsys.Remove(probeName)
-	s.sweepStaleTemps()
+	// Another process may be mid-Put in this directory, about to rename
+	// its temp: only temps older than any live write are swept.
+	swept, err := shard.SweepTemps(fsys, filepath.Join(s.dir, "*"+entrySuffix), DefaultStaleTempAge)
+	if err != nil {
+		s.log("store: %v", err)
+	}
+	for _, m := range swept {
+		s.log("store: swept stale temp %s", m)
+	}
 	if ents, total, err := s.scan(); err != nil {
 		s.log("store: scanning %s: %v", s.dir, err)
 	} else {
@@ -260,13 +254,6 @@ func Open(opts Options) (*Store, error) {
 
 // Dir reports the store directory.
 func (s *Store) Dir() string { return s.dir }
-
-// MaxBytes reports the effective (clamped) byte cap.
-func (s *Store) MaxBytes() int64 { return s.maxBytes }
-
-// Disabled reports whether the tier has degraded to a no-op (after an
-// unwritable-directory or persistent-ENOSPC failure).
-func (s *Store) Disabled() bool { return s.disabled.Load() }
 
 func (s *Store) log(format string, args ...any) {
 	if s.logf != nil {
@@ -312,10 +299,8 @@ func (s *Store) Get(digest string) (*Entry, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	if tfs, ok := s.fs.(chtimesFS); ok {
-		now := time.Now()
-		_ = tfs.Chtimes(path, now, now) // recency only; failure is harmless
-	}
+	now := time.Now()
+	_ = s.fs.Chtimes(path, now, now) // recency only; failure is harmless
 	s.hits.Add(1)
 	return ent, true
 }
@@ -355,8 +340,9 @@ func decodeEntry(data []byte, digest string) (*Entry, error) {
 }
 
 // validate checks the invariants every stored Entry holds: a known kind,
-// non-negative counts, an exact (non-degraded) curve, and segments that
-// each carry an exact curve with the recorded point count. Put refuses
+// non-negative counts, an exact (non-degraded) curve that passes the
+// curve decoder's own checks (pareto.Curve.Validate), and segments that
+// each carry such a curve with the recorded point count. Put refuses
 // entries that fail it, so Get never has to quarantine one this process
 // wrote.
 func (e *Entry) validate() error {
@@ -374,9 +360,15 @@ func (e *Entry) validate() error {
 	if e.Curve.Degraded {
 		return errors.New("degraded curve persisted")
 	}
+	if err := e.Curve.Validate(); err != nil {
+		return err
+	}
 	for i, sg := range e.Segments {
 		if sg.Curve == nil || sg.Curve.Degraded {
 			return fmt.Errorf("segment %d: missing or degraded curve", i)
+		}
+		if err := sg.Curve.Validate(); err != nil {
+			return fmt.Errorf("segment %d: %w", i, err)
 		}
 		if sg.Points != sg.Curve.Len() {
 			return fmt.Errorf("segment %d: %d points recorded, curve has %d", i, sg.Points, sg.Curve.Len())
@@ -429,34 +421,28 @@ func (s *Store) Put(digest string, ent *Entry) error {
 	if err != nil {
 		return err
 	}
-	if err := s.write(digest, data); err != nil {
+	path := s.entryPath(digest)
+	if err := shard.WriteFileAtomic(s.fs, path, data); err != nil {
 		s.writeErrors.Add(1)
-		if isNoSpace(err) {
-			// The cap may simply be oversized for the disk: shrink and
-			// retry once before giving up on the tier.
-			s.gc(true)
-			if rerr := s.write(digest, data); rerr == nil {
-				s.afterWrite(int64(len(data)))
-				return nil
+		if !isNoSpace(err) {
+			if isUnwritable(err) {
+				s.disable(err)
 			}
+			return fmt.Errorf("store: %w", err)
+		}
+		// The cap may simply be oversized for the disk: shrink and retry
+		// once before giving up on the tier.
+		s.gc(true)
+		if shard.WriteFileAtomic(s.fs, path, data) != nil {
 			s.disable(fmt.Errorf("disk full even after GC: %w", err))
-			return err
+			return fmt.Errorf("store: %w", err)
 		}
-		if isUnwritable(err) {
-			s.disable(err)
-		}
-		return err
 	}
-	s.afterWrite(int64(len(data)))
-	return nil
-}
-
-// afterWrite advances the byte estimate and GCs past the cap.
-func (s *Store) afterWrite(n int64) {
 	s.writes.Add(1)
-	if s.approxBytes.Add(n) > s.maxBytes {
+	if s.approxBytes.Add(int64(len(data))) > s.maxBytes {
 		s.gc(false)
 	}
+	return nil
 }
 
 // encodeEntry serializes the checksummed envelope.
@@ -477,40 +463,6 @@ func encodeEntry(digest string, ent *Entry) ([]byte, error) {
 		return nil, fmt.Errorf("store: encoding envelope: %w", err)
 	}
 	return append(data, '\n'), nil
-}
-
-// write lands data under digest with the atomic-and-durable discipline
-// of shard.WriteFileAtomic: temp in the same directory, fsync file,
-// rename, fsync directory.
-func (s *Store) write(digest string, data []byte) error {
-	if err := shard.WriteFileAtomic(s.fs, s.entryPath(digest), data); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// sweepStaleTemps removes temp files old enough that no live writer can
-// own them — the leftovers of processes killed between CreateTemp and
-// Rename. Fresh temps are spared: a concurrent Put in another process
-// is about to rename its temp, and sweeping it would fail that Put.
-func (s *Store) sweepStaleTemps() {
-	matches, err := s.fs.Glob(filepath.Join(s.dir, "*"+entrySuffix+".tmp*"))
-	if err != nil {
-		s.log("store: sweeping stale temps: %v", err)
-		return
-	}
-	cutoff := time.Now().Add(-DefaultStaleTempAge)
-	for _, m := range matches {
-		fi, err := s.fs.Stat(m)
-		if err != nil || fi.ModTime().After(cutoff) {
-			continue
-		}
-		if err := s.fs.Remove(m); err != nil && !errors.Is(err, os.ErrNotExist) {
-			s.log("store: sweeping stale temp %s: %v", m, err)
-			continue
-		}
-		s.log("store: swept stale temp %s", m)
-	}
 }
 
 // scanEntry is one committed entry's GC bookkeeping.
@@ -548,8 +500,16 @@ func (s *Store) scan() ([]scanEntry, int64, error) {
 func (s *Store) gc(force bool) {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
-	unlock, ok := s.tryLock()
-	if !ok {
+	unlock, err := s.fs.Lock(filepath.Join(s.dir, lockFile))
+	if err != nil {
+		// GC is an optimization, never a correctness requirement: a lock
+		// another process holds means its sweep is already shrinking the
+		// directory, and an unopenable lock file skips the sweep. The
+		// kernel drops a flock with its holder, so a crashed GC never
+		// wedges the directory.
+		if !errors.Is(err, syscall.EWOULDBLOCK) {
+			s.log("store: gc lock: %v", err)
+		}
 		return
 	}
 	defer unlock()
@@ -638,11 +598,16 @@ func (s *Store) StatsSnapshot() Stats {
 	return st
 }
 
-// Len reports the number of committed entries (live scan).
-func (s *Store) Len() int {
-	ents, _, err := s.scan()
-	if err != nil {
-		return 0
-	}
-	return len(ents)
+// isNoSpace reports a disk-full failure (ENOSPC, or EDQUOT where quotas
+// apply) — the class Put answers with a GC-and-retry before disabling.
+func isNoSpace(err error) bool {
+	return errors.Is(err, syscall.ENOSPC) || errors.Is(err, syscall.EDQUOT)
+}
+
+// isUnwritable reports a permission-class failure (EACCES, EPERM,
+// EROFS) — the directory will not start accepting writes on its own, so
+// Put disables the tier immediately instead of failing every request.
+func isUnwritable(err error) bool {
+	return errors.Is(err, syscall.EACCES) || errors.Is(err, syscall.EPERM) ||
+		errors.Is(err, syscall.EROFS)
 }

@@ -104,20 +104,57 @@ func TestPutRefusesDegradedAndNilCurves(t *testing.T) {
 	if err := s.Put(shard.Digest("d"), &store.Entry{Kind: shard.KindBound}); err == nil {
 		t.Fatal("curveless Put accepted")
 	}
-	if n := s.Len(); n != 0 {
+	if n := s.StatsSnapshot().Entries; n != 0 {
 		t.Fatalf("%d entries persisted from refused Puts", n)
 	}
 }
 
+// TestPutRefusesUndecodableCurves: a curve the decoder would reject —
+// here the wrapped int64 counts bound.Derive returns for GEMM(2^61−1, 2,
+// 2), points (−4611686018427387906, 0) and (6, −8) — must be refused by
+// Put, not persisted and then quarantined by every Get. Segment curves
+// are held to the same checks.
+func TestPutRefusesUndecodableCurves(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, store.Options{Dir: dir})
+	wrapped := pareto.FromPoints([]pareto.Point{
+		{BufferBytes: -4611686018427387906, AccessBytes: 0},
+		{BufferBytes: 6, AccessBytes: -8},
+	})
+	digest := shard.Digest("wrapped")
+	if err := s.Put(digest, testEntry(wrapped)); err == nil {
+		t.Fatal("Put accepted a curve that Get would quarantine")
+	}
+	seg := testEntry(testCurve())
+	seg.Segments = []workload.Segment{{Label: "[0:1)", Points: wrapped.Len(), Curve: wrapped}}
+	if err := s.Put(digest, seg); err == nil {
+		t.Fatal("Put accepted a segment curve that Get would quarantine")
+	}
+	below := testCurve()
+	below.AlgoMinBytes = 100000
+	if err := s.Put(digest, testEntry(below)); err == nil {
+		t.Fatal("Put accepted a curve below its algorithmic minimum")
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		if e.Name() != "store.lock" {
+			t.Fatalf("refused Puts left %s in the store directory", e.Name())
+		}
+	}
+}
+
 func TestMaxBytesClamping(t *testing.T) {
-	if s := open(t, store.Options{}); s.MaxBytes() != store.DefaultMaxBytes {
-		t.Fatalf("default cap %d, want %d", s.MaxBytes(), store.DefaultMaxBytes)
+	if s := open(t, store.Options{}); s.StatsSnapshot().MaxBytes != store.DefaultMaxBytes {
+		t.Fatalf("default cap %d, want %d", s.StatsSnapshot().MaxBytes, store.DefaultMaxBytes)
 	}
-	if s := open(t, store.Options{MaxBytes: 5}); s.MaxBytes() != store.MinMaxBytes {
-		t.Fatalf("tiny cap clamped to %d, want %d", s.MaxBytes(), store.MinMaxBytes)
+	if s := open(t, store.Options{MaxBytes: 5}); s.StatsSnapshot().MaxBytes != store.MinMaxBytes {
+		t.Fatalf("tiny cap clamped to %d, want %d", s.StatsSnapshot().MaxBytes, store.MinMaxBytes)
 	}
-	if s := open(t, store.Options{MaxBytes: -3}); s.MaxBytes() != store.DefaultMaxBytes {
-		t.Fatalf("negative cap %d, want default %d", s.MaxBytes(), store.DefaultMaxBytes)
+	if s := open(t, store.Options{MaxBytes: -3}); s.StatsSnapshot().MaxBytes != store.DefaultMaxBytes {
+		t.Fatalf("negative cap %d, want default %d", s.StatsSnapshot().MaxBytes, store.DefaultMaxBytes)
 	}
 }
 
@@ -278,8 +315,8 @@ func TestGCEvictsLeastRecentlyUsed(t *testing.T) {
 	if st.GCRemoved == 0 {
 		t.Fatalf("gc_removed = 0 after crossing the cap: %+v", st)
 	}
-	if st.Bytes > s.MaxBytes() {
-		t.Fatalf("directory %d bytes still above cap %d after GC", st.Bytes, s.MaxBytes())
+	if st.Bytes > s.StatsSnapshot().MaxBytes {
+		t.Fatalf("directory %d bytes still above cap %d after GC", st.Bytes, s.StatsSnapshot().MaxBytes)
 	}
 }
 

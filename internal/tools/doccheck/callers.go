@@ -4,13 +4,14 @@ import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
-	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -23,32 +24,29 @@ import (
 var zeroCallerAllow = map[string]string{
 	// Cross-package test references: oracles and enumerators that tests
 	// of other packages compare the production paths against.
-	"internal/snowcat.Evaluate":        "per-mapping reference evaluator for nest, mapping and trace tests",
-	"internal/mapping.Space":           "whole-space enumerator behind the per-order reference tests",
-	"internal/mapping.SpaceSize":       "mapspace size oracle for the perfect enumerator tests",
-	"internal/mapping.SpaceImperfect":  "imperfect whole-space enumerator behind the reference tests",
-	"internal/einsum.MustParse":        "panicking parse for test fixtures across packages",
-	"internal/einsum.Einsum.RankShape": "rank-extent view the shape and snowcat tests build from",
-	"internal/einsum.Einsum.Inputs":    "input-tensor view the parse and models tests inspect",
-	"internal/shape.ThreeSplits":       "the split order multilevel's keyed splits are pinned against",
-	"internal/multilevel.Merge":        "combines per-range results in the range-cover parity tests",
-	"internal/bound.GEMMPeakOI":        "closed-form GEMM peak OI the figure tests check curves against",
+	"internal/snowcat.Evaluate":         "per-mapping reference evaluator for nest, mapping and trace tests",
+	"internal/mapping.Space":            "whole-space enumerator behind the per-order reference tests",
+	"internal/mapping.SpaceSize":        "mapspace size oracle for the perfect enumerator tests",
+	"internal/mapping.SpaceImperfect":   "imperfect whole-space enumerator behind the reference tests",
+	"internal/einsum.MustParse":         "panicking parse for test fixtures across packages",
+	"internal/einsum.Einsum.RankShape":  "rank-extent view the shape and snowcat tests build from",
+	"internal/einsum.Einsum.Inputs":     "input-tensor view the parse and models tests inspect",
+	"internal/shape.ThreeSplits":        "the split order multilevel's keyed splits are pinned against",
+	"internal/multilevel.Merge":         "combines per-range results in the range-cover parity tests",
+	"internal/bound.GEMMPeakOI":         "closed-form GEMM peak OI the figure tests check curves against",
+	"internal/mapping.Mapping.Validate": "mapping invariant the mapping and snowcat tests check enumerated mappings against",
 
 	// Test fakes.
-	"internal/fleet/chaos":       "fault-injecting transport for the fleet chaos suite",
-	"internal/shard.FailN":       "faultfs fault constructor for the shard and store fault suites",
-	"internal/shard.KillAtIndex": "faultfs crash point for the kill-and-resume tests",
+	"internal/fleet/chaos":         "fault-injecting transport for the fleet chaos suite",
+	"internal/shard.FailN":         "faultfs fault constructor for the shard and store fault suites",
+	"internal/shard.KillAtIndex":   "faultfs crash point for the kill-and-resume tests",
+	"internal/shard.FaultFS.Log":   "faultfs operation log the ordering and seam-completeness tests read",
+	"internal/shard.FaultFS.Count": "faultfs operation counts the shard fault suite reads",
 
 	// Facade API reached through the orojenesis.Curve and
 	// ThreeLevelResult aliases.
 	"internal/pareto.Curve.BufferFor":           "orojenesis.Curve method: smallest buffer reaching an access target",
 	"internal/multilevel.Result.CompositionGap": "orojenesis.ThreeLevelResult method: joint vs probed L2 gap",
-
-	// JSON interface methods, called by encoding/json.
-	"internal/pareto.Curve.MarshalJSON":     "json.Marshaler",
-	"internal/pareto.Curve.UnmarshalJSON":   "json.Unmarshaler",
-	"internal/shard.Degraded.MarshalJSON":   "json.Marshaler",
-	"internal/shard.Degraded.UnmarshalJSON": "json.Unmarshaler",
 }
 
 // funcKey names one audited declaration: its module-relative directory,
@@ -64,54 +62,77 @@ func (k funcKey) String() string {
 	return k.dir + "." + k.recv + "." + k.name
 }
 
-// references is what the caller files mention: package-level functions
-// per directory, and method names regardless of receiver.
-type references struct {
-	funcs   map[funcKey]bool
-	methods map[string]bool
-}
-
 // checkCallers enforces the zero-caller rule: every func and method
 // declared in a non-test file under internal/ (internal/tools excluded)
-// must be referenced from a non-test file of the module (root package,
-// cmd/, examples/, internal/) or of bench/, which is read as a caller
-// only. Package-level functions resolve through the importing file's
-// alias, or by bare name within their own directory; methods match by
-// selector name alone, so the rule never flags a method wrongly but can
-// miss an unused one. Entries of allow are exempt and checked for
-// staleness.
+// must be used from a non-test file of the module (root package, cmd/,
+// examples/, internal/) or of bench/, which is read as a caller only.
+// Every package is type-checked from source (go/types), so a use
+// resolves to the declaration itself, receiver and all: a method is
+// used when something calls or references it directly, when it
+// implements an interface method that something calls, or when it
+// satisfies fmt.Stringer, error or a json (un)marshaler, whose callers
+// live in the standard library. A function's uses inside its own body
+// do not count. Entries of allow are exempt and checked for staleness.
 func checkCallers(root string, allow map[string]string) ([]string, error) {
-	module, err := modulePath(root)
+	l, err := newLoader(root)
 	if err != nil {
 		return nil, err
 	}
-	refs := references{funcs: map[funcKey]bool{}, methods: map[string]bool{}}
-	decls := map[funcKey]token.Position{}
-	fset := token.NewFileSet()
 	for _, top := range []string{".", "cmd", "examples", "internal", "bench"} {
 		dirs, err := goDirs(root, top)
 		if err != nil {
 			return nil, err
 		}
 		for _, dir := range dirs {
-			audited := strings.HasPrefix(dir, "internal/") && dir != "internal/tools" &&
-				!strings.HasPrefix(dir, "internal/tools/")
-			err := parseDir(fset, root, dir, func(f *ast.File) {
-				collectRefs(f, dir, module, refs)
-				if audited {
-					collectDecls(fset, f, dir, decls)
-				}
-			})
-			if err != nil {
+			if _, err := l.load(l.importPath(dir)); err != nil {
 				return nil, err
+			}
+		}
+	}
+
+	decls := map[*types.Func]funcKey{}
+	uses := map[*types.Func]bool{}
+	called := map[*types.Func]bool{} // interface methods somebody calls
+	for _, p := range l.pkgs {
+		audited := strings.HasPrefix(p.dir, "internal/") && p.dir != "internal/tools" &&
+			!strings.HasPrefix(p.dir, "internal/tools/")
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				var self *types.Func
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					self, _ = l.info.Defs[fd.Name].(*types.Func)
+					if audited && self != nil && !(fd.Recv == nil && (fd.Name.Name == "main" || fd.Name.Name == "init")) {
+						decls[self] = funcKey{p.dir, recvName(fd), fd.Name.Name}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := l.info.Uses[id].(*types.Func)
+					if !ok {
+						return true
+					}
+					fn = fn.Origin()
+					if fn == self {
+						return true
+					}
+					if recvInterface(fn) != nil {
+						called[fn] = true
+					} else {
+						uses[fn] = true
+					}
+					return true
+				})
 			}
 		}
 	}
 
 	var problems []string
 	used := map[string]bool{}
-	for k, pos := range decls {
-		if k.recv != "" && refs.methods[k.name] || k.recv == "" && refs.funcs[k] {
+	for fn, k := range decls {
+		if uses[fn] || k.recv != "" && (stdInterfaceMethod(fn) || implementsCalled(fn, called)) {
 			continue
 		}
 		if entry, ok := allowEntry(allow, k); ok {
@@ -122,6 +143,7 @@ func checkCallers(root string, allow map[string]string) ([]string, error) {
 		if k.recv != "" {
 			what = "method"
 		}
+		pos := l.fset.Position(fn.Pos())
 		problems = append(problems, fmt.Sprintf("%s:%d: %s %s has no production caller",
 			filepath.ToSlash(pos.Filename), pos.Line, what, k))
 	}
@@ -132,6 +154,66 @@ func checkCallers(root string, allow map[string]string) ([]string, error) {
 	}
 	sort.Strings(problems)
 	return problems, nil
+}
+
+// recvInterface returns the interface fn is a method of, or nil for a
+// function or a concrete method.
+func recvInterface(fn *types.Func) *types.Interface {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	iface, _ := recv.Type().Underlying().(*types.Interface)
+	return iface
+}
+
+// stdMethods are the shapes (parameter types -> result types) of the
+// methods the standard library calls through fmt.Stringer, error,
+// json.Marshaler and json.Unmarshaler.
+var stdMethods = map[string]string{
+	"String":        "-> string",
+	"Error":         "-> string",
+	"MarshalJSON":   "-> []byte error",
+	"UnmarshalJSON": "[]byte -> error",
+}
+
+// stdInterfaceMethod reports whether the method fn satisfies one of the
+// standard interfaces in stdMethods.
+func stdInterfaceMethod(fn *types.Func) bool {
+	want, ok := stdMethods[fn.Name()]
+	if !ok {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	var b strings.Builder
+	for i := 0; i < sig.Params().Len(); i++ {
+		b.WriteString(types.TypeString(sig.Params().At(i).Type(), nil) + " ")
+	}
+	b.WriteString("->")
+	for i := 0; i < sig.Results().Len(); i++ {
+		b.WriteString(" " + types.TypeString(sig.Results().At(i).Type(), nil))
+	}
+	return b.String() == want
+}
+
+// implementsCalled reports whether the method fn implements one of the
+// called interface methods: same name, and fn's receiver type (or a
+// pointer to it) implements that method's interface.
+func implementsCalled(fn *types.Func, called map[*types.Func]bool) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	for im := range called {
+		if im.Name() != fn.Name() {
+			continue
+		}
+		iface := recvInterface(im)
+		if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+			return true
+		}
+	}
+	return false
 }
 
 // allowEntry returns the allowlist entry covering k: its own key or a
@@ -146,9 +228,108 @@ func allowEntry(allow map[string]string, k funcKey) (string, bool) {
 	return "", false
 }
 
-// modulePath reads the module path from root's go.mod.
-func modulePath(root string) (string, error) {
-	f, err := os.Open(filepath.Join(root, "go.mod"))
+// loader type-checks non-test packages from source, sharing one
+// types.Info. Import paths under the module (or under bench/'s own
+// module, when bench/go.mod exists) load from their directory; the
+// standard library comes from the source importer.
+type loader struct {
+	root string
+	fset *token.FileSet
+	mods []modDir // longest module path first
+	std  types.Importer
+	info *types.Info
+	pkgs map[string]*loaded
+}
+
+// modDir maps a module path to its module-relative directory.
+type modDir struct{ path, dir string }
+
+// loaded is one type-checked package.
+type loaded struct {
+	dir   string // module-relative
+	pkg   *types.Package
+	files []*ast.File
+}
+
+func newLoader(root string) (*loader, error) {
+	module, err := modulePath(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	l := &loader{
+		root: root,
+		fset: token.NewFileSet(),
+		mods: []modDir{{module, "."}},
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		pkgs: map[string]*loaded{},
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	// bench/ is read as a caller; it may be a module of its own.
+	if bench, err := modulePath(filepath.Join(root, "bench", "go.mod")); err == nil {
+		l.mods = append([]modDir{{bench, "bench"}}, l.mods...)
+	}
+	return l, nil
+}
+
+// importPath names the package in the module-relative directory dir.
+func (l *loader) importPath(dir string) string {
+	for _, m := range l.mods {
+		switch {
+		case dir == m.dir:
+			return m.path
+		case m.dir == ".":
+			return m.path + "/" + dir
+		case strings.HasPrefix(dir, m.dir+"/"):
+			return m.path + "/" + dir[len(m.dir)+1:]
+		}
+	}
+	return dir
+}
+
+// dirOf maps an import path under one of the modules to its
+// module-relative directory.
+func (l *loader) dirOf(path string) (string, bool) {
+	for _, m := range l.mods {
+		if path == m.path {
+			return m.dir, true
+		}
+		if rel, ok := strings.CutPrefix(path, m.path+"/"); ok {
+			return filepath.ToSlash(filepath.Join(m.dir, rel)), true
+		}
+	}
+	return "", false
+}
+
+// Import implements types.Importer.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if _, ok := l.dirOf(path); !ok {
+		return l.std.Import(path)
+	}
+	return l.load(path)
+}
+
+// load type-checks the module package path (once) and records it.
+func (l *loader) load(path string) (*types.Package, error) {
+	if p, ok := l.pkgs[path]; ok {
+		return p.pkg, nil
+	}
+	dir, _ := l.dirOf(path)
+	files, err := parseDir(l.fset, l.root, dir)
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", dir, err)
+	}
+	l.pkgs[path] = &loaded{dir: dir, pkg: pkg, files: files}
+	return pkg, nil
+}
+
+// modulePath reads the module path from a go.mod file.
+func modulePath(gomod string) (string, error) {
+	f, err := os.Open(gomod)
 	if err != nil {
 		return "", err
 	}
@@ -159,7 +340,7 @@ func modulePath(root string) (string, error) {
 			return strings.TrimSpace(rest), nil
 		}
 	}
-	return "", fmt.Errorf("%s: no module line", filepath.Join(root, "go.mod"))
+	return "", fmt.Errorf("%s: no module line", gomod)
 }
 
 // goDirs returns the module-relative directories holding Go files at or
@@ -195,39 +376,30 @@ func goDirs(root, top string) ([]string, error) {
 	return dirs, err
 }
 
-// parseDir parses every non-test Go file of dir and hands it to visit.
-func parseDir(fset *token.FileSet, root, dir string, visit func(*ast.File)) error {
-	entries, err := os.ReadDir(filepath.Join(root, dir))
+// parseDir parses every non-test Go file of dir that the host's build
+// constraints select.
+func parseDir(fset *token.FileSet, root, dir string) ([]*ast.File, error) {
+	full := filepath.Join(root, dir)
+	entries, err := os.ReadDir(full)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(root, dir, name), nil, parser.SkipObjectResolution)
+		if ok, err := build.Default.MatchFile(full, name); err != nil || !ok {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(full, name), nil, parser.SkipObjectResolution)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		visit(f)
+		files = append(files, f)
 	}
-	return nil
-}
-
-// collectDecls records every func and method declared in f, except main
-// and init.
-func collectDecls(fset *token.FileSet, f *ast.File, dir string, decls map[funcKey]token.Position) {
-	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		if fd.Recv == nil && (fd.Name.Name == "main" || fd.Name.Name == "init") {
-			continue
-		}
-		decls[funcKey{dir, recvName(fd), fd.Name.Name}] = fset.Position(fd.Pos())
-	}
+	return files, nil
 }
 
 // recvName returns the receiver's base type name, or "" for a function.
@@ -250,74 +422,4 @@ func recvName(fd *ast.FuncDecl) string {
 			return ""
 		}
 	}
-}
-
-// collectRefs records what f mentions: imported package-level functions
-// through their alias, same-directory functions by bare name (a
-// function's own name, declared or inside its body, does not count),
-// and every selector name as a possible method.
-func collectRefs(f *ast.File, dir, module string, refs references) {
-	v := refVisitor{dir: dir, aliases: map[string]string{}, refs: refs}
-	for _, imp := range f.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
-		}
-		rel, ok := strings.CutPrefix(p, module+"/")
-		if !ok {
-			continue
-		}
-		name := path.Base(p)
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		v.aliases[name] = rel
-	}
-	for _, d := range f.Decls {
-		v.self = ""
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok {
-			v.walk(d)
-			continue
-		}
-		if fd.Recv == nil {
-			v.self = fd.Name.Name
-		} else {
-			v.walk(fd.Recv)
-		}
-		v.walk(fd.Type)
-		if fd.Body != nil {
-			v.walk(fd.Body)
-		}
-	}
-}
-
-// refVisitor walks one file's declarations for collectRefs; self is the
-// package-level function being walked, whose own name is not a caller.
-type refVisitor struct {
-	dir, self string
-	aliases   map[string]string
-	refs      references
-}
-
-func (v *refVisitor) walk(n ast.Node) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.SelectorExpr:
-			v.refs.methods[x.Sel.Name] = true
-			if id, ok := x.X.(*ast.Ident); ok {
-				if rel, ok := v.aliases[id.Name]; ok {
-					v.refs.funcs[funcKey{rel, "", x.Sel.Name}] = true
-					return false
-				}
-			}
-			v.walk(x.X)
-			return false
-		case *ast.Ident:
-			if x.Name != v.self {
-				v.refs.funcs[funcKey{v.dir, "", x.Name}] = true
-			}
-		}
-		return true
-	})
 }

@@ -6,7 +6,10 @@ import (
 )
 
 // TestZeroCallerRule runs the rule over testdata/zerocaller, a module
-// with one function of each verdict.
+// with one function of each verdict. Methods resolve by receiver: U.M
+// is flagged although T.M, of the same name, is called; D.Do runs only
+// through the Doer interface and S.String only through fmt.Stringer,
+// while R.Do, of another signature, implements nothing called.
 func TestZeroCallerRule(t *testing.T) {
 	allow := map[string]string{
 		"internal/lib.Allowed": "no caller, exempt",
@@ -23,6 +26,8 @@ func TestZeroCallerRule(t *testing.T) {
 		"function internal/lib.TestOnly has no production caller",
 		"function internal/lib.Recursive has no production caller",
 		"method internal/lib.T.Unused has no production caller",
+		"method internal/lib.U.M has no production caller",
+		"method internal/lib.R.Do has no production caller",
 		"zero-caller allowlist: internal/lib.Gone names",
 		"zero-caller allowlist: internal/lib.Used names",
 	} {
@@ -30,12 +35,12 @@ func TestZeroCallerRule(t *testing.T) {
 			t.Errorf("report lacks %q:\n%s", want, report)
 		}
 	}
-	for _, pass := range []string{"lib.Used has", "lib.helper", "lib.BenchOnly", "lib.Allowed", "lib.T.M "} {
+	for _, pass := range []string{"lib.Used has", "lib.helper", "lib.BenchOnly", "lib.Allowed", "lib.T.M ", "lib.D.Do", "lib.S.String"} {
 		if strings.Contains(report, pass) {
 			t.Errorf("report flags %q:\n%s", pass, report)
 		}
 	}
-	if len(problems) != 6 {
-		t.Errorf("%d problems, want 6:\n%s", len(problems), report)
+	if len(problems) != 8 {
+		t.Errorf("%d problems, want 8:\n%s", len(problems), report)
 	}
 }

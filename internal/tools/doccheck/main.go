@@ -1,5 +1,5 @@
 // Command doccheck is the CI documentation and dead-code gate. It
-// enforces four rules with go/ast, failing (exit 1) with a file:line
+// enforces four rules with go/ast and go/types, failing (exit 1) with a file:line
 // listing when any is violated:
 //
 //  1. Every package under internal/ and cmd/ (and the root orojenesis
@@ -13,9 +13,9 @@
 //     that exists, so doc comments cannot drift away from the documents
 //     they cite (e.g. docs/fleet-protocol.md, docs/shard-format.md).
 //  4. Every func and method declared in a non-test file under internal/
-//     (internal/tools excluded) has a production caller: a reference
-//     from a non-test file of the module or of bench/ (see
-//     checkCallers). Exceptions live in zeroCallerAllow, one reason per
+//     (internal/tools excluded) has a production caller: a use, resolved
+//     by go/types down to the receiver, from a non-test file of the
+//     module or of bench/ (see checkCallers). Exceptions live in zeroCallerAllow, one reason per
 //     entry, and a stale entry is itself a failure.
 //
 // Usage (from the module root, as `make docs` does):

@@ -10,5 +10,7 @@ import (
 func main() {
 	var t zl.T
 	t.M()
+	var d zl.Doer = zl.D{}
+	d.Do()
 	fmt.Println(zl.Used())
 }

@@ -36,3 +36,30 @@ func (T) M() {}
 
 // Unused has no selector anywhere.
 func (*T) Unused() {}
+
+// U has a method named like the called T.M.
+type U struct{}
+
+// M shares its name with T.M but is never called itself.
+func (U) M() {}
+
+// Doer is called through in cmd/app.
+type Doer interface{ Do() }
+
+// D implements Doer; its Do runs only through the interface.
+type D struct{}
+
+// Do is reached through Doer.Do.
+func (D) Do() {}
+
+// R has a Do of another signature, so it does not implement Doer.
+type R struct{}
+
+// Do is not Doer.Do.
+func (R) Do(int) {}
+
+// S is printed by the standard library only.
+type S struct{}
+
+// String satisfies fmt.Stringer.
+func (S) String() string { return "s" }

@@ -68,10 +68,3 @@ func (m *Memo[K, V]) Do(key K, compute func() (V, error)) (V, error) {
 	close(e.done)
 	return e.val, e.err
 }
-
-// Len returns the number of memoized keys.
-func (m *Memo[K, V]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.m)
-}

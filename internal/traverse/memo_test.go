@@ -92,3 +92,10 @@ func TestMemoRearmsAfterCancellation(t *testing.T) {
 		})
 	}
 }
+
+// Len returns the number of memoized keys.
+func (m *Memo[K, V]) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.m)
+}

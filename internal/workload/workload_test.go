@@ -283,7 +283,7 @@ func TestSpecShardingParity(t *testing.T) {
 			want := curveBytes(t, inProc.Curve)
 			for _, n := range []int{2, 4} {
 				paths := runSpecShards(t, t.TempDir(), enc, n)
-				merged, err := shard.MergeFiles(paths...)
+				merged, err := shard.MergeFiles(nil, paths...)
 				if err != nil {
 					t.Fatalf("N=%d: %v", n, err)
 				}
@@ -355,7 +355,7 @@ func TestKillAndResumeFromManifestSpecAlone(t *testing.T) {
 				if err == nil {
 					t.Fatal("killed run reported success")
 				}
-				killed, rerr := shard.ReadPartial(paths[k])
+				killed, rerr := shard.ReadPartial(nil, paths[k])
 				if rerr != nil {
 					t.Fatalf("no resumable checkpoint after kill: %v", rerr)
 				}
@@ -380,7 +380,7 @@ func TestKillAndResumeFromManifestSpecAlone(t *testing.T) {
 						stats, killed.Manifest.CompletedThrough)
 				}
 			}
-			merged, err := shard.MergeFiles(paths...)
+			merged, err := shard.MergeFiles(nil, paths...)
 			if err != nil {
 				t.Fatal(err)
 			}
