@@ -6,8 +6,41 @@
 // The traversal walks tilings, not mappings. Every outer-loop order of a
 // tiling has the same buffer size, so only its cheapest order can reach
 // the frontier; snowcat.Evaluator.MinCompact finds that order exactly by
-// subset DP, and the frontier receives one point per tiling. The curve is
-// byte-identical to scoring every order.
+// subset DP. The curve is byte-identical to scoring every order.
+//
+// Nor does every tiling need its DP. A tiling is dominated when another
+// tiling has the same access count and a buffer no larger: it adds
+// nothing to the frontier, since pareto.Builder drops such a point. Two
+// lemmas, fixed once per derivation from the Einsum and the accounting
+// (snowcat.Dominators), name split options that make a tiling dominated
+// whatever the other ranks' options are:
+//
+//  1. Batch ranks, under Perfect and SpillCharged. Let every tensor index
+//     rank h in exactly one dim, alone, with coefficient 1 and no
+//     grouping divisor (einsum.Compiled.Batch; a BMM's H). Every
+//     footprint is then h_inner·fp' over the other ranks, and every
+//     transfer count carries h_outer, as the hoisted all-tensor bound or
+//     as a loop bound. With h_inner·h_outer = H, the accesses equal
+//     H·A'(other ranks) in exact integer arithmetic under both rules —
+//     the spill reload is linear in H too. The buffer grows with
+//     h_inner, so the tiling with h_inner = 1 dominates. Imperfect is
+//     excluded: its float ceil could break the tie.
+//  2. Imperfect candidates of ungrouped ranks. Candidates of a rank with
+//     the same outer bound o also share the effective tile n/o (inner·o
+//     ≥ n), and with o that is all the Imperfect access count reads of
+//     an ungrouped rank, so their accesses are equal for every tiling of
+//     the other ranks. The buffer is nondecreasing in the inner tile, so
+//     the smallest candidate of each run of equal outers dominates the
+//     run. Grouped ranks are excluded because the grouped transfer factor
+//     reads the inner tile.
+//
+// Replacing every such option by its dominator gives a tiling's
+// reduction, which has a lower flat index. DeriveRange skips a tiling only
+// when its reduction lies in the range it derives, which therefore scores
+// the reduction: a partial frontier is exact over its own range, so the
+// union over any subset of a shard cover — a degraded merge — is the
+// frontier of the tilings it covers. A skipped tiling still counts its
+// mappings, so MappingsEvaluated, Space and every partial are unchanged.
 package bound
 
 import (
@@ -29,10 +62,11 @@ import (
 // runtime comparison and the cmd tools' -stats output.
 type Stats struct {
 	// MappingsEvaluated counts the mappings the traversal represents,
-	// not the evaluations it ran: each tiling is scored once, by the
-	// exact minimum over its outer-loop orders, and counts as active!
-	// mappings (active = ranks with an outer bound above 1). It is the
-	// size of the mapspace covered, as Enum.Visit would enumerate it.
+	// not the evaluations it ran: each tiling is scored at most once, by
+	// the exact minimum over its outer-loop orders (not at all when it is
+	// dominated; see the package doc), and counts as active! mappings
+	// (active = ranks with an outer bound above 1). It is the size of the
+	// mapspace covered, as Enum.Visit would enumerate it.
 	MappingsEvaluated int64
 	Elapsed           time.Duration
 
@@ -152,7 +186,10 @@ func Derive(e *einsum.Einsum, opts Options) Result {
 // cover of [0, Space(e, opts)) and merging the partial curves with
 // pareto.Union reproduces Derive's curve byte-for-byte; the annotations
 // are already set on every partial, since they depend only on the
-// workload. Panics on invalid Options or an out-of-bounds range.
+// workload. Each partial is the exact frontier of its own range, since a
+// dominated tiling is skipped only when the tiling that dominates it lies
+// in the range too (package doc). Panics on invalid Options or an
+// out-of-bounds range.
 //
 // Cancelling ctx aborts the traversal within about one worker chunk and
 // returns the context's error with no curve — the cancellation path a
@@ -176,12 +213,15 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, opts Options, lo, hi int
 	case opts.ChargeSpills:
 		acct = snowcat.SpillCharged
 	}
+	dominators := snowcat.Dominators(e, acct, en)
 	curve, ts, err := traverse.FrontierRange(ctx, lo, hi, opts.Workers, func() traverse.ChunkFunc {
 		ev := snowcat.NewEvaluator(e)
-		return func(lo, hi int64, b *pareto.Builder) int64 {
+		return func(clo, chi int64, b *pareto.Builder) int64 {
 			var count int64
-			en.VisitTilings(lo, hi, func(splits []shape.Split) {
-				b.Add(ev.MinCompact(acct, splits))
+			en.VisitTilings(clo, chi, dominators, lo, func(splits []shape.Split, skipped bool) {
+				if !skipped {
+					b.Add(ev.MinCompact(acct, splits))
+				}
 				count += mapping.Orders(splits)
 			})
 			return count

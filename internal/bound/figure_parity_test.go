@@ -3,6 +3,7 @@ package bound_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bound"
@@ -19,11 +20,22 @@ import (
 // added to the frontier. It returns the curve and the mapping count.
 func referenceDerive(t *testing.T, e *einsum.Einsum, opts bound.Options) (*pareto.Curve, int64) {
 	t.Helper()
+	space, err := bound.Space(e, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return referenceDeriveRange(t, e, opts, 0, space)
+}
+
+// referenceDeriveRange is referenceDerive over the tilings with flat
+// index in [lo, hi) only.
+func referenceDeriveRange(t *testing.T, e *einsum.Einsum, opts bound.Options, lo, hi int64) (*pareto.Curve, int64) {
+	t.Helper()
 	en := mapping.NewEnum(e)
 	if opts.ImperfectExtra > 0 {
 		en = mapping.NewImperfectEnum(e, opts.ImperfectExtra)
 	}
-	curve, st, err := traverse.FrontierRange(context.Background(), 0, en.Tilings(), 0, func() traverse.ChunkFunc {
+	curve, st, err := traverse.FrontierRange(context.Background(), lo, hi, 0, func() traverse.ChunkFunc {
 		ev := snowcat.NewEvaluator(e)
 		eval := ev.EvaluateCompact
 		switch {
@@ -77,9 +89,9 @@ func figureWorkloads() []*einsum.Einsum {
 }
 
 // TestDeriveMatchesPerOrderReferenceOnFigureWorkloads pins the per-tiling
-// derivation to the per-order reference on every figure workload:
-// byte-identical curves and an unchanged MappingsEvaluated, which counts
-// the mappings each tiling represents.
+// derivation, dominance skips included, to the per-order reference on
+// every figure workload: byte-identical curves and an unchanged
+// MappingsEvaluated, which counts the mappings each tiling represents.
 func TestDeriveMatchesPerOrderReferenceOnFigureWorkloads(t *testing.T) {
 	for _, e := range figureWorkloads() {
 		t.Run(e.Name, func(t *testing.T) {
@@ -96,13 +108,14 @@ func TestDeriveMatchesPerOrderReferenceOnFigureWorkloads(t *testing.T) {
 }
 
 // TestDeriveMatchesPerOrderReferenceAllAccountings covers the imperfect
-// and spill-charged evaluators the figure workloads do not use.
+// and spill-charged evaluators the figure workloads do not use, and the
+// dominance skips on random small Einsums (randomEinsums).
 func TestDeriveMatchesPerOrderReferenceAllAccountings(t *testing.T) {
-	ws := []*einsum.Einsum{
+	ws := append([]*einsum.Einsum{
 		einsum.GEMM("gemm", 96, 80, 72),
 		einsum.GroupedBMM("gbmm", 8, 2, 32, 16, 24),
 		einsum.Conv2D("conv", einsum.ConvConfig{P: 8, Q: 6, N: 8, C: 4, R: 3, S: 3, T: 2, D: 2}),
-	}
+	}, randomEinsums(rand.New(rand.NewSource(24)), 56)...)
 	for _, e := range ws {
 		for _, opts := range []bound.Options{{}, {ChargeSpills: true}, {ImperfectExtra: 6}} {
 			t.Run(e.Name+"/"+opts.Canonical(), func(t *testing.T) {

@@ -170,6 +170,19 @@ func BenchmarkDerivePerfect(b *testing.B) {
 	}
 }
 
+// BenchmarkDeriveBMM derives Fig. 13's h32 head split, whose batch rank
+// H leaves one tiling in six to score.
+func BenchmarkDeriveBMM(b *testing.B) {
+	e := einsum.BMM("h32", 32, 4096, 128, 4096)
+	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(benchName(w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Derive(e, Options{Workers: w})
+			}
+		})
+	}
+}
+
 func benchName(w int) string {
 	if w == 1 {
 		return "workers=1"

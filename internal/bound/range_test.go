@@ -12,8 +12,15 @@ import (
 // TestDeriveRangeCoverParity pins the sharding contract: partial curves
 // over any disjoint cover of [0, Space) union to the byte-identical
 // full-range curve, annotations included.
+// The BMM's H and the imperfect GEMM's repeated outers put dominated
+// tilings in ranges whose dominating tiling lies in another range.
 func TestDeriveRangeCoverParity(t *testing.T) {
-	e := einsum.GEMM("g", 64, 48, 80)
+	for _, e := range []*einsum.Einsum{einsum.GEMM("g", 64, 48, 80), einsum.BMM("b", 6, 16, 12, 8)} {
+		t.Run(e.Name, func(t *testing.T) { checkRangeCoverParity(t, e) })
+	}
+}
+
+func checkRangeCoverParity(t *testing.T, e *einsum.Einsum) {
 	for _, opts := range []Options{{}, {ImperfectExtra: 2}, {ChargeSpills: true}} {
 		space, err := Space(e, opts)
 		if err != nil {

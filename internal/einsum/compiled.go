@@ -11,6 +11,8 @@ import "repro/internal/shape"
 // reference. A Compiled value is immutable and safe for concurrent use.
 type Compiled struct {
 	tensors []compiledTensor
+	batch   uint64 // bit i: rank i is a batch rank (Batch)
+	grouped uint64 // bit i: some tensor applies a grouping divisor to rank i
 }
 
 type compiledTensor struct {
@@ -34,21 +36,33 @@ func (e *Einsum) Compile() *Compiled {
 	for i, r := range e.Ranks {
 		idx[r.Name] = i
 	}
-	c := &Compiled{tensors: make([]compiledTensor, len(e.Tensors))}
+	c := &Compiled{tensors: make([]compiledTensor, len(e.Tensors)), batch: ^uint64(0)}
 	for i := range e.Tensors {
 		t := &e.Tensors[i]
 		ct := &c.tensors[i]
 		ct.size = e.TensorSize(t)
+		// plain: ranks some dim indexes alone, with coefficient 1 and no
+		// grouping divisor; twice: ranks more than one dim indexes.
+		var plain, twice uint64
 		for j := range t.Dims {
 			d := &t.Dims[j]
 			cd := compiledDim{groupDiv: d.GroupDiv, fullExtent: d.DimExtent(full)}
+			var dimMask uint64
 			for _, term := range d.Terms {
 				cd.ranks = append(cd.ranks, idx[term.Rank])
 				cd.coeffs = append(cd.coeffs, term.Coeff)
-				ct.relMask |= 1 << idx[term.Rank]
+				dimMask |= 1 << idx[term.Rank]
 			}
+			if d.GroupDiv > 1 {
+				c.grouped |= dimMask
+			} else if len(d.Terms) == 1 && d.Terms[0].Coeff == 1 {
+				plain |= dimMask
+			}
+			twice |= ct.relMask & dimMask
+			ct.relMask |= dimMask
 			ct.dims = append(ct.dims, cd)
 		}
+		c.batch &= plain &^ twice
 	}
 	return c
 }
@@ -56,6 +70,16 @@ func (e *Einsum) Compile() *Compiled {
 // Relevance returns tensor t's relevance mask: bit i is set when rank i
 // affects the tensor's footprint (Tensor.Relevant).
 func (c *Compiled) Relevance(t int) uint64 { return c.tensors[t].relMask }
+
+// Batch reports whether rank r is a batch rank: every tensor indexes it
+// in exactly one dimension, which it forms alone with coefficient 1 and
+// no grouping divisor (a BMM's H). Every footprint of a tile is then the
+// rank's tile times the footprint over the other ranks.
+func (c *Compiled) Batch(r int) bool { return c.batch>>r&1 == 1 }
+
+// Grouped reports whether some tensor applies a grouping divisor to rank
+// r (Tensor.GroupDivFor above 1).
+func (c *Compiled) Grouped(r int) bool { return c.grouped>>r&1 == 1 }
 
 // Size returns the number of elements of tensor t (Einsum.TensorSize).
 func (c *Compiled) Size(t int) int64 { return c.tensors[t].size }

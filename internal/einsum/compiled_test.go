@@ -52,3 +52,37 @@ func TestCompiledMatchesMapFootprint(t *testing.T) {
 		}
 	}
 }
+
+// TestCompiledBatchAndGroupedRanks pins the batch-rank predicate: a rank
+// every tensor indexes alone in exactly one coefficient-1, ungrouped dim.
+func TestCompiledBatchAndGroupedRanks(t *testing.T) {
+	cases := []struct {
+		e              *Einsum
+		batch, grouped string // rank names, in rank order
+	}{
+		{GEMM("gemm", 8, 8, 8), "", ""},
+		{BMM("bmm", 4, 8, 8, 8), "H", ""},
+		{GroupedBMM("gbmm", 8, 2, 8, 8, 8), "", "H"},
+		{GroupedBMM("mha", 8, 8, 8, 8, 8), "H", ""}, // G = H: no divisor above 1
+		{Conv2D("conv", ConvConfig{P: 4, Q: 4, N: 4, C: 4, R: 3, S: 3}), "", ""},
+		// H in a two-term dim of A, and twice in W: neither is a batch rank.
+		{MustParse("Z[h,m] = A[h+m,k] * W[h,k,h] {H=4,M=4,K=4}"), "", ""},
+		// B indexed with coefficient 2 in A.
+		{MustParse("Z[b,m] = A[2b,m] * W[b,m] {B=4,M=4}"), "M", ""},
+	}
+	for _, cs := range cases {
+		c := cs.e.Compile()
+		var batch, grouped string
+		for i, r := range cs.e.Ranks {
+			if c.Batch(i) {
+				batch += r.Name
+			}
+			if c.Grouped(i) {
+				grouped += r.Name
+			}
+		}
+		if batch != cs.batch || grouped != cs.grouped {
+			t.Errorf("%s: batch %q grouped %q, want %q and %q", cs.e, batch, grouped, cs.batch, cs.grouped)
+		}
+	}
+}

@@ -82,7 +82,7 @@ func (en *Enum) Size() (int64, error) {
 // Clone it.
 func (en *Enum) Visit(lo, hi int64, visit func(*Mapping)) {
 	m := &Mapping{Splits: make(map[string]shape.Split, len(en.rankNames))}
-	en.VisitTilings(lo, hi, func(splits []shape.Split) {
+	en.VisitTilings(lo, hi, nil, 0, func(splits []shape.Split, _ bool) {
 		for i, r := range en.rankNames {
 			m.Splits[r] = splits[i]
 		}
@@ -90,37 +90,81 @@ func (en *Enum) Visit(lo, hi int64, visit func(*Mapping)) {
 	})
 }
 
+// Options returns rank i's split options in index order (the digit
+// values of its place in the flat index). The slice is shared; callers
+// must not modify it.
+func (en *Enum) Options(i int) []shape.Split { return en.options[i] }
+
 // VisitTilings enumerates the tilings with flat index in [lo, hi) in
 // Visit's order, calling visit once per tiling with its splits indexed
 // like the Einsum's ranks. Outer orders are not expanded: a per-tiling
 // evaluator (snowcat.Evaluator.MinCompact) takes the minimum over them,
 // and Orders(splits) counts the mappings the tiling stands for. The slice
-// is reused between calls; visitors that retain it must copy it.
-func (en *Enum) VisitTilings(lo, hi int64, visit func(splits []shape.Split)) {
+// is reused between calls, and only the digits that change are rewritten:
+// visitors must not modify it, and those that retain it must copy it.
+//
+// reduce maps each rank's split options to the options that dominate
+// them (snowcat.Dominators): reduce[i][j] is an index at most j whose
+// own entry is itself, and a nil reduce, or a nil row, maps every option
+// to itself. A tiling's reduction replaces every option by its entry; it
+// has a lower flat index unless the tiling is its own reduction. skipped
+// reports that the reduction differs from the tiling and its index is at
+// least floor: a frontier over a range that starts at or below floor and
+// covers [lo, hi) receives the reduction, so it need not score the
+// tiling. The odometer keeps the index distance to the reduction as it
+// advances, so this costs no lookup per tiling.
+func (en *Enum) VisitTilings(lo, hi int64, reduce [][]int, floor int64, visit func(splits []shape.Split, skipped bool)) {
 	n := len(en.rankNames)
 	if n == 0 || lo >= hi {
 		return
 	}
+	// back[i][j] is how far rank i's option j moves the flat index to its
+	// replacement: the option's distance times the digit's weight.
+	back := make([][]int64, n)
+	stride := int64(1)
+	for i := n - 1; i >= 0; i-- {
+		if i < len(reduce) && reduce[i] != nil {
+			back[i] = make([]int64, len(reduce[i]))
+			for j, r := range reduce[i] {
+				back[i][j] = int64(j-r) * stride
+			}
+		}
+		stride *= int64(len(en.options[i]))
+	}
 	// Decode lo into mixed-radix digits, then advance odometer-style.
 	idx := make([]int, n)
 	rem := lo
+	var gap int64 // flat index minus the reduction's
 	for i := n - 1; i >= 0; i-- {
 		k := int64(len(en.options[i]))
 		idx[i] = int(rem % k)
 		rem /= k
+		if back[i] != nil {
+			gap += back[i][idx[i]]
+		}
 	}
 	splits := make([]shape.Split, n)
+	for i := range splits {
+		splits[i] = en.options[i][idx[i]]
+	}
 	for flat := lo; flat < hi; flat++ {
-		for i := range splits {
-			splits[i] = en.options[i][idx[i]]
-		}
-		visit(splits)
+		visit(splits, gap > 0 && flat-gap >= floor)
 		for i := n - 1; i >= 0; i-- {
+			b := back[i]
+			if b != nil {
+				gap -= b[idx[i]]
+			}
 			idx[i]++
-			if idx[i] < len(en.options[i]) {
+			if idx[i] == len(en.options[i]) {
+				idx[i] = 0
+			}
+			if b != nil {
+				gap += b[idx[i]]
+			}
+			splits[i] = en.options[i][idx[i]]
+			if idx[i] != 0 {
 				break
 			}
-			idx[i] = 0
 		}
 	}
 }

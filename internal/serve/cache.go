@@ -21,7 +21,7 @@ type result struct {
 	fromStore bool
 
 	// fields is the encoded tail of every success envelope that serves
-	// this result (encodeResultFields), filled once when the result is
+	// this result (encodeResultFields), filled once before the result is
 	// published by finish or put: a cache hit encodes only its header.
 	fields []byte
 }
@@ -125,17 +125,14 @@ func (s *memCache) leave(f *flight) {
 	}
 }
 
-// finish publishes the flight's outcome: a successful result's fields are
-// encoded (before taking the lock), result and error are recorded, waiters
-// are released, the flight leaves the table, and — in the same critical
-// section — a successful result enters the cache. Failed derivations are
+// finish publishes the flight's outcome, whose fields the flight has
+// encoded: result and error are recorded, waiters are released, the
+// flight leaves the table, and — in the same critical section — a
+// successful result enters the cache. Failed derivations are
 // never cached; the next identical request retries. Degraded merges are
 // also never cached: their spool survives, so the next identical request
 // resumes the missing slices instead of replaying an incomplete answer.
 func (s *memCache) finish(f *flight, res result, err error) {
-	if err == nil {
-		res.fields, err = encodeResultFields(res.deriveOut)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f.res, f.err = res, err

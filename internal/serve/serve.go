@@ -433,10 +433,32 @@ func encodeJSON(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// errInvalidCurve marks a derived curve that breaks the curve decoder's
+// invariants (pareto.Curve.Validate) — a wrapped count, say. Such a
+// result is answered with a 500 invalid_curve and is never cached,
+// persisted or sent as a success: no client could decode it.
+var errInvalidCurve = errors.New("serve: derived curve is invalid")
+
 // encodeResultFields encodes a result's ResultFields as they end a
 // success envelope: every field from "curve" on plus the closing brace and
-// newline — the encoded object minus its opening brace.
+// newline — the encoded object minus its opening brace. The curve must
+// be present, and it and every segment curve present must pass
+// pareto.Curve.Validate; otherwise the error wraps errInvalidCurve.
 func encodeResultFields(out deriveOut) ([]byte, error) {
+	if out.curve == nil {
+		return nil, fmt.Errorf("%w: no curve", errInvalidCurve)
+	}
+	if err := out.curve.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", errInvalidCurve, err)
+	}
+	for _, sg := range out.segments {
+		if sg.Curve == nil {
+			continue
+		}
+		if err := sg.Curve.Validate(); err != nil {
+			return nil, fmt.Errorf("%w: segment %s: %v", errInvalidCurve, sg.Label, err)
+		}
+	}
 	rf := ResultFields{Curve: out.curve, Segments: out.segments}
 	if dg := out.degraded; dg != nil {
 		rf.Degraded = true
@@ -653,6 +675,8 @@ func (s *Server) writeDeriveError(w http.ResponseWriter, err error) {
 	case errors.As(err, &pe):
 		writeError(w, http.StatusInternalServerError, "panic",
 			"derivation panicked; see server logs", 0)
+	case errors.Is(err, errInvalidCurve):
+		writeError(w, http.StatusInternalServerError, "invalid_curve", err.Error(), 0)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// The flight itself was cancelled — that only happens under
 		// server shutdown (flights outlive request deadlines as long as
@@ -706,9 +730,10 @@ func (s *Server) runFlight(f *flight, d *derivation, shards int, allowPartial, n
 		res.deriveOut, err = fn(f.ctx)
 	}()
 	if res.fromStore {
-		// A disk hit replays the original derivation's cost figures; the
-		// store.finish below republishes it to the memory LRU.
-		s.mem.finish(f, res, nil)
+		// A disk hit replays the original derivation's cost figures;
+		// finish republishes it to the memory LRU.
+		res.fields, err = encodeResultFields(res.deriveOut)
+		s.mem.finish(f, res, err)
 		return
 	}
 	res.elapsed = time.Since(start)
@@ -719,14 +744,14 @@ func (s *Server) runFlight(f *flight, d *derivation, shards int, allowPartial, n
 			d.label, d.digest, pe.Value, pe.Stack)
 	}
 	if err == nil {
-		if res.curve == nil {
-			err = fmt.Errorf("serve: derivation %s returned no curve", d.label)
-		} else {
-			s.stats.derivations.Add(1)
-			s.stats.evaluated.Add(res.evaluated)
-			s.stats.deriveNanos.Add(int64(res.elapsed))
-			s.diskPut(d, res)
-		}
+		// Encoding validates the curve, so an invalid one is never persisted.
+		res.fields, err = encodeResultFields(res.deriveOut)
+	}
+	if err == nil {
+		s.stats.derivations.Add(1)
+		s.stats.evaluated.Add(res.evaluated)
+		s.stats.deriveNanos.Add(int64(res.elapsed))
+		s.diskPut(d, res)
 	}
 	s.mem.finish(f, res, err)
 }

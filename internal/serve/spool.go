@@ -150,6 +150,7 @@ func (s *Server) ResumeOrphans(ctx context.Context) (int, error) {
 		res := result{deriveOut: out, elapsed: time.Since(start)}
 		if err := s.mem.put(d.key, res); err != nil {
 			s.logf("serve: caching resumed spool %s (%s): %v", dir, d.label, err)
+			continue
 		}
 		s.diskPut(d, res)
 		s.stats.derivations.Add(1)

@@ -362,6 +362,39 @@ func TestWrappedCountsNeverPersisted(t *testing.T) {
 	}
 }
 
+// TestWrappedCurveNeverServed: a derived curve the decoder would reject
+// (here wrapped int64 counts) is answered with a named 500, on the miss
+// and again on the retry, and leaves no memory entry and no store file.
+func TestWrappedCurveNeverServed(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{StoreDir: dir})
+	for _, body := range []string{
+		`{"gemm":{"m":2305843009213693951,"k":2,"n":2}}`,
+		`{"gemm":{"m":4611686018427387847,"k":1,"n":1}}`,
+	} {
+		for try := 0; try < 2; try++ {
+			status, data := postCurve(t, ts.URL, body)
+			var er ErrorResponse
+			if err := json.Unmarshal(data, &er); err != nil {
+				t.Fatalf("%s: status %d, undecodable body %s", body, status, data)
+			}
+			if status != http.StatusInternalServerError || er.Error.Code != "invalid_curve" {
+				t.Fatalf("%s: status %d code %q, want 500 invalid_curve: %s", body, status, er.Error.Code, data)
+			}
+		}
+	}
+	if n := s.mem.len(); n != 0 {
+		t.Fatalf("memory cache holds %d results, want none", n)
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "*.c*"))
+	if err != nil || len(left) != 0 {
+		t.Fatalf("store directory holds %v (err %v), want no entries and no quarantines", left, err)
+	}
+	if g := getStoreGauges(t, ts.URL); g.StoreWrites != 0 {
+		t.Fatalf("store_writes = %d, want 0", g.StoreWrites)
+	}
+}
+
 // TestDegraded206NeverPersisted: a partial (206) segmentation result
 // must not enter the durable tier — a later identical request with a
 // healthy fleet deserves the full derivation, and a restart must not

@@ -10,8 +10,11 @@ import (
 	"repro/internal/bound"
 	"repro/internal/einsum"
 	"repro/internal/fusion"
+	"repro/internal/mapping"
 	"repro/internal/pareto"
+	"repro/internal/shape"
 	"repro/internal/shard"
+	"repro/internal/snowcat"
 	"repro/internal/workload"
 )
 
@@ -83,6 +86,64 @@ func TestBoundShardingParityImperfect(t *testing.T) {
 	}
 	if got := curveBytes(t, merged); got != want {
 		t.Fatalf("imperfect merged curve differs from single-process derive\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestDegradedMergeKeepsCoveredTilings: a degraded merge is the frontier
+// of every tiling its shards cover, also when the tilings that dominate
+// them lie in a missing shard. A BMM's head count is its most
+// significant digit, so with shard 1/2 missing shard 2/2 holds only head
+// splits above 1, each dominated by a head-split-1 tiling of shard 1/2;
+// an imperfect GEMM's repeated outer bounds straddle shard boundaries
+// the same way.
+func TestDegradedMergeKeepsCoveredTilings(t *testing.T) {
+	for _, c := range []struct {
+		e      *einsum.Einsum
+		opts   bound.Options
+		shards int
+	}{
+		{einsum.BMM("bmm", 32, 16, 8, 16), bound.Options{}, 2},
+		{einsum.BMM("bmm", 32, 16, 8, 16), bound.Options{ChargeSpills: true}, 3},
+		{einsum.GEMM("gemm", 48, 40, 36), bound.Options{ImperfectExtra: 5}, 3},
+	} {
+		spec := workload.NewBound(c.e, c.opts)
+		paths := runShards(t, t.TempDir(), c.shards, spec, 2)
+		var partials []*shard.Partial
+		for _, path := range paths[1:] {
+			p, err := shard.ReadPartial(nil, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			partials = append(partials, p)
+		}
+		d, err := shard.MergeDegraded(partials...)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Score every covered tiling, none skipped.
+		en := mapping.NewEnum(c.e)
+		acct := snowcat.Perfect
+		switch {
+		case c.opts.ImperfectExtra > 0:
+			en, acct = mapping.NewImperfectEnum(c.e, c.opts.ImperfectExtra), snowcat.Imperfect
+		case c.opts.ChargeSpills:
+			acct = snowcat.SpillCharged
+		}
+		lo, _ := shard.Plan{Index: 1, Count: c.shards}.Slice(en.Tilings())
+		ev := snowcat.NewEvaluator(c.e)
+		b := pareto.NewBuilder()
+		en.VisitTilings(lo, en.Tilings(), nil, 0, func(splits []shape.Split, _ bool) {
+			b.Add(ev.MinCompact(acct, splits))
+		})
+		want := b.Curve()
+		if d.CoveredIndices != en.Tilings()-lo || want.Empty() {
+			t.Fatalf("%s %s: covered %d of %d tilings from %d", c.e, c.opts.Canonical(), d.CoveredIndices, en.Tilings(), lo)
+		}
+		if g, w := fmt.Sprint(d.Curve.Points()), fmt.Sprint(want.Points()); g != w {
+			t.Fatalf("%s %s without shard 1/%d: degraded curve\n%s\nwant the covered tilings' frontier\n%s",
+				c.e, c.opts.Canonical(), c.shards, g, w)
+		}
 	}
 }
 

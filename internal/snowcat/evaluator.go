@@ -103,15 +103,63 @@ func NewEvaluator(e *einsum.Einsum) *Evaluator {
 			ct.groupDiv = append(ct.groupDiv, gd)
 			ct.grouped = ct.grouped || gd > 1
 			ev.sig[j] |= (ct.relMask >> j & 1) << i
-			if gd > 1 {
-				ev.pinned |= 1 << j
-			}
 		}
 		ev.tensors = append(ev.tensors, ct)
+	}
+	for j := range e.Ranks {
+		if ev.proj.Grouped(j) {
+			ev.pinned |= 1 << j
+		}
 	}
 	ev.rel = make([]uint64, len(ev.tensors))
 	ev.charge = ev.chargeTensor
 	return ev
+}
+
+// Dominators returns, for every rank i of e and every split option j of
+// en.Options(i), the index of an option of rank i that dominates j
+// under acct: whatever the other ranks' options, it gives the same
+// access count and a buffer no larger. It is j itself when no such rule
+// applies; a dominator has a lower index and is its own dominator, and a
+// rank with no dominated option has a nil row. This is the reduce table
+// mapping.Enum.VisitTilings takes.
+//
+// Package bound states and proves the two rules; each rests on this
+// package's cost formulas. Under Perfect and SpillCharged a batch rank
+// (einsum.Compiled.Batch) enters every footprint as its inner tile and
+// every count, spill reloads included, as its outer bound, so its inner
+// tile 1 (option 0) dominates the rest. Under Imperfect an ungrouped
+// rank enters the access count only through its outer bound and its
+// effective tile, shape over outer bound (effectiveTiles), so the
+// smallest candidate of each run sharing an outer bound dominates the
+// run; groupedFactor reads the inner tile itself, so grouped ranks are
+// left alone.
+func Dominators(e *einsum.Einsum, acct Accounting, en *mapping.Enum) [][]int {
+	c := e.Compile()
+	rows := make([][]int, len(e.Ranks))
+	for i := range e.Ranks {
+		opts := en.Options(i)
+		row := make([]int, len(opts))
+		dominated := false
+		for j, s := range opts {
+			row[j] = j
+			switch {
+			case acct == Imperfect:
+				if !c.Grouped(i) && j > 0 && opts[j-1].Outer == s.Outer {
+					row[j] = row[j-1]
+				}
+			case c.Batch(i):
+				if j > 0 && opts[0].Inner == 1 {
+					row[j] = 0
+				}
+			}
+			dominated = dominated || row[j] != j
+		}
+		if dominated {
+			rows[i] = row
+		}
+	}
+	return rows
 }
 
 // EvaluateCompact returns only the buffer requirement and access count in

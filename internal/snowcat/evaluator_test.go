@@ -63,3 +63,62 @@ func BenchmarkEvaluatorCompact(b *testing.B) {
 		ev.EvaluateCompact(m)
 	}
 }
+
+// TestDominators pins the options the two dominance rules reduce: every
+// inner tile above 1 of a batch rank to inner tile 1 under the
+// exact-integer accountings, and under Imperfect every candidate of an
+// ungrouped rank to the smallest candidate sharing its outer bound.
+func TestDominators(t *testing.T) {
+	kept := func(row []int) (n int) {
+		for j, d := range row {
+			if d == j {
+				n++
+			}
+		}
+		return n
+	}
+	g := einsum.GEMM("g", 4096, 512, 4096)
+	en := mapping.NewImperfectEnum(g, 48)
+	rows := Dominators(g, Imperfect, en)
+	for i, want := range []struct{ all, kept int }{{44, 39}, {44, 32}, {44, 39}} {
+		opts := en.Options(i)
+		if n, k := len(opts), kept(rows[i]); n != want.all || k != want.kept {
+			t.Errorf("imperfect %s: %d of %d candidates kept, want %d of %d", g.Ranks[i].Name, k, n, want.kept, want.all)
+		}
+		for j, d := range rows[i] {
+			if d > j || rows[i][d] != d || opts[d].Outer != opts[j].Outer || (d > 0 && opts[d-1].Outer == opts[d].Outer) {
+				t.Errorf("imperfect %s: candidate %v reduces to %v, want the smallest with its outer", g.Ranks[i].Name, opts[j], opts[d])
+			}
+		}
+	}
+	if rows := Dominators(g, Perfect, mapping.NewEnum(g)); rows[0] != nil || rows[1] != nil || rows[2] != nil {
+		t.Errorf("perfect GEMM: options reduced %v, want none", rows)
+	}
+
+	b := einsum.BMM("b", 32, 64, 16, 64)
+	for _, acct := range []Accounting{Perfect, SpillCharged} {
+		en := mapping.NewEnum(b)
+		rows := Dominators(b, acct, en)
+		if en.Options(0)[0].Inner != 1 || len(rows[0]) != 6 || kept(rows[0]) != 1 || rows[0][5] != 0 {
+			t.Errorf("BMM H under %d: reductions %v, want every option to inner tile 1 (option 0)", acct, rows[0])
+		}
+		for i := 1; i < 4; i++ {
+			if rows[i] != nil {
+				t.Errorf("BMM %s under %d: options reduced, want none", b.Ranks[i].Name, acct)
+			}
+		}
+	}
+	// No batch rule under Imperfect, and no imperfect rule on a grouped rank.
+	gb := einsum.GroupedBMM("gb", 12, 3, 16, 8, 8)
+	if rows := Dominators(gb, Imperfect, mapping.NewImperfectEnum(gb, 12)); rows[0] != nil {
+		t.Errorf("grouped H under Imperfect: options reduced %v, want none", rows[0])
+	}
+	en = mapping.NewImperfectEnum(b, 12)
+	rows = Dominators(b, Imperfect, en)
+	for j, s := range en.Options(0) {
+		dominated := j > 0 && en.Options(0)[j-1].Outer == s.Outer
+		if got := rows[0] != nil && rows[0][j] != j; got != dominated {
+			t.Errorf("BMM H under Imperfect: option %v reduced %v, want %v", s, got, dominated)
+		}
+	}
+}

@@ -473,7 +473,9 @@ func segmentationCanonical(s *Spec) string {
 
 // materializePerOp derives each op's standalone ski-slope curve (default
 // bound options — no result-affecting fields set) and returns a Spec
-// carrying them. An already materialized Spec is returned unchanged, so
+// carrying them. Ops whose Einsums differ only in name (GPT-3's Q_proj
+// and Final_proj) share one derivation: the name does not enter the
+// curve. An already materialized Spec is returned unchanged, so
 // embedded-Spec resumes never re-derive inputs.
 func materializePerOp(ctx context.Context, s *Spec, exec Exec) (*Spec, error) {
 	if s.PerOp != nil {
@@ -481,8 +483,16 @@ func materializePerOp(ctx context.Context, s *Spec, exec Exec) (*Spec, error) {
 	}
 	opts := bound.Options{Workers: exec.Workers}
 	curves := make([]*pareto.Curve, len(s.Chain.Ops))
+	derived := make(map[string]*pareto.Curve, len(s.Chain.Ops))
 	for i := range s.Chain.Ops {
 		ref := s.Chain.Ops[i].Ref
+		unnamed := *ref
+		unnamed.Name = ""
+		key := unnamed.Canonical()
+		if c, ok := derived[key]; ok {
+			curves[i] = c
+			continue
+		}
 		space, err := bound.Space(ref, opts)
 		if err != nil {
 			return nil, fmt.Errorf("workload: per-op curve %d (%s): %w", i, ref.String(), err)
@@ -492,6 +502,7 @@ func materializePerOp(ctx context.Context, s *Spec, exec Exec) (*Spec, error) {
 			return nil, fmt.Errorf("workload: per-op curve %d (%s): %w", i, ref.String(), err)
 		}
 		curves[i] = r.Curve
+		derived[key] = r.Curve
 	}
 	m := *s
 	m.PerOp = curves

@@ -9,12 +9,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/bound"
 	"repro/internal/einsum"
 	"repro/internal/fusion"
+	"repro/internal/llm"
 	"repro/internal/pareto"
 	"repro/internal/shard"
 )
@@ -477,6 +479,36 @@ func TestMaterializeSegmentation(t *testing.T) {
 	}
 	if again != mat {
 		t.Fatal("materializing a materialized spec did not return it unchanged")
+	}
+}
+
+// TestMaterializeDerivesEqualOpsOnce: ops whose Einsums differ only in
+// name share one per-op derivation, and the shared curve is the one each
+// op derives on its own.
+func TestMaterializeDerivesEqualOpsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		chain  *fusion.Chain
+		shared [][2]int // op pairs that share a curve; all others are distinct
+	}{
+		{segChain(t), [][2]int{{0, 3}, {2, 4}}},
+		{llm.GPT3_6_7B().SixEinsumChain(), [][2]int{{0, 3}}}, // Q_proj, Final_proj
+	} {
+		mat, err := NewSegmentation(tc.chain, nil).Materialize(context.Background(), Exec{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tc.chain.PerOpCurves(bound.Options{Workers: 1})
+		for i := range want {
+			if curveBytes(t, mat.PerOp[i]) != curveBytes(t, want[i]) {
+				t.Fatalf("%s: per-op curve %d differs from its own derivation", tc.chain.Name, i)
+			}
+			for j := i + 1; j < len(want); j++ {
+				shares := mat.PerOp[i] == mat.PerOp[j]
+				if wantShared := slices.Contains(tc.shared, [2]int{i, j}); shares != wantShared {
+					t.Fatalf("%s: ops %d and %d share a curve: %v, want %v", tc.chain.Name, i, j, shares, wantShared)
+				}
+			}
+		}
 	}
 }
 
