@@ -79,7 +79,7 @@ store:
 	go test -race -count=1 ./internal/cliutil -run 'Store|Warm'
 	go test -race -count=1 ./internal/serve -run 'Store|Restart|Warmer|Corrupt|Degraded206'
 
-# Timed fuzz passes over the six parsers of untrusted input: the curve
+# Timed fuzz passes over the seven parsers of untrusted input: the curve
 # decoder every served, stored and merged curve goes through (arbitrary
 # bytes must be rejected or decode to a valid staircase that round-trips
 # byte for byte), the Einsum parser every served einsum and chain request
@@ -91,9 +91,11 @@ store:
 # worker response goes through (an accepted partial must validate and
 # round-trip to an equal value), the curve-store entry decoder every
 # disk-tier read goes through (an accepted entry must validate and
-# round-trip to the same encoding), and the /v1/curve request decoder
-# (an accepted request's spec must survive the spool encoding with the
-# same derivation identity). A failing input is written under the
+# round-trip to the same encoding), the /v1/curve request decoder (an
+# accepted request's spec must survive the spool encoding with the same
+# derivation identity), and the /v1/shard request path up to the
+# derivation (any body must be rejected with a 400 code or compile to a
+# job with a valid manifest). A failing input is written under the
 # package's testdata/fuzz and replays in every later go test.
 fuzz:
 	go test ./internal/pareto -run '^$$' -fuzz '^FuzzCurveUnmarshal$$' -fuzztime 10s
@@ -102,6 +104,7 @@ fuzz:
 	go test ./internal/shard -run '^$$' -fuzz '^FuzzPartialDecode$$' -fuzztime 10s
 	go test ./internal/store -run '^$$' -fuzz '^FuzzStoreEntryDecode$$' -fuzztime 10s
 	go test ./internal/serve -run '^$$' -fuzz '^FuzzSpecFromRequest$$' -fuzztime 10s
+	go test ./internal/serve -run '^$$' -fuzz '^FuzzShardRequest$$' -fuzztime 10s
 
 # Golden-checked benchmark smoke: short orobench runs of the two
 # in-process derivation workloads and of the sharded fleet

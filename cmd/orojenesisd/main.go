@@ -92,11 +92,6 @@ func main() {
 	fleetBreakerCooldown := flag.Duration("fleet-breaker-cooldown", 0, "how long an open breaker sheds load before a half-open probe dispatch (0 = 5s)")
 	flag.Parse()
 
-	if *spool != "" {
-		if err := os.MkdirAll(*spool, 0o755); err != nil {
-			log.Fatal(err)
-		}
-	}
 	var fleetWorkers []string
 	if *fleetList != "" {
 		if *fleetFile != "" {
@@ -131,9 +126,6 @@ func main() {
 			workerDir = filepath.Join(*spool, "worker")
 		} else {
 			workerDir = filepath.Join(os.TempDir(), fmt.Sprintf("orojenesisd-worker-%d", os.Getpid()))
-		}
-		if err := os.MkdirAll(workerDir, 0o755); err != nil {
-			log.Fatal(err)
 		}
 	}
 
@@ -192,17 +184,18 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// A previous process may have died mid-derivation: every spooled
-	// sharded run leaves a spec.json beside its checkpoints, so finish
-	// those derivations now — before taking traffic — and serve them from
-	// cache. Spools without a spec (or that fail) are kept; a client
-	// re-requesting the same derivation still resumes them.
-	if *spool != "" {
-		if n, err := srv.ResumeOrphans(ctx); err != nil {
-			log.Printf("scanning spool for orphans: %v", err)
-		} else if n > 0 {
-			log.Printf("resumed %d orphaned derivation(s) from spool %q", n, *spool)
-		}
+	// Create the spool and worker directories — an unusable one fails
+	// startup — and, since a previous process may have died
+	// mid-derivation, finish every spooled sharded run it left with a
+	// spec.json beside its checkpoints now, before taking traffic, and
+	// serve them from cache. Spools without a spec (or that fail) are
+	// kept; a client re-requesting the same derivation still resumes them.
+	n, err := srv.ResumeOrphans(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if n > 0 {
+		log.Printf("resumed %d orphaned derivation(s) from spool %q", n, *spool)
 	}
 
 	errc := make(chan error, 1)

@@ -235,8 +235,9 @@ func runPlan(ctx context.Context, cfg ShardRunConfig, f *ShardFlags, mkJob func(
 		}
 	}
 	if len(urls) > 0 {
+		t := opts.Registry.Totals()
 		fmt.Printf("fleet of %d workers derived %d shards in %d dispatches (%d retries, %d speculations, %d deferrals)\n",
-			len(urls), f.Supervise, report.Dispatches, report.Retries, report.Speculations, report.Deferrals)
+			len(urls), f.Supervise, t.Dispatches, t.Retries, t.Speculations, t.Deferrals)
 	} else {
 		fmt.Printf("supervised %d shards in %d attempts\n", f.Supervise, attempts)
 	}

@@ -164,15 +164,13 @@ func (c *coord) attemptWithSpeculation(ctx context.Context, st *ShardState, job 
 	inFlight := map[string]bool{primary: true}
 	launch := func(worker string) {
 		st.Attempts++
-		c.dispatches.Add(1)
 		go func() {
-			defer c.reg.release(worker)
 			start := time.Now()
 			data, qpath, aerr := c.post(actx, st.Path, job, expected, worker)
-			// Health accounting happens here, in the dispatch goroutine, so
+			// The books are kept here, in the dispatch goroutine, so
 			// speculation losers' outcomes reach the breaker and the
 			// throughput estimate too.
-			c.record(worker, time.Since(start), aerr)
+			c.reg.done(worker, time.Since(start), aerr)
 			results <- attemptResult{data: data, worker: worker, qpath: qpath, err: aerr}
 		}()
 	}
@@ -210,7 +208,7 @@ func (c *coord) attemptWithSpeculation(ctx context.Context, st *ShardState, job 
 				inFlight[w] = true
 				pending++
 				st.Speculated++
-				c.speculations.Add(1)
+				c.reg.tally(Totals{Speculations: 1})
 				c.opts.logf("fleet: shard %s straggling; speculating on %s", job.Plan, w)
 				launch(w)
 			}
@@ -334,7 +332,7 @@ func (c *coord) quarantineBytes(slotPath string, data []byte) string {
 		if err == nil {
 			var qpath string
 			if qpath, err = shard.Quarantine(fsys, tmp.Name(), slotPath+".quarantine"); err == nil {
-				c.quarantines.Add(1)
+				c.reg.tally(Totals{Quarantines: 1})
 				return qpath
 			}
 		}

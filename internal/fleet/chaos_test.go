@@ -49,15 +49,15 @@ func chaosRun(t *testing.T, n int, tr *chaos.Transport, opts Options) *Report {
 	return report
 }
 
-// statusOf finds a worker's final status in a report.
-func statusOf(t *testing.T, report *Report, url string) WorkerStatus {
+// statusOf finds a worker's final status in a registry.
+func statusOf(t *testing.T, reg *Registry, url string) WorkerStatus {
 	t.Helper()
-	for _, ws := range report.Workers {
+	for _, ws := range reg.Snapshot() {
 		if ws.URL == url {
 			return ws
 		}
 	}
-	t.Fatalf("worker %s missing from report", url)
+	t.Fatalf("worker %s missing from registry", url)
 	return WorkerStatus{}
 }
 
@@ -68,14 +68,14 @@ func TestChaosMatrix(t *testing.T) {
 		name string
 		// inject scripts the faulty worker; it returns extra Options and a
 		// post-run assertion.
-		inject func(tr *chaos.Transport, faulty string) (Options, func(t *testing.T, r *Report))
+		inject func(tr *chaos.Transport, faulty string) (Options, func(t *testing.T, reg *Registry))
 	}{
 		{
 			name: "hang",
-			inject: func(tr *chaos.Transport, faulty string) (Options, func(*testing.T, *Report)) {
+			inject: func(tr *chaos.Transport, faulty string) (Options, func(*testing.T, *Registry)) {
 				tr.Script(faulty, chaos.Hang(), chaos.Hang())
-				return Options{AttemptTimeout: 500 * time.Millisecond}, func(t *testing.T, r *Report) {
-					if r.Retries == 0 {
+				return Options{AttemptTimeout: 500 * time.Millisecond}, func(t *testing.T, reg *Registry) {
+					if reg.Totals().Retries == 0 {
 						t.Fatal("hangs cost no retries — the faulty worker was never dispatched to")
 					}
 				}
@@ -83,10 +83,10 @@ func TestChaosMatrix(t *testing.T) {
 		},
 		{
 			name: "connection refused",
-			inject: func(tr *chaos.Transport, faulty string) (Options, func(*testing.T, *Report)) {
+			inject: func(tr *chaos.Transport, faulty string) (Options, func(*testing.T, *Registry)) {
 				tr.Always(faulty, chaos.Refuse())
-				return Options{}, func(t *testing.T, r *Report) {
-					ws := statusOf(t, r, faulty)
+				return Options{}, func(t *testing.T, reg *Registry) {
+					ws := statusOf(t, reg, faulty)
 					if ws.Completions != 0 || ws.Failures == 0 {
 						t.Fatalf("refused worker books: %+v", ws)
 					}
@@ -95,7 +95,7 @@ func TestChaosMatrix(t *testing.T) {
 		},
 		{
 			name: "5xx flap",
-			inject: func(tr *chaos.Transport, faulty string) (Options, func(*testing.T, *Report)) {
+			inject: func(tr *chaos.Transport, faulty string) (Options, func(*testing.T, *Registry)) {
 				tr.Script(faulty, chaos.Status(http.StatusInternalServerError, 0),
 					chaos.Status(http.StatusInternalServerError, 0), chaos.Pass())
 				return Options{}, nil
@@ -103,10 +103,10 @@ func TestChaosMatrix(t *testing.T) {
 		},
 		{
 			name: "partition mid-body",
-			inject: func(tr *chaos.Transport, faulty string) (Options, func(*testing.T, *Report)) {
+			inject: func(tr *chaos.Transport, faulty string) (Options, func(*testing.T, *Registry)) {
 				tr.Script(faulty, chaos.PartitionMidBody(), chaos.PartitionMidBody())
-				return Options{}, func(t *testing.T, r *Report) {
-					if r.Retries == 0 {
+				return Options{}, func(t *testing.T, reg *Registry) {
+					if reg.Totals().Retries == 0 {
 						t.Fatal("partitions cost no retries")
 					}
 				}
@@ -114,18 +114,18 @@ func TestChaosMatrix(t *testing.T) {
 		},
 		{
 			name: "slow drip past the attempt deadline",
-			inject: func(tr *chaos.Transport, faulty string) (Options, func(*testing.T, *Report)) {
+			inject: func(tr *chaos.Transport, faulty string) (Options, func(*testing.T, *Registry)) {
 				tr.Script(faulty, chaos.SlowDrip(2*time.Second, 64), chaos.SlowDrip(2*time.Second, 64))
 				return Options{AttemptTimeout: 300 * time.Millisecond}, nil
 			},
 		},
 		{
 			name: "saturated with Retry-After",
-			inject: func(tr *chaos.Transport, faulty string) (Options, func(*testing.T, *Report)) {
+			inject: func(tr *chaos.Transport, faulty string) (Options, func(*testing.T, *Registry)) {
 				tr.Script(faulty, chaos.Status(http.StatusTooManyRequests, time.Second),
 					chaos.Status(http.StatusTooManyRequests, time.Second))
-				return Options{}, func(t *testing.T, r *Report) {
-					if r.Deferrals == 0 {
+				return Options{}, func(t *testing.T, reg *Registry) {
+					if reg.Totals().Deferrals == 0 {
 						t.Fatal("Retry-After answers produced no deferrals")
 					}
 				}
@@ -138,9 +138,9 @@ func TestChaosMatrix(t *testing.T) {
 			tr := chaos.NewTransport(nil)
 			opts, check := tc.inject(tr, faulty.URL)
 			opts.Registry = registryOf(RegistryConfig{}, faulty.URL, good.URL)
-			report := chaosRun(t, 4, tr, opts)
+			chaosRun(t, 4, tr, opts)
 			if check != nil {
-				check(t, report)
+				check(t, opts.Registry)
 			}
 		})
 	}
@@ -156,11 +156,12 @@ func TestChaosBreakerShedsLoad(t *testing.T) {
 	tr.Always(faulty.URL, chaos.Refuse())
 
 	const n = 12
-	report := chaosRun(t, n, tr, Options{
-		Registry: registryOf(RegistryConfig{Breaker: BreakerConfig{Failures: 2, Cooldown: time.Minute}}, faulty.URL, good.URL),
+	reg := registryOf(RegistryConfig{Breaker: BreakerConfig{Failures: 2, Cooldown: time.Minute}}, faulty.URL, good.URL)
+	chaosRun(t, n, tr, Options{
+		Registry: reg,
 	})
 
-	fs, gs := statusOf(t, report, faulty.URL), statusOf(t, report, good.URL)
+	fs, gs := statusOf(t, reg, faulty.URL), statusOf(t, reg, good.URL)
 	if fs.Breaker != "open" {
 		t.Fatalf("faulty worker breaker %q, want open", fs.Breaker)
 	}
@@ -188,14 +189,15 @@ func TestChaosBreakerRecovery(t *testing.T) {
 
 	const cooldown = 300 * time.Millisecond
 	start := time.Now()
-	report := chaosRun(t, 1, tr, Options{
-		Registry:   registryOf(RegistryConfig{Breaker: BreakerConfig{Failures: 2, Cooldown: cooldown}}, worker.URL),
+	reg := registryOf(RegistryConfig{Breaker: BreakerConfig{Failures: 2, Cooldown: cooldown}}, worker.URL)
+	chaosRun(t, 1, tr, Options{
+		Registry:   reg,
 		MaxRetries: 5,
 	})
 	if elapsed := time.Since(start); elapsed < cooldown {
 		t.Fatalf("run finished in %v, inside the %v cooldown — the open breaker admitted a dispatch early", elapsed, cooldown)
 	}
-	ws := statusOf(t, report, worker.URL)
+	ws := statusOf(t, reg, worker.URL)
 	if ws.Breaker != "closed" {
 		t.Fatalf("breaker %q after successful probe, want closed", ws.Breaker)
 	}
@@ -214,10 +216,11 @@ func TestChaosThroughputAllocation(t *testing.T) {
 	// the fast worker answers at compute speed.
 	tr.Always(slow.URL, chaos.SlowDrip(200*time.Millisecond, 1<<20))
 
-	report := chaosRun(t, 10, tr, Options{
-		Registry: registryOf(RegistryConfig{}, fast.URL, slow.URL),
+	reg := registryOf(RegistryConfig{}, fast.URL, slow.URL)
+	chaosRun(t, 10, tr, Options{
+		Registry: reg,
 	})
-	fs, ss := statusOf(t, report, fast.URL), statusOf(t, report, slow.URL)
+	fs, ss := statusOf(t, reg, fast.URL), statusOf(t, reg, slow.URL)
 	if fs.Completions <= ss.Completions {
 		t.Fatalf("throughput allocation: fast worker completed %d, slow %d — want strictly more on the fast one",
 			fs.Completions, ss.Completions)
@@ -266,7 +269,7 @@ func TestChaosWorkerJoins(t *testing.T) {
 	if string(got) != wantCurve(t) {
 		t.Fatal("curve after mid-run join differs from single-process derive")
 	}
-	if ws := statusOf(t, report, fresh.URL); ws.Completions == 0 {
+	if ws := statusOf(t, reg, fresh.URL); ws.Completions == 0 {
 		t.Fatalf("mid-run joiner completed no shards: %+v", ws)
 	}
 	assertCleanSpool(t, dir)

@@ -14,10 +14,10 @@
 //
 // One per-shard loop owns the policy around either kind:
 //
-//   - Spool-slot pre-check. A complete compatible partial already in the
-//     slot is a previous run's result, honored without an attempt; a
-//     corrupt or foreign one is quarantined (shard.Quarantine) so the
-//     slot can be re-derived.
+//   - Slot claim. Before every attempt the loop claims the shard's spool
+//     slot (shard.Claim): a complete compatible partial is a previous
+//     run's result, honored without an attempt; a corrupt or foreign one
+//     is quarantined so the slot can be re-derived.
 //   - Bounded retries with backoff. A failed attempt is retried with
 //     exponential backoff and deterministic jitter (BackoffDelay), up to
 //     a budget. Deterministic failures are not retried: worker 4xx
@@ -38,9 +38,9 @@
 // retry on a different worker, validation of every response against the
 // locally compiled manifest (an invalid response is quarantined, never
 // spooled), speculative re-execution of stragglers, Retry-After holds,
-// and the Registry's health probes, circuit breakers and throughput-
-// ranked allocation (docs/fleet-protocol.md "Health, membership &
-// breakers").
+// and the Registry's circuit breakers (fed by dispatch outcomes and
+// health probes alike), throughput-ranked allocation and fleet totals
+// (docs/fleet-protocol.md "Health, membership & breakers").
 //
 // Results land in the spool layout ShardPath names under Options.Dir,
 // so a killed run resumes by rerunning — or via serve.ResumeOrphans /
@@ -64,7 +64,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/pareto"
@@ -286,28 +285,15 @@ type ShardState struct {
 	Err error
 }
 
-// Report is the outcome of a run: per-shard states, dispatch totals, and
-// exactly one of Curve (exact merge) or Degraded (annotated best-effort
-// merge under AllowPartial); both nil when the run was interrupted or
-// failed.
+// Report is the outcome of a run: per-shard states and exactly one of
+// Curve (exact merge) or Degraded (annotated best-effort merge under
+// AllowPartial); both nil when the run was interrupted or failed. Fleet
+// totals and worker state live in the Registry (Totals, Snapshot).
 type Report struct {
 	Shards      []ShardState
 	Curve       *pareto.Curve
 	Degraded    *shard.Degraded
 	Interrupted bool
-
-	// Dispatches, Retries, Speculations, Quarantines and Deferrals
-	// aggregate the per-shard counts of a dispatching run — the numbers
-	// serve feeds into /stats; all zero when the shards ran in process.
-	Dispatches   int64
-	Retries      int64
-	Speculations int64
-	Quarantines  int64
-	Deferrals    int64
-
-	// Workers is the per-worker health, breaker and throughput snapshot
-	// at the end of a dispatching run (Registry.Snapshot).
-	Workers []WorkerStatus
 }
 
 // ShardPath names shard k (0-based) of n's partial-frontier file inside
@@ -323,40 +309,6 @@ type coord struct {
 	mkJob func(shard.Plan) (shard.Job, error)
 	opts  *Options
 	reg   *Registry // nil when shards run in process
-
-	dispatches   atomic.Int64
-	retries      atomic.Int64
-	speculations atomic.Int64
-	quarantines  atomic.Int64
-	deferrals    atomic.Int64
-}
-
-// record feeds one dispatch outcome into the registry's health books.
-// It runs in the dispatch goroutine so speculative losers' outcomes are
-// recorded too.
-func (c *coord) record(worker string, elapsed time.Duration, err error) {
-	var ra *RetryAfterError
-	var perm *PermanentError
-	switch {
-	case err == nil:
-		c.reg.success(worker, elapsed)
-	case errors.Is(err, context.Canceled):
-		// A cancelled dispatch — the run interrupted, or a speculation
-		// loser — says nothing about the worker's health.
-	case errors.As(err, &ra):
-		// A polite deferral holds exactly that worker for exactly the
-		// hinted duration; it never trips the breaker.
-		c.reg.hold(worker, ra.After)
-		c.reg.failure(worker, false, err.Error())
-	case errors.As(err, &perm):
-		// Deterministic spec rejections are about the request, not the
-		// worker.
-		c.reg.failure(worker, false, err.Error())
-	default:
-		// Transport errors, 5xx, invalid responses, and attempt timeouts
-		// (context.DeadlineExceeded — a hung worker) trip the breaker.
-		c.reg.failure(worker, true, err.Error())
-	}
 }
 
 // Run schedules an n-shard derivation to completion and merges the
@@ -414,14 +366,6 @@ func Run(ctx context.Context, n int, mkJob func(shard.Plan) (shard.Job, error), 
 		}(k)
 	}
 	wg.Wait()
-	if c.reg != nil {
-		report.Dispatches = c.dispatches.Load()
-		report.Retries = c.retries.Load()
-		report.Speculations = c.speculations.Load()
-		report.Quarantines = c.quarantines.Load()
-		report.Deferrals = c.deferrals.Load()
-		report.Workers = c.reg.Snapshot()
-	}
 
 	if err := ctx.Err(); err != nil {
 		report.Interrupted = true
@@ -488,7 +432,7 @@ func mergeDegraded(report *Report, opts *Options) (*shard.Degraded, error) {
 	return shard.MergeDegraded(partials...)
 }
 
-// runShard drives one shard through attempts, backoff and quarantine
+// runShard drives one shard through slot claims, attempts and backoff
 // until it completes, exhausts its retry budget, fails permanently, or
 // the run context is cancelled.
 func (c *coord) runShard(ctx context.Context, k int) ShardState {
@@ -501,31 +445,6 @@ func (c *coord) runShard(ctx context.Context, k int) ShardState {
 	}
 	expected := job.Manifest()
 
-	// Honor spooled work first: a complete compatible partial is a
-	// previous run's result; a corrupt or foreign one is quarantined so
-	// this run's result can land cleanly. An incomplete one of ours is a
-	// checkpoint: the in-process attempt resumes it, a winning dispatch
-	// replaces it.
-	switch prev, err := shard.ReadPartial(c.opts.FS, st.Path); {
-	case err == nil:
-		if cerr := expected.CompatibleWith(&prev.Manifest); cerr != nil || prev.Manifest.ShardIndex != plan.Index {
-			if !c.quarantine(&st, "foreign spool partial") {
-				return st
-			}
-		} else if prev.Manifest.Complete() {
-			st.Completed, st.Resumed = true, true
-			return st
-		}
-	case errors.Is(err, fs.ErrNotExist):
-	case errors.Is(err, shard.ErrCorruptPartial):
-		if !c.quarantine(&st, "corrupt spool partial") {
-			return st
-		}
-	default:
-		st.Err = fmt.Errorf("fleet: inspecting spool partial %s: %w", st.Path, err)
-		return st
-	}
-
 	base, maxb := c.opts.backoffBounds()
 	// Per-shard deterministic jitter stream: reruns reproduce the same
 	// schedule, and shards do not thundering-herd.
@@ -534,11 +453,26 @@ func (c *coord) runShard(ctx context.Context, k int) ShardState {
 
 	avoid := ""
 	for attempt := 0; ; {
-		var aerr error
+		// A complete partial in the slot is a previous run's result; an
+		// incomplete one of ours is a checkpoint the in-process attempt
+		// resumes and a winning dispatch replaces; anything else — found
+		// in the spool or left by a failed attempt — is set aside. A slot
+		// that cannot be read or cleared is retried like a failed attempt.
+		prev, qpath, aerr := shard.Claim(c.opts.FS, st.Path, &expected)
+		if qpath != "" {
+			st.Quarantined = append(st.Quarantined, qpath)
+			c.reg.tally(Totals{Quarantines: 1})
+			c.opts.logf("fleet: shard %s: quarantined unusable partial to %s, re-deriving", plan, qpath)
+		}
 		worker := ""
-		if c.reg == nil {
+		switch {
+		case aerr != nil:
+		case prev != nil && prev.Manifest.Complete():
+			st.Completed, st.Resumed = true, st.Attempts == 0
+			return st
+		case c.reg == nil:
 			aerr = c.runLocal(ctx, &st, job)
-		} else {
+		default:
 			worker, aerr = c.runRemote(ctx, &st, &job, &expected, avoid)
 		}
 		if aerr == nil {
@@ -559,26 +493,20 @@ func (c *coord) runShard(ctx context.Context, k int) ShardState {
 			st.Err = fmt.Errorf("fleet: shard %s failed permanently: %w", plan, aerr)
 			return st
 		case errors.As(aerr, &ra) && st.Deferred < maxShardDeferrals:
-			// The deferral already held the worker (coord.record); retry
+			// The deferral already held the worker (Registry.done); retry
 			// elsewhere immediately without burning budget or backing off.
 			st.Deferred++
-			c.deferrals.Add(1)
+			c.reg.tally(Totals{Deferrals: 1})
 			c.opts.logf("fleet: shard %s deferred by %s for %v; retrying elsewhere", plan, ra.Worker, ra.After)
 			avoid = ""
 			continue
-		case errors.Is(aerr, shard.ErrCorruptPartial), errors.Is(aerr, shard.ErrForeignPartial):
-			// The checkpoint itself went bad under the attempt: set it
-			// aside and re-derive the slice fresh.
-			if !c.quarantine(&st, "corrupt checkpoint") {
-				return st
-			}
 		}
 		if attempt >= retries {
 			st.Err = fmt.Errorf("fleet: shard %s failed after %d attempts: %w: %w", plan, attempt+1, ErrRetriesExhausted, aerr)
 			return st
 		}
 		avoid = worker
-		c.retries.Add(1)
+		c.reg.tally(Totals{Retries: 1})
 		delay := BackoffDelay(base, maxb, attempt, rng)
 		attempt++
 		c.opts.logf("fleet: shard %s attempt failed (%v); retrying in %v", plan, aerr, delay)
@@ -616,22 +544,6 @@ func (c *coord) runLocal(ctx context.Context, st *ShardState, job shard.Job) err
 		return fmt.Errorf("cancelled inside the derivation (%w): %w", errNotRetryable, err)
 	}
 	return err
-}
-
-// quarantine renames the shard's spool slot aside to the first free
-// "<path>.corrupt[.N]" name, recording it in the shard state. A slot
-// that cannot be cleared fails the shard: deriving over it would destroy
-// the evidence.
-func (c *coord) quarantine(st *ShardState, why string) bool {
-	qpath, err := shard.Quarantine(c.opts.FS, st.Path, st.Path+".corrupt")
-	if err != nil {
-		st.Err = fmt.Errorf("fleet: shard %s: cannot quarantine %s %s: %w", st.Plan, why, st.Path, err)
-		return false
-	}
-	st.Quarantined = append(st.Quarantined, qpath)
-	c.quarantines.Add(1)
-	c.opts.logf("fleet: shard %s: quarantined %s to %s, re-deriving", st.Plan, why, qpath)
-	return true
 }
 
 // BackoffDelay computes attempt k's wait: base·2^k capped at max, with

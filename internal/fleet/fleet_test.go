@@ -132,8 +132,9 @@ func TestFleetParity(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			dir := t.TempDir()
+			reg := registryOf(RegistryConfig{}, w1.URL, w2.URL)
 			report, err := Run(context.Background(), n, jobsOf(testSpec()), Options{
-				Registry: registryOf(RegistryConfig{}, w1.URL, w2.URL),
+				Registry: reg,
 				Dir:      dir,
 			})
 			if err != nil {
@@ -146,8 +147,8 @@ func TestFleetParity(t *testing.T) {
 			if string(got) != want {
 				t.Fatalf("fleet curve differs from single-process derive\n got %s\nwant %s", got, want)
 			}
-			if report.Dispatches < int64(n) {
-				t.Fatalf("dispatches %d, want >= %d", report.Dispatches, n)
+			if reg.Totals().Dispatches < int64(n) {
+				t.Fatalf("dispatches %d, want >= %d", reg.Totals().Dispatches, n)
 			}
 			assertCleanSpool(t, dir)
 		})
@@ -257,8 +258,9 @@ func TestFleetKillAWorker(t *testing.T) {
 	good := newWorker(t, nil)
 
 	dir := t.TempDir()
+	reg := registryOf(RegistryConfig{}, dead.URL, good.URL)
 	report, err := Run(context.Background(), 4, jobsOf(testSpec()), Options{
-		Registry:    registryOf(RegistryConfig{}, dead.URL, good.URL),
+		Registry:    reg,
 		Dir:         dir,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  2 * time.Millisecond,
@@ -273,7 +275,7 @@ func TestFleetKillAWorker(t *testing.T) {
 	if string(got) != wantCurve(t) {
 		t.Fatal("curve with a dead worker differs from single-process derive")
 	}
-	if report.Retries == 0 {
+	if reg.Totals().Retries == 0 {
 		t.Fatal("dead worker cost no retries — it was never dispatched to")
 	}
 	assertCleanSpool(t, dir)
@@ -291,8 +293,9 @@ func TestFleetSpeculation(t *testing.T) {
 	fast := newWorker(t, nil)
 
 	dir := t.TempDir()
+	reg := registryOf(RegistryConfig{PerWorker: 1}, slow.URL, fast.URL)
 	report, err := Run(context.Background(), 1, jobsOf(testSpec()), Options{
-		Registry:       registryOf(RegistryConfig{PerWorker: 1}, slow.URL, fast.URL),
+		Registry:       reg,
 		Dir:            dir,
 		SpeculateAfter: 20 * time.Millisecond,
 	})
@@ -303,8 +306,8 @@ func TestFleetSpeculation(t *testing.T) {
 	if st.Worker != fast.URL {
 		t.Fatalf("winner %q, want the speculative worker %q", st.Worker, fast.URL)
 	}
-	if st.Speculated != 1 || report.Speculations != 1 {
-		t.Fatalf("speculated %d (total %d), want 1", st.Speculated, report.Speculations)
+	if st.Speculated != 1 || reg.Totals().Speculations != 1 {
+		t.Fatalf("speculated %d (total %d), want 1", st.Speculated, reg.Totals().Speculations)
 	}
 	if st.Attempts != 2 {
 		t.Fatalf("attempts %d, want 2 (primary + speculative)", st.Attempts)
@@ -406,8 +409,9 @@ func TestFleetFaultMatrix(t *testing.T) {
 			faulty := tc.faulty(t)
 			good := newWorker(t, nil)
 			dir := t.TempDir()
+			reg := registryOf(RegistryConfig{}, faulty.URL, good.URL)
 			report, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
-				Registry:    registryOf(RegistryConfig{}, faulty.URL, good.URL),
+				Registry:    reg,
 				Dir:         dir,
 				BaseBackoff: time.Millisecond,
 				MaxBackoff:  2 * time.Millisecond,
@@ -423,16 +427,16 @@ func TestFleetFaultMatrix(t *testing.T) {
 				t.Fatalf("curve under %s differs from single-process derive", tc.name)
 			}
 			if tc.wantDeferral {
-				if report.Deferrals == 0 {
+				if reg.Totals().Deferrals == 0 {
 					t.Fatalf("%s cost no deferrals — the deferring worker was never dispatched to", tc.name)
 				}
-				if report.Retries != 0 {
-					t.Fatalf("%s burned %d retries; a Retry-After deferral must not spend the budget", tc.name, report.Retries)
+				if reg.Totals().Retries != 0 {
+					t.Fatalf("%s burned %d retries; a Retry-After deferral must not spend the budget", tc.name, reg.Totals().Retries)
 				}
-			} else if report.Retries == 0 {
+			} else if reg.Totals().Retries == 0 {
 				t.Fatalf("%s cost no retries — the faulty worker was never dispatched to", tc.name)
 			}
-			if tc.wantQuarantine && report.Quarantines == 0 {
+			if tc.wantQuarantine && reg.Totals().Quarantines == 0 {
 				t.Fatalf("%s produced no quarantine", tc.name)
 			}
 			assertCleanSpool(t, dir)
@@ -466,19 +470,20 @@ func TestFleetRetryAfterRecovery(t *testing.T) {
 	}))
 	defer worker.Close()
 
+	reg := registryOf(RegistryConfig{}, worker.URL)
 	report, err := Run(context.Background(), 1, jobsOf(testSpec()), Options{
-		Registry:   registryOf(RegistryConfig{}, worker.URL),
+		Registry:   reg,
 		Dir:        dir,
 		MaxRetries: -1, // zero budget: any non-deferral retry would fail the run
 	})
 	if err != nil {
 		t.Fatalf("run against a recovering worker failed: %v", err)
 	}
-	if report.Deferrals != drainingFor {
-		t.Fatalf("deferrals %d, want %d", report.Deferrals, drainingFor)
+	if reg.Totals().Deferrals != drainingFor {
+		t.Fatalf("deferrals %d, want %d", reg.Totals().Deferrals, drainingFor)
 	}
-	if report.Retries != 0 {
-		t.Fatalf("retries %d; deferrals must not spend the budget", report.Retries)
+	if reg.Totals().Retries != 0 {
+		t.Fatalf("retries %d; deferrals must not spend the budget", reg.Totals().Retries)
 	}
 	if report.Shards[0].Deferred != drainingFor {
 		t.Fatalf("shard deferred count %d, want %d", report.Shards[0].Deferred, drainingFor)
@@ -492,7 +497,7 @@ func TestFleetRetryAfterRecovery(t *testing.T) {
 	}
 	// The deferring worker's breaker never tripped: a polite 503 is not a
 	// health failure.
-	if ws := report.Workers[0]; ws.Breaker != "closed" {
+	if ws := reg.Snapshot()[0]; ws.Breaker != "closed" {
 		t.Fatalf("worker breaker %q after deferrals, want closed", ws.Breaker)
 	}
 }

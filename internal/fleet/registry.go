@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -16,12 +17,6 @@ const (
 	// shards/sec estimate: each completed dispatch contributes 30% of the
 	// new estimate.
 	DefaultEWMAAlpha = 0.3
-
-	// DefaultProbeFailures is how many consecutive failed health probes
-	// mark a worker unhealthy (skipped by allocation while alternatives
-	// exist). A single successful probe — or a successful dispatch —
-	// restores health.
-	DefaultProbeFailures = 2
 
 	// DefaultProbeTimeout bounds one health-probe request.
 	DefaultProbeTimeout = 2 * time.Second
@@ -47,20 +42,16 @@ func (c RegistryConfig) perWorker() int {
 	return c.PerWorker
 }
 
-// member is one worker's live state: dispatch slots, probed health, its
-// circuit breaker, the Retry-After hold, and the throughput estimate.
-// All fields are guarded by the Registry mutex.
+// member is one worker's live state: dispatch slots, its circuit
+// breaker, the Retry-After hold, and the throughput estimate. All fields
+// are guarded by the Registry mutex.
 type member struct {
 	url      string
 	free     int
 	inflight int
 
-	// healthy is the probe verdict (true until probes say otherwise);
-	// probeFails counts consecutive failed probes; lastProbe holds the
-	// last probe error for operators.
-	healthy    bool
-	probeFails int
-	lastProbe  string
+	// lastProbe holds the last health-probe error for operators.
+	lastProbe string
 
 	// holdUntil keeps the worker out of allocation until the instant a
 	// 429/503 Retry-After hinted at.
@@ -78,11 +69,11 @@ type member struct {
 }
 
 // WorkerStatus is one worker's externally visible state: the per-worker
-// row of /stats fleet gauges and of Report.Workers.
+// row of /stats fleet gauges.
 type WorkerStatus struct {
 	// URL is the worker's base URL (the membership key).
 	URL string `json:"url"`
-	// Healthy is the probe verdict (true when never probed).
+	// Healthy reports a closed breaker.
 	Healthy bool `json:"healthy"`
 	// Breaker is the circuit-breaker state: closed, open, or half_open.
 	Breaker string `json:"breaker"`
@@ -105,13 +96,11 @@ type WorkerStatus struct {
 }
 
 // Gauges are the fleet-level health counts exported as
-// /stats.fleet_workers: membership size split by breaker state and
-// probed health.
+// /stats.fleet_workers: membership size split by breaker state.
 type Gauges struct {
 	// Total is the membership size.
 	Total int `json:"total"`
-	// Healthy counts members with a closed breaker and a passing (or
-	// absent) probe verdict — the workers allocation prefers.
+	// Healthy counts members with a closed breaker.
 	Healthy int `json:"healthy"`
 	// Open and HalfOpen count members by tripped-breaker state.
 	Open     int `json:"open"`
@@ -120,13 +109,25 @@ type Gauges struct {
 	Held int `json:"held"`
 }
 
-// Registry is the fleet's live membership: the set of worker URLs,
-// each with per-worker dispatch slots, a circuit breaker, a probed
-// health verdict, Retry-After holds, and an EWMA throughput score that
-// allocation ranks by (docs/fleet-protocol.md "Health, membership &
-// breakers"). Workers can be added and removed at runtime — waiters
-// blocked on a slot observe joins immediately — and one Registry may be
-// shared across concurrent fleet runs (serve reuses one per server).
+// Totals are the fleet's cumulative scheduling counts over every run
+// that dispatched through a Registry — the /stats fleet_* counters.
+type Totals struct {
+	// Dispatches counts shard dispatches, speculative duplicates
+	// included; Retries retry rounds after failed attempts; Speculations
+	// duplicates launched on stragglers; Quarantines invalid responses
+	// and unusable spool partials set aside; Deferrals Retry-After
+	// deferrals honored without spending retry budget.
+	Dispatches, Retries, Speculations, Quarantines, Deferrals int64
+}
+
+// Registry is the fleet's live membership and its only worker state: the
+// set of worker URLs, each with per-worker dispatch slots, a circuit
+// breaker fed by dispatch and probe outcomes alike, Retry-After holds,
+// and an EWMA throughput score that allocation ranks by, plus the fleet
+// Totals (docs/fleet-protocol.md "Health, membership & breakers").
+// Workers can be added and removed at runtime — waiters blocked on a
+// slot observe joins immediately — and one Registry may be shared across
+// concurrent fleet runs (serve reuses one per server).
 type Registry struct {
 	cfg RegistryConfig
 
@@ -141,6 +142,8 @@ type Registry struct {
 	wake *time.Timer
 	// now is the clock (a test seam).
 	now func() time.Time
+
+	totals Totals
 }
 
 // NewRegistry builds a registry holding the given workers.
@@ -169,10 +172,9 @@ func (r *Registry) addLocked(url string) bool {
 		return false
 	}
 	r.members[url] = &member{
-		url:     url,
-		free:    r.cfg.perWorker(),
-		healthy: true,
-		br:      breaker{cfg: r.cfg.Breaker},
+		url:  url,
+		free: r.cfg.perWorker(),
+		br:   breaker{cfg: r.cfg.Breaker},
 	}
 	r.order = append(r.order, url)
 	return true
@@ -284,24 +286,15 @@ func (m *member) score() float64 {
 //  1. a worker other than avoid (the one that just failed this shard);
 //  2. half-open probes (an open breaker past its cooldown — one probe
 //     dispatch re-integrates a recovered worker promptly);
-//  3. probed-healthy over probed-unhealthy (an unhealthy worker is a
-//     last resort, kept allocatable so a fleet whose every probe fails
-//     still terminates through breakers and the retry budget);
-//  4. the throughput score (EWMA shards/sec over queue depth, +Inf when
+//  3. the throughput score (EWMA shards/sec over queue depth, +Inf when
 //     unobserved) — fast workers get proportionally more dispatches;
-//  5. free slots, then listing order, for deterministic ties.
+//  4. free slots, then listing order, for deterministic ties.
 //
 // Returns the worker, whether the dispatch is its breaker's half-open
 // probe, and whether anything was pickable. Caller holds mu.
 func (r *Registry) pickLocked(avoid string, exclude map[string]bool, now time.Time) (string, bool, bool) {
-	type cand struct {
-		m          *member
-		notAvoided bool
-		class      int // 0 = half-open probe, 1 = healthy, 2 = unhealthy
-		probe      bool
-		score      float64
-	}
-	var best cand
+	var best *member
+	var bestProbe bool
 	for _, url := range r.order {
 		m := r.members[url]
 		if exclude[url] || m.free <= 0 || now.Before(m.holdUntil) {
@@ -311,40 +304,29 @@ func (r *Registry) pickLocked(avoid string, exclude map[string]bool, now time.Ti
 		if !ok {
 			continue
 		}
-		c := cand{m: m, notAvoided: url != avoid, probe: probe, score: m.score()}
-		switch {
-		case probe:
-			c.class = 0
-		case m.healthy:
-			c.class = 1
-		default:
-			c.class = 2
-		}
-		if best.m == nil || betterCand(c.notAvoided, c.class, c.score, c.m.free,
-			best.notAvoided, best.class, best.score, best.m.free) {
-			best = c
+		if best == nil || better(m, probe, best, bestProbe, avoid) {
+			best, bestProbe = m, probe
 		}
 	}
-	if best.m == nil {
+	if best == nil {
 		return "", false, false
 	}
-	return best.m.url, best.probe, true
+	return best.url, bestProbe, true
 }
 
-// betterCand compares two allocation candidates by the pickLocked
-// ranking (listing order breaks final ties by keeping the incumbent).
-func betterCand(aNotAvoided bool, aClass int, aScore float64, aFree int,
-	bNotAvoided bool, bClass int, bScore float64, bFree int) bool {
-	if aNotAvoided != bNotAvoided {
-		return aNotAvoided
+// better compares two allocation candidates by the pickLocked ranking
+// (listing order breaks final ties by keeping the incumbent b).
+func better(a *member, aProbe bool, b *member, bProbe bool, avoid string) bool {
+	if aAvoided, bAvoided := a.url == avoid, b.url == avoid; aAvoided != bAvoided {
+		return bAvoided
 	}
-	if aClass != bClass {
-		return aClass < bClass
+	if aProbe != bProbe {
+		return aProbe
 	}
-	if aScore != bScore {
-		return aScore > bScore
+	if as, bs := a.score(), b.score(); as != bs {
+		return as > bs
 	}
-	return aFree > bFree
+	return a.free > b.free
 }
 
 // nextEventLocked finds the earliest future instant a currently
@@ -440,93 +422,92 @@ func (r *Registry) takeLocked(url string, probe bool) {
 	m.free--
 	m.inflight++
 	m.dispatches++
+	r.totals.Dispatches++
 	if probe {
 		m.br.probeAt()
 		r.logf("fleet: worker %s breaker half-open; probing with the next dispatch", url)
 	}
 }
 
-// release returns a worker's slot and wakes waiters. A worker removed
-// (or removed-and-rejoined) while the dispatch was in flight keeps its
-// books consistent via clamping.
-func (r *Registry) release(url string) {
-	r.mu.Lock()
-	if m, ok := r.members[url]; ok {
-		if m.inflight > 0 {
-			m.inflight--
-		}
-		if m.free < r.cfg.perWorker() {
-			m.free++
-		}
-	}
-	r.mu.Unlock()
-	r.cond.Broadcast()
-}
-
-// success records a validated dispatch completion that took elapsed:
-// the breaker re-closes, probed health is restored (a correct response
-// is the strongest health signal), and the throughput estimate absorbs
-// the new shards/sec sample.
-func (r *Registry) success(url string, elapsed time.Duration) {
-	r.mu.Lock()
-	if m, ok := r.members[url]; ok {
-		m.completions++
-		secs := elapsed.Seconds()
-		if secs <= 0 {
-			secs = 1e-9
-		}
-		sample := 1 / secs
-		if m.completions == 1 {
-			m.ewma = sample
-		} else {
-			a := DefaultEWMAAlpha
-			m.ewma = a*sample + (1-a)*m.ewma
-		}
-		m.br.recordSuccess()
-		m.healthy = true
-		m.probeFails = 0
-		m.lastErr = ""
-	}
-	r.mu.Unlock()
-	// A re-closed breaker may unblock waiters.
-	r.cond.Broadcast()
-}
-
-// failure records a failed dispatch. tripsBreaker feeds the outcome to
-// the circuit breaker — transport errors, 5xx, invalid responses — and
-// is false for failures that say nothing about the worker's health
-// (deterministic spec rejections, polite Retry-After deferrals).
-func (r *Registry) failure(url string, tripsBreaker bool, msg string) {
-	r.mu.Lock()
+// done ends a dispatch to url that took elapsed: the slot returns (a
+// worker removed, or removed and rejoined, while the dispatch was in
+// flight keeps consistent books through clamping), the outcome enters the
+// worker's books, and waiters wake. A success re-closes the breaker and
+// folds a shards/sec sample into the throughput estimate. A cancellation
+// — the run interrupted, a speculation loser — says nothing about the
+// worker. A Retry-After deferral holds exactly that worker for the hinted
+// time (holds extend, never shorten), and a PermanentError is about the
+// request, not the worker: neither trips the breaker. Every other failure
+// — transport errors, 5xx, invalid responses, attempt timeouts (a hung
+// worker) — does.
+func (r *Registry) done(url string, elapsed time.Duration, err error) {
+	var ra *RetryAfterError
+	var perm *PermanentError
 	var opened bool
+	r.mu.Lock()
 	if m, ok := r.members[url]; ok {
-		m.failures++
-		m.lastErr = msg
-		if tripsBreaker {
-			was := m.br.state
-			m.br.recordFailure(r.now())
-			opened = was != BreakerOpen && m.br.state == BreakerOpen
+		m.inflight = max(m.inflight-1, 0)
+		m.free = min(m.free+1, r.cfg.perWorker())
+		switch {
+		case err == nil:
+			m.completions++
+			sample := 1 / max(elapsed.Seconds(), 1e-9)
+			if m.completions == 1 {
+				m.ewma = sample
+			} else {
+				m.ewma = DefaultEWMAAlpha*sample + (1-DefaultEWMAAlpha)*m.ewma
+			}
+			m.br.recordSuccess()
+			m.lastErr = ""
+		case errors.Is(err, context.Canceled):
+		default:
+			m.failures++
+			m.lastErr = err.Error()
+			if errors.As(err, &ra) {
+				if until := r.now().Add(ra.After); until.After(m.holdUntil) {
+					m.holdUntil = until
+				}
+			} else if !errors.As(err, &perm) {
+				opened = r.tripLocked(m)
+			}
 		}
 	}
 	r.mu.Unlock()
 	if opened {
-		r.logf("fleet: worker %s breaker opened (%s)", url, msg)
-		// Waiters re-arm their timed wake around the new cooldown.
-		r.cond.Broadcast()
+		r.logf("fleet: worker %s breaker opened (%v)", url, err)
 	}
+	r.cond.Broadcast()
 }
 
-// hold keeps a worker out of allocation for d — the Retry-After path: a
-// 429/503 with a hint means "this worker, this long", not "back off
-// everywhere". Holds extend, never shorten.
-func (r *Registry) hold(url string, d time.Duration) {
-	r.mu.Lock()
-	if m, ok := r.members[url]; ok {
-		if until := r.now().Add(d); until.After(m.holdUntil) {
-			m.holdUntil = until
-		}
+// tripLocked feeds a failed dispatch or probe to m's breaker and reports
+// whether that opened it. Caller holds mu.
+func (r *Registry) tripLocked(m *member) bool {
+	was := m.br.state
+	m.br.recordFailure(r.now())
+	return was != BreakerOpen && m.br.state == BreakerOpen
+}
+
+// tally adds d's retries, speculations, quarantines and deferrals to the
+// fleet totals (dispatches are counted as their slots are taken). A nil
+// registry (shards run in process) counts nothing.
+func (r *Registry) tally(d Totals) {
+	if r == nil {
+		return
 	}
-	r.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	t := &r.totals
+	t.Retries += d.Retries
+	t.Speculations += d.Speculations
+	t.Quarantines += d.Quarantines
+	t.Deferrals += d.Deferrals
+}
+
+// Totals reports the fleet's cumulative scheduling counts.
+func (r *Registry) Totals() Totals {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.totals
 }
 
 // wakeAll unblocks every acquire waiter (used on run cancellation).
@@ -536,25 +517,12 @@ func (r *Registry) wakeAll() {
 	r.cond.Broadcast()
 }
 
-// ProbeError is a health probe the worker answered with a non-200
-// status (as opposed to a transport failure reaching it at all).
-type ProbeError struct {
-	// Worker is the probed worker's base URL; Status the answer.
-	Worker string
-	Status int
-}
-
-// Error renders the failed probe.
-func (e *ProbeError) Error() string {
-	return fmt.Sprintf("fleet: worker %s probe answered %d", e.Worker, e.Status)
-}
-
 // Probe runs one synchronous health round: every member's /readyz is
-// fetched (concurrently, each under the probe timeout) and verdicts are
-// applied — a 200 restores health immediately; DefaultProbeFailures
-// consecutive failures mark the worker unhealthy, demoting it in
-// allocation without removing it. Probes observe health; breakers, fed
-// by real dispatch outcomes, own the load-shedding decision.
+// fetched (concurrently, each under the probe timeout) and each outcome
+// is fed to the worker's breaker exactly like a dispatch outcome — a 200
+// re-closes it, a failure counts toward opening it — so a worker that
+// stops answering is shed for the breaker cooldown without a dispatch
+// having to fail first.
 func (r *Registry) Probe(ctx context.Context, client *http.Client) {
 	if client == nil {
 		client = http.DefaultClient
@@ -590,40 +558,34 @@ func (r *Registry) probeOne(ctx context.Context, client *http.Client, url string
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return &ProbeError{Worker: url, Status: resp.StatusCode}
+		return fmt.Errorf("fleet: worker %s probe answered %d", url, resp.StatusCode)
 	}
 	return nil
 }
 
-// applyProbe folds one probe verdict into the member's health state.
+// applyProbe feeds one probe outcome to the member's breaker.
 func (r *Registry) applyProbe(url string, err error) {
 	r.mu.Lock()
 	m, ok := r.members[url]
-	if !ok {
-		r.mu.Unlock()
-		return
-	}
-	var becameHealthy, becameUnhealthy bool
-	if err == nil {
-		becameHealthy = !m.healthy
-		m.healthy = true
-		m.probeFails = 0
+	var closed, opened bool
+	if ok {
 		m.lastProbe = ""
-	} else {
-		m.probeFails++
-		m.lastProbe = err.Error()
-		if m.probeFails >= DefaultProbeFailures && m.healthy {
-			m.healthy = false
-			becameUnhealthy = true
+		if err == nil {
+			closed = m.br.state != BreakerClosed
+			m.br.recordSuccess()
+		} else {
+			m.lastProbe = err.Error()
+			opened = r.tripLocked(m)
 		}
 	}
 	r.mu.Unlock()
-	if becameHealthy {
-		r.logf("fleet: worker %s probe recovered; marked healthy", url)
+	if closed {
+		r.logf("fleet: worker %s answered its probe; breaker closed", url)
 		r.cond.Broadcast()
 	}
-	if becameUnhealthy {
-		r.logf("fleet: worker %s failed %d consecutive probes; marked unhealthy (%v)", url, DefaultProbeFailures, err)
+	if opened {
+		r.logf("fleet: worker %s breaker opened (%v)", url, err)
+		r.cond.Broadcast()
 	}
 }
 
@@ -646,7 +608,7 @@ func (r *Registry) StartProbing(ctx context.Context, interval time.Duration, cli
 }
 
 // Snapshot reports every member's status in join order — the per-worker
-// rows of /stats and Report.Workers.
+// rows of /stats.
 func (r *Registry) Snapshot() []WorkerStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -656,7 +618,7 @@ func (r *Registry) Snapshot() []WorkerStatus {
 		m := r.members[url]
 		out = append(out, WorkerStatus{
 			URL:            m.url,
-			Healthy:        m.healthy,
+			Healthy:        m.br.state == BreakerClosed,
 			Breaker:        m.br.state.String(),
 			Held:           now.Before(m.holdUntil),
 			InFlight:       m.inflight,
@@ -672,25 +634,20 @@ func (r *Registry) Snapshot() []WorkerStatus {
 }
 
 // Gauges reports the fleet-level health counts (the
-// /stats.fleet_workers scalars).
+// /stats.fleet_workers scalars) over a Snapshot.
 func (r *Registry) Gauges() Gauges {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := r.now()
-	g := Gauges{Total: len(r.order)}
-	for _, url := range r.order {
-		m := r.members[url]
-		switch m.br.state {
-		case BreakerOpen:
+	g := Gauges{}
+	for _, ws := range r.Snapshot() {
+		g.Total++
+		switch ws.Breaker {
+		case BreakerOpen.String():
 			g.Open++
-		case BreakerHalfOpen:
+		case BreakerHalfOpen.String():
 			g.HalfOpen++
 		default:
-			if m.healthy {
-				g.Healthy++
-			}
+			g.Healthy++
 		}
-		if now.Before(m.holdUntil) {
+		if ws.Held {
 			g.Held++
 		}
 	}

@@ -25,7 +25,7 @@ func TestRegistryMembership(t *testing.T) {
 	}
 
 	// B accumulates state that must survive reconciliation.
-	r.success("B", time.Second)
+	r.done("B", time.Second, nil)
 	added, removed := r.SetWorkers([]string{"B", "D"})
 	if added != 1 || removed != 2 {
 		t.Fatalf("SetWorkers added %d removed %d, want 1 and 2", added, removed)
@@ -110,7 +110,7 @@ func TestRegistryRemoveFailsWaiter(t *testing.T) {
 // woken by the registry's timed wake — no external event needed.
 func TestRegistryHoldExpiry(t *testing.T) {
 	r := NewRegistry([]string{"A"}, RegistryConfig{})
-	r.hold("A", 60*time.Millisecond)
+	r.done("A", 0, &RetryAfterError{Worker: "A", After: 60 * time.Millisecond})
 	if _, ok := r.tryAcquire(nil); ok {
 		t.Fatal("held worker was pickable")
 	}
@@ -132,7 +132,7 @@ func TestRegistryBreakerShedsAndProbes(t *testing.T) {
 	r := NewRegistry([]string{"A"}, RegistryConfig{
 		Breaker: BreakerConfig{Failures: 1, Cooldown: 60 * time.Millisecond},
 	})
-	r.failure("A", true, "injected")
+	r.done("A", 0, errors.New("injected"))
 	if g := r.Gauges(); g.Open != 1 {
 		t.Fatalf("gauges after trip: %+v, want one open", g)
 	}
@@ -155,8 +155,7 @@ func TestRegistryBreakerShedsAndProbes(t *testing.T) {
 	if _, ok := r.tryAcquire(nil); ok {
 		t.Fatal("half-open breaker admitted a second dispatch")
 	}
-	r.success("A", time.Millisecond)
-	r.release("A")
+	r.done("A", time.Millisecond, nil)
 	if g := r.Gauges(); g.Healthy != 1 || g.Open != 0 || g.HalfOpen != 0 {
 		t.Fatalf("gauges after probe success: %+v, want one healthy", g)
 	}
@@ -167,8 +166,8 @@ func TestRegistryBreakerShedsAndProbes(t *testing.T) {
 // exposes it.
 func TestRegistryThroughputEWMA(t *testing.T) {
 	r := NewRegistry([]string{"A"}, RegistryConfig{})
-	r.success("A", time.Second) // first sample sets the estimate: 1/s
-	r.success("A", 250*time.Millisecond)
+	r.done("A", time.Second, nil) // first sample sets the estimate: 1/s
+	r.done("A", 250*time.Millisecond, nil)
 	ws := r.Snapshot()[0]
 	// DefaultEWMAAlpha 0.3: 0.3*4 + 0.7*1 = 1.9 shards/sec.
 	if ws.ShardsPerSec < 1.89 || ws.ShardsPerSec > 1.91 {
@@ -179,9 +178,10 @@ func TestRegistryThroughputEWMA(t *testing.T) {
 	}
 }
 
-// TestRegistryProbe pins probe semantics against live endpoints: a 200
-// /readyz keeps (or restores) health, DefaultProbeFailures consecutive
-// failures mark a worker unhealthy, and one success heals it.
+// TestRegistryProbe pins probe semantics against live endpoints: each
+// probe outcome feeds the worker's breaker like a dispatch outcome, so
+// the configured count of consecutive failed probes opens it (the
+// worker reads unhealthy) and one answered probe re-closes it.
 func TestRegistryProbe(t *testing.T) {
 	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/readyz" {
@@ -200,7 +200,7 @@ func TestRegistryProbe(t *testing.T) {
 	}))
 	defer flaky.Close()
 
-	r := NewRegistry([]string{healthy.URL, flaky.URL}, RegistryConfig{})
+	r := NewRegistry([]string{healthy.URL, flaky.URL}, RegistryConfig{Breaker: BreakerConfig{Failures: 2}})
 	ctx := context.Background()
 	r.Probe(ctx, nil)
 	if g := r.Gauges(); g.Healthy != 2 {
@@ -210,17 +210,17 @@ func TestRegistryProbe(t *testing.T) {
 	sick = true
 	r.Probe(ctx, nil)
 	if g := r.Gauges(); g.Healthy != 2 {
-		t.Fatalf("one failed probe already demoted the worker: %+v", g)
+		t.Fatalf("one failed probe already opened the breaker: %+v", g)
 	}
 	r.Probe(ctx, nil)
-	if g := r.Gauges(); g.Healthy != 1 {
-		t.Fatalf("gauges after %d failed probes: %+v, want 1 healthy", 2, g)
+	if g := r.Gauges(); g.Healthy != 1 || g.Open != 1 {
+		t.Fatalf("gauges after %d failed probes: %+v, want 1 healthy, 1 open", 2, g)
 	}
 	var found bool
 	for _, ws := range r.Snapshot() {
 		if ws.URL == flaky.URL {
 			found = true
-			if ws.Healthy || ws.LastProbeError == "" {
+			if ws.Healthy || ws.Breaker != "open" || ws.LastProbeError == "" {
 				t.Fatalf("unhealthy worker snapshot %+v", ws)
 			}
 		}
@@ -236,18 +236,31 @@ func TestRegistryProbe(t *testing.T) {
 	}
 }
 
-// TestRegistryUnhealthyIsLastResort pins that a probed-unhealthy worker
-// is still allocatable when it is all the fleet has — health demotes, it
-// never deadlocks.
-func TestRegistryUnhealthyIsLastResort(t *testing.T) {
-	r := NewRegistry([]string{"A", "B"}, RegistryConfig{})
-	r.mu.Lock()
-	r.members["A"].healthy = false
-	r.mu.Unlock()
-	if w, ok := r.tryAcquire(nil); !ok || w != "B" {
-		t.Fatalf("pick %q, want the healthy B", w)
+// TestRegistryProbedOutWorkerGetsCooldownDispatch pins that a lone
+// worker whose probes fail is shed only until its breaker cooldown ends:
+// then it gets the half-open dispatch, so a fleet whose every probe
+// fails still makes progress instead of deadlocking.
+func TestRegistryProbedOutWorkerGetsCooldownDispatch(t *testing.T) {
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer down.Close()
+	r := NewRegistry([]string{down.URL}, RegistryConfig{
+		Breaker: BreakerConfig{Failures: 1, Cooldown: 60 * time.Millisecond},
+	})
+	start := time.Now()
+	r.Probe(context.Background(), nil)
+	if _, ok := r.tryAcquire(nil); ok {
+		t.Fatal("worker with a failed probe was dispatched to during its cooldown")
 	}
-	if w, ok := r.tryAcquire(map[string]bool{"B": true}); !ok || w != "A" {
-		t.Fatalf("pick with B excluded %q, want the unhealthy A as last resort", w)
+	w, err := r.acquire(context.Background(), "")
+	if err != nil || w != down.URL {
+		t.Fatalf("acquire after cooldown: %q, %v", w, err)
+	}
+	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
+		t.Fatalf("dispatch admitted after %v, before the cooldown", elapsed)
+	}
+	if g := r.Gauges(); g.HalfOpen != 1 {
+		t.Fatalf("gauges %+v, want the dispatch to be the half-open probe", g)
 	}
 }

@@ -206,6 +206,9 @@ func (c *Chain) Validate() error {
 		if op.InW < 1 || op.OutW < 1 || op.WInst < 1 {
 			return fmt.Errorf("fusion: chain %s op %s: non-positive shape", c.Name, op.Name)
 		}
+		if op.HaloRows < 0 {
+			return fmt.Errorf("fusion: chain %s op %s: negative halo rows %d", c.Name, op.Name, op.HaloRows)
+		}
 		if op.RowsPerInst < 1 || c.M%op.RowsPerInst != 0 {
 			return fmt.Errorf("fusion: chain %s op %s: RowsPerInst %d does not divide M %d",
 				c.Name, op.Name, op.RowsPerInst, c.M)

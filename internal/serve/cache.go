@@ -21,8 +21,8 @@ type result struct {
 	fromStore bool
 
 	// fields is the encoded tail of every success envelope that serves
-	// this result (encodeResultFields), filled once before the result is
-	// published by finish or put: a cache hit encodes only its header.
+	// this result (encodeResultFields), filled once before the flight
+	// publishes the result: a cache hit encodes only its header.
 	fields []byte
 }
 
@@ -161,21 +161,6 @@ func (s *memCache) putLocked(key string, res result) {
 		s.order.Remove(el)
 		delete(s.entries, el.Value.(*centry).key)
 	}
-}
-
-// put encodes and inserts a result that was computed outside any flight —
-// the spool-orphan recovery path uses it to publish derivations it
-// completed before the server started taking traffic.
-func (s *memCache) put(key string, res result) error {
-	fields, err := encodeResultFields(res.deriveOut)
-	if err != nil {
-		return err
-	}
-	res.fields = fields
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.putLocked(key, res)
-	return nil
 }
 
 // len reports the number of cached results.

@@ -427,11 +427,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestPrimeExtentSizedPromptly pins that sizing the mapspace before
 // admission — outside any request deadline — stays cheap for extents whose
 // divisors once took an O(√n) trial loop: a prime extent of 2^61 - 1 took
-// about 6 s there. The answer itself is a one-point curve.
+// about 6 s there. The extent here is the prime 2^59 - 55, just under the
+// bound kind's count ceiling (2 · 3 tensors · MACs · 2 bytes), so the
+// request is admitted and derives a positive curve: one point.
 func TestPrimeExtentSizedPromptly(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	start := time.Now()
-	status, data := postCurve(t, ts.URL, `{"gemm":{"m":2305843009213693951,"k":1,"n":1}}`)
+	status, data := postCurve(t, ts.URL, `{"gemm":{"m":576460752303423433,"k":1,"n":1}}`)
 	if el := time.Since(start); el > time.Second {
 		t.Fatalf("answered in %v, want under a second", el)
 	}
@@ -443,7 +445,7 @@ func TestPrimeExtentSizedPromptly(t *testing.T) {
 		t.Fatalf("decoding %s: %v", data, err)
 	}
 	pts := resp.Curve.Points()
-	if len(pts) != 1 || pts[0].BufferBytes != 6 || pts[0].AccessBytes != 2*(1<<62-1) {
-		t.Fatalf("curve %v, want one point at 6 buffer bytes and 2(2^62-1) accesses", pts)
+	if len(pts) != 1 || pts[0].BufferBytes != 6 || pts[0].AccessBytes != 2*(2*576460752303423433+1) {
+		t.Fatalf("curve %v, want one point at 6 buffer bytes and 2(2m+1) accesses", pts)
 	}
 }

@@ -145,9 +145,9 @@ type Config struct {
 
 	// FleetProbeInterval is the period of the fleet registry's /readyz
 	// health probes, running for the server's lifetime; 0 means 15s,
-	// negative disables probing. Probe verdicts demote unhealthy workers
-	// in allocation (docs/fleet-protocol.md "Health, membership &
-	// breakers").
+	// negative disables probing. Each probe outcome feeds the worker's
+	// circuit breaker like a dispatch outcome (docs/fleet-protocol.md
+	// "Health, membership & breakers").
 	FleetProbeInterval time.Duration
 
 	// FleetBreakerFailures and FleetBreakerCooldown tune the per-worker
@@ -157,9 +157,11 @@ type Config struct {
 	FleetBreakerFailures int
 	FleetBreakerCooldown time.Duration
 
-	// FleetClient overrides the coordinator's HTTP client (nil means a
-	// default with sane timeouts) — also the fault-injection seam fleet
-	// transport tests use.
+	// FleetClient overrides the coordinator's HTTP client for dispatches
+	// and health probes — also the fault-injection seam fleet transport
+	// tests use. Nil means http.DefaultClient, which has no client
+	// timeout: a dispatch is then bounded only by its flight's context
+	// (and a probe by fleet.DefaultProbeTimeout).
 	FleetClient *http.Client
 
 	// Logf, when non-nil, receives operational log lines (recovered
@@ -490,6 +492,59 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
+// decodeRequest decodes a POST body into v the way both endpoints
+// accept one: at most maxBodyBytes, no unknown fields. A body that fails
+// is answered with 400 invalid_request and reported as false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, "invalid_request", err.Error(), 0)
+		return false
+	}
+	return true
+}
+
+// timeout resolves a request's timeout_ms: DefaultTimeout when unset,
+// the requested deadline clamped to MaxTimeout otherwise.
+func (s *Server) timeout(ms int64) time.Duration {
+	if ms <= 0 {
+		return s.cfg.DefaultTimeout
+	}
+	return min(time.Duration(ms)*time.Millisecond, s.cfg.MaxTimeout)
+}
+
+// enter registers work with the drain barrier and reports false when the
+// server is draining. Drain's empty flightMu cycle guarantees that once
+// it waits, no caller passes here; a caller that entered must call
+// s.wg.Done when its work ends.
+func (s *Server) enter() bool {
+	s.flightMu.Lock()
+	defer s.flightMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.wg.Add(1)
+	return true
+}
+
+// errDraining fails a flight that could not start because the server is
+// draining.
+var errDraining = errors.New("serve: server is draining")
+
+// lead starts the leader's flight f in its own goroutine, or — when the
+// server is draining — finishes it with errDraining, which every waiter
+// answers with 503 draining.
+func (s *Server) lead(f *flight, d *derivation, shards int, allowPartial, noCache bool) {
+	if !s.enter() {
+		f.cancel()
+		s.mem.finish(f, result{}, errDraining)
+		return
+	}
+	go s.runFlight(f, d, shards, allowPartial, noCache)
+}
+
 func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
 	if retryAfter > 0 {
 		// Round UP to whole seconds: truncation would turn any sub-second
@@ -519,12 +574,8 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req Request
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error(), 0)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.TimeoutMS < 0 {
@@ -575,33 +626,13 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.misses.Add(1)
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
+	timeout := s.timeout(req.TimeoutMS)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
 	f, leader := s.mem.join(s.base, d.key)
 	if leader {
-		// Re-check draining under flightMu: Drain's barrier guarantees
-		// that once it proceeds to wait, no new flight passes here.
-		s.flightMu.Lock()
-		if s.draining.Load() {
-			s.flightMu.Unlock()
-			f.cancel()
-			s.mem.finish(f, result{}, context.Canceled)
-			s.mem.leave(f)
-			writeError(w, http.StatusServiceUnavailable, "draining",
-				"server is draining; retry against another replica", time.Second)
-			return
-		}
-		s.wg.Add(1)
-		s.flightMu.Unlock()
-		go s.runFlight(f, d, req.Shards, req.AllowPartial, req.NoCache)
+		s.lead(f, d, req.Shards, req.AllowPartial, req.NoCache)
 	}
 
 	select {
@@ -668,6 +699,9 @@ func (s *Server) respond(w http.ResponseWriter, d *derivation, req *Request, res
 func (s *Server) writeDeriveError(w http.ResponseWriter, err error) {
 	var pe *traverse.PanicError
 	switch {
+	case errors.Is(err, errDraining):
+		writeError(w, http.StatusServiceUnavailable, "draining",
+			"server is draining; retry against another replica", time.Second)
 	case errors.Is(err, errSaturated):
 		s.stats.saturated.Add(1)
 		writeError(w, http.StatusTooManyRequests, "saturated",
@@ -729,14 +763,10 @@ func (s *Server) runFlight(f *flight, d *derivation, shards int, allowPartial, n
 		}
 		res.deriveOut, err = fn(f.ctx)
 	}()
-	if res.fromStore {
-		// A disk hit replays the original derivation's cost figures;
-		// finish republishes it to the memory LRU.
-		res.fields, err = encodeResultFields(res.deriveOut)
-		s.mem.finish(f, res, err)
-		return
+	if !res.fromStore {
+		// A disk hit replays the original derivation's cost figures.
+		res.elapsed = time.Since(start)
 	}
-	res.elapsed = time.Since(start)
 	var pe *traverse.PanicError
 	if errors.As(err, &pe) {
 		s.stats.panics.Add(1)
@@ -747,7 +777,7 @@ func (s *Server) runFlight(f *flight, d *derivation, shards int, allowPartial, n
 		// Encoding validates the curve, so an invalid one is never persisted.
 		res.fields, err = encodeResultFields(res.deriveOut)
 	}
-	if err == nil {
+	if err == nil && !res.fromStore {
 		s.stats.derivations.Add(1)
 		s.stats.evaluated.Add(res.evaluated)
 		s.stats.deriveNanos.Add(int64(res.elapsed))
@@ -848,11 +878,6 @@ func (s *Server) spooledDerive(d *derivation, shards int, allowPartial bool) der
 			Client:          s.cfg.FleetClient,
 		})
 		if report != nil {
-			s.stats.fleetDispatches.Add(report.Dispatches)
-			s.stats.fleetRetries.Add(report.Retries)
-			s.stats.fleetSpeculations.Add(report.Speculations)
-			s.stats.fleetQuarantines.Add(report.Quarantines)
-			s.stats.fleetDeferrals.Add(report.Deferrals)
 			for _, st := range report.Shards {
 				out.evaluated += st.Evaluated
 			}

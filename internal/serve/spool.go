@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"time"
 
 	"repro/internal/shard"
 	"repro/internal/workload"
@@ -85,11 +84,21 @@ func readSpoolSpec(fsys shard.FS, dir string) (*spoolSpec, error) {
 // client re-issuing the request still resumes them through the normal
 // spooled path.
 //
-// Call it once at startup, before serving traffic; it returns the number
-// of derivations resumed to completion. Per-spool failures are logged
-// and skipped (the spool survives for a later attempt); only a failure
-// to scan the directory itself is returned as an error.
+// Call it once at startup, before serving traffic: it first creates the
+// spool and worker directories, and an error creating either means the
+// server should not start. It returns the number of derivations resumed
+// to completion. Per-spool failures are logged and skipped (the spool
+// survives for a later attempt); only a failure to create or scan the
+// directories themselves is returned as an error.
 func (s *Server) ResumeOrphans(ctx context.Context) (int, error) {
+	for _, root := range []string{s.cfg.SpoolDir, s.cfg.WorkerDir} {
+		if root == "" {
+			continue
+		}
+		if err := s.cfg.fs.MkdirAll(root); err != nil {
+			return 0, fmt.Errorf("serve: creating %s: %w", root, err)
+		}
+	}
 	if s.cfg.SpoolDir == "" {
 		return 0, nil
 	}
@@ -133,28 +142,27 @@ func (s *Server) ResumeOrphans(ctx context.Context) (int, error) {
 				dir, env.Digest, d.digest)
 			continue
 		}
-		// The spooled spec is materialized (spooledDerive persists mspec),
-		// so there is nothing to prepare and the fleet can run directly.
-		// Resume never allows a degraded merge: an orphan that cannot
-		// complete exactly stays in the spool.
-		fn := s.spooledDerive(d, env.Shards, false)
-		if s.cfg.deriveWrap != nil {
-			fn = s.cfg.deriveWrap(d, fn)
+		// Publish through a flight exactly like a request's derivation:
+		// the result is cached, persisted and counted in one place.
+		// noCache keeps the spool resume (and its cleanup) even when the
+		// store already holds the curve; resume never allows a degraded
+		// merge, so an orphan that cannot complete exactly stays in the
+		// spool.
+		f, leader := s.mem.join(s.base, d.key)
+		if leader {
+			s.lead(f, d, env.Shards, false, true)
 		}
-		start := time.Now()
-		out, err := fn(ctx)
+		select {
+		case <-f.done:
+			err = f.err
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		s.mem.leave(f)
 		if err != nil {
 			s.logf("serve: resuming spool %s (%s): %v", dir, d.label, err)
 			continue
 		}
-		res := result{deriveOut: out, elapsed: time.Since(start)}
-		if err := s.mem.put(d.key, res); err != nil {
-			s.logf("serve: caching resumed spool %s (%s): %v", dir, d.label, err)
-			continue
-		}
-		s.diskPut(d, res)
-		s.stats.derivations.Add(1)
-		s.stats.evaluated.Add(out.evaluated)
 		s.logf("serve: resumed orphaned derivation %s (%.12s) from spool", d.label, d.digest)
 		resumed++
 	}

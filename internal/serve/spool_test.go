@@ -257,3 +257,30 @@ func TestSpoolSpecWrittenDurably(t *testing.T) {
 		t.Fatalf("spec.json temp file %q is not named beside its target", tmp)
 	}
 }
+
+// TestResumeOrphansCreatesRoots: the startup call creates the spool and
+// worker directories through the server's filesystem, and a directory
+// that cannot be created is an error — what fails orojenesisd's startup
+// on an unusable -spool.
+func TestResumeOrphansCreatesRoots(t *testing.T) {
+	root := t.TempDir()
+	spool, worker := filepath.Join(root, "spool"), filepath.Join(root, "w", "worker")
+	s, _ := newTestServer(t, Config{SpoolDir: spool, WorkerDir: worker})
+	if n, err := s.ResumeOrphans(context.Background()); err != nil || n != 0 {
+		t.Fatalf("ResumeOrphans = %d, %v; want 0, nil", n, err)
+	}
+	for _, dir := range []string{spool, worker} {
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			t.Fatalf("%s not created: %v", dir, err)
+		}
+	}
+
+	file := filepath.Join(root, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad, _ := newTestServer(t, Config{SpoolDir: filepath.Join(file, "spool")})
+	if _, err := bad.ResumeOrphans(context.Background()); err == nil {
+		t.Fatal("a spool under a regular file was accepted")
+	}
+}

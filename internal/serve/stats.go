@@ -24,16 +24,10 @@ type counters struct {
 	storeHits   atomic.Int64
 	storeWrites atomic.Int64
 
-	// Worker side of the fleet protocol (POST /v1/shard).
+	// Worker side of the fleet protocol (POST /v1/shard); the
+	// coordinator side's totals live in the fleet registry.
 	workerRequests atomic.Int64
 	workerShards   atomic.Int64
-
-	// Coordinator side: totals from fleet.Report after each fleet run.
-	fleetDispatches   atomic.Int64
-	fleetRetries      atomic.Int64
-	fleetSpeculations atomic.Int64
-	fleetQuarantines  atomic.Int64
-	fleetDeferrals    atomic.Int64
 }
 
 // Stats is the GET /stats response: a point-in-time snapshot of the
@@ -83,13 +77,14 @@ type Stats struct {
 	WorkerRequests int64 `json:"worker_requests"`
 	WorkerShards   int64 `json:"worker_shards"`
 
-	// Coordinator-side fleet totals (zero unless the server dispatches
-	// to -fleet workers): FleetDispatches counts shard dispatches
-	// (including speculative duplicates), FleetRetries retry rounds after
-	// failed dispatches, FleetSpeculations speculative duplicates
-	// launched on stragglers, FleetQuarantines invalid responses (and
-	// corrupt spool partials) set aside, FleetDeferrals polite
-	// Retry-After deferrals honored without burning retry budget.
+	// Coordinator-side fleet totals (fleet.Registry.Totals; zero unless
+	// the server dispatches to -fleet workers): FleetDispatches counts
+	// shard dispatches (including speculative duplicates), FleetRetries
+	// retry rounds after failed dispatches, FleetSpeculations
+	// speculative duplicates launched on stragglers, FleetQuarantines
+	// invalid responses (and corrupt spool partials) set aside,
+	// FleetDeferrals polite Retry-After deferrals honored without
+	// burning retry budget.
 	FleetDispatches   int64 `json:"fleet_dispatches"`
 	FleetRetries      int64 `json:"fleet_retries"`
 	FleetSpeculations int64 `json:"fleet_speculations"`
@@ -123,6 +118,7 @@ func (s *Server) Snapshot() Stats {
 		rate = float64(hits) / float64(hits+misses)
 	}
 	nanos := s.stats.deriveNanos.Load()
+	fleet := s.fleetReg.Totals()
 	eval := s.stats.evaluated.Load()
 	var mps float64
 	if nanos > 0 {
@@ -148,11 +144,11 @@ func (s *Server) Snapshot() Stats {
 		MappingsPerSec:    mps,
 		WorkerRequests:    s.stats.workerRequests.Load(),
 		WorkerShards:      s.stats.workerShards.Load(),
-		FleetDispatches:   s.stats.fleetDispatches.Load(),
-		FleetRetries:      s.stats.fleetRetries.Load(),
-		FleetSpeculations: s.stats.fleetSpeculations.Load(),
-		FleetQuarantines:  s.stats.fleetQuarantines.Load(),
-		FleetDeferrals:    s.stats.fleetDeferrals.Load(),
+		FleetDispatches:   fleet.Dispatches,
+		FleetRetries:      fleet.Retries,
+		FleetSpeculations: fleet.Speculations,
+		FleetQuarantines:  fleet.Quarantines,
+		FleetDeferrals:    fleet.Deferrals,
 	}
 	if g := s.fleetReg.Gauges(); g.Total > 0 {
 		st.FleetWorkersGauges = &g

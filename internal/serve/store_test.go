@@ -23,6 +23,7 @@ import (
 	"repro/internal/bound"
 	"repro/internal/cliutil"
 	"repro/internal/einsum"
+	"repro/internal/pareto"
 	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -362,12 +363,12 @@ func TestWrappedCountsNeverPersisted(t *testing.T) {
 	}
 }
 
-// TestWrappedCurveNeverServed: a derived curve the decoder would reject
-// (here wrapped int64 counts) is answered with a named 500, on the miss
-// and again on the retry, and leaves no memory entry and no store file.
+// TestWrappedCurveNeverServed: a workload whose byte counts could wrap
+// int64 is refused at admission with 400 invalid_workload, on the first
+// request and the retry, before any derivation runs.
 func TestWrappedCurveNeverServed(t *testing.T) {
-	dir := t.TempDir()
-	s, ts := newTestServer(t, Config{StoreDir: dir})
+	var derives atomic.Int64
+	_, ts := newTestServer(t, Config{StoreDir: t.TempDir(), deriveWrap: countDerives(&derives)})
 	for _, body := range []string{
 		`{"gemm":{"m":2305843009213693951,"k":2,"n":2}}`,
 		`{"gemm":{"m":4611686018427387847,"k":1,"n":1}}`,
@@ -378,9 +379,38 @@ func TestWrappedCurveNeverServed(t *testing.T) {
 			if err := json.Unmarshal(data, &er); err != nil {
 				t.Fatalf("%s: status %d, undecodable body %s", body, status, data)
 			}
-			if status != http.StatusInternalServerError || er.Error.Code != "invalid_curve" {
-				t.Fatalf("%s: status %d code %q, want 500 invalid_curve: %s", body, status, er.Error.Code, data)
+			if status != http.StatusBadRequest || er.Error.Code != "invalid_workload" {
+				t.Fatalf("%s: status %d code %q, want 400 invalid_workload: %s", body, status, er.Error.Code, data)
 			}
+		}
+	}
+	if n := derives.Load(); n != 0 {
+		t.Fatalf("%d derivations ran, want none", n)
+	}
+}
+
+// TestInvalidCurveNeverPublished pins the publish guard behind admission:
+// a derived curve the decoder would reject (here a wrapped, negative
+// count injected through the derive seam) is answered with a named 500,
+// on the miss and again on the retry, and leaves no memory entry and no
+// store file.
+func TestInvalidCurveNeverPublished(t *testing.T) {
+	dir := t.TempDir()
+	wrapped := pareto.NewBuilder()
+	wrapped.Add(-4611686018427387906, -8)
+	s, ts := newTestServer(t, Config{StoreDir: dir, deriveWrap: func(*derivation, deriveFn) deriveFn {
+		return func(context.Context) (deriveOut, error) {
+			return deriveOut{curve: wrapped.Curve(), evaluated: 1}, nil
+		}
+	}})
+	for try := 0; try < 2; try++ {
+		status, data := postCurve(t, ts.URL, `{"gemm":{"m":8,"k":4,"n":2}}`)
+		var er ErrorResponse
+		if err := json.Unmarshal(data, &er); err != nil {
+			t.Fatalf("status %d, undecodable body %s", status, data)
+		}
+		if status != http.StatusInternalServerError || er.Error.Code != "invalid_curve" {
+			t.Fatalf("status %d code %q, want 500 invalid_curve: %s", status, er.Error.Code, data)
 		}
 	}
 	if n := s.mem.len(); n != 0 {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -101,53 +100,18 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req ShardRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error(), 0)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
-	if req.MaxFormatVersion != 0 && req.MaxFormatVersion < shard.FormatVersion {
-		writeError(w, http.StatusBadRequest, "unsupported_version",
-			fmt.Sprintf("coordinator reads partial formats up to %d; this worker writes format %d",
-				req.MaxFormatVersion, shard.FormatVersion), 0)
-		return
-	}
-	plan := shard.Plan{Index: req.ShardIndex, Count: req.ShardCount}
-	if err := plan.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error(), 0)
-		return
-	}
-	if len(req.Spec) == 0 {
-		writeError(w, http.StatusBadRequest, "invalid_request", "missing workload spec", 0)
-		return
-	}
-	// Decode rejects unknown derivation kinds with an error naming the
-	// known ones, so a coordinator from a newer schema gets a structured
-	// 400, never a 500 out of the panic-containment path. Pinned by
-	// TestWorkerUnknownKindIs400.
-	spec, err := workload.Decode(req.Spec)
+	job, code, err := s.shardJob(&req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_workload", err.Error(), 0)
+		writeError(w, http.StatusBadRequest, code, err.Error(), 0)
 		return
 	}
-	job, err := spec.Compile(plan, workload.Exec{Workers: s.cfg.Workers})
-	if err != nil {
-		// Includes workload.ErrUnmaterialized: the wire contract requires
-		// materialized specs, so an unmaterialized one is a client error.
-		writeError(w, http.StatusBadRequest, "invalid_workload", err.Error(), 0)
-		return
-	}
+	plan := job.Plan
 
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
+	timeout := s.timeout(req.TimeoutMS)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	// Server shutdown must reach a running shard too: Close (and a drain
@@ -156,18 +120,12 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	stopBase := context.AfterFunc(s.base, cancel)
 	defer stopBase()
 
-	// Register with the drain barrier exactly like a curve flight: once
-	// Drain's lock cycles, no new shard run can start, and Drain waits
-	// for the ones already running.
-	s.flightMu.Lock()
-	if s.draining.Load() {
-		s.flightMu.Unlock()
+	// Register with the drain barrier exactly like a curve flight.
+	if !s.enter() {
 		writeError(w, http.StatusServiceUnavailable, "draining",
 			"worker is draining; dispatch the shard to another worker", time.Second)
 		return
 	}
-	s.wg.Add(1)
-	s.flightMu.Unlock()
 	defer s.wg.Done()
 
 	if err := s.adm.acquire(ctx); err != nil {
@@ -189,6 +147,40 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(data)
+}
+
+// shardJob checks a decoded /v1/shard request and compiles its job: the
+// format version, the plan slot, the embedded spec, then the job. A
+// rejection comes with its 400 error code — unsupported_version,
+// invalid_request or invalid_workload.
+func (s *Server) shardJob(req *ShardRequest) (shard.Job, string, error) {
+	if req.MaxFormatVersion != 0 && req.MaxFormatVersion < shard.FormatVersion {
+		return shard.Job{}, "unsupported_version", fmt.Errorf("coordinator reads partial formats up to %d; this worker writes format %d",
+			req.MaxFormatVersion, shard.FormatVersion)
+	}
+	plan := shard.Plan{Index: req.ShardIndex, Count: req.ShardCount}
+	if err := plan.Validate(); err != nil {
+		return shard.Job{}, "invalid_request", err
+	}
+	if len(req.Spec) == 0 {
+		return shard.Job{}, "invalid_request", errors.New("missing workload spec")
+	}
+	// Decode rejects unknown derivation kinds with an error naming the
+	// known ones, so a coordinator from a newer schema gets a structured
+	// 400, never a 500 out of the panic-containment path. Pinned by
+	// TestWorkerUnknownKindIs400.
+	spec, err := workload.Decode(req.Spec)
+	if err != nil {
+		return shard.Job{}, "invalid_workload", err
+	}
+	// Compile's errors include workload.ErrUnmaterialized: the wire
+	// contract requires materialized specs, so an unmaterialized one is a
+	// client error.
+	job, err := spec.Compile(plan, workload.Exec{Workers: s.cfg.Workers})
+	if err != nil {
+		return shard.Job{}, "invalid_workload", err
+	}
+	return job, "", nil
 }
 
 // writeShardError maps a worker shard failure onto the error taxonomy.
@@ -229,13 +221,12 @@ func (s *Server) workerShardPath(job *shard.Job, plan shard.Plan) string {
 
 // runWorkerShard executes one dispatched shard to completion under the
 // worker spool and returns the partial-frontier file bytes. Runs on the
-// same path are serialized (holdShard); a corrupt or foreign
-// checkpoint left by an earlier life of this worker is quarantined to
-// the first free "<path>.corrupt[.N]" (shard.Quarantine) and the slice
-// re-derived once, matching the scheduler's policy. On success the
-// checkpoint is removed — the coordinator owns the durable
-// copy from here on; a response the coordinator never received is simply
-// re-dispatched and re-derived. The digest directory goes with the last
+// same path are serialized (holdShard); the slot is claimed first
+// (shard.Claim), so a corrupt or foreign checkpoint left by an earlier
+// life of this worker is set aside and the slice re-derived, matching
+// the scheduler's policy. On success the checkpoint is removed — the
+// coordinator owns the durable copy from here on; a response the
+// coordinator never received is simply re-dispatched and re-derived. The digest directory goes with the last
 // live shard of its derivation (holdShard).
 func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.Plan, stride int64) (data []byte, err error) {
 	defer func() {
@@ -256,26 +247,20 @@ func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.P
 	}
 	defer release()
 	start := time.Now()
-	run := func() (shard.RunStats, error) {
-		_, rs, err := shard.Run(ctx, job, shard.RunOptions{
-			Path:            path,
-			CheckpointEvery: stride,
-			OnCheckpoint:    s.cfg.OnCheckpoint,
-			FS:              s.cfg.fs,
-		})
-		return rs, err
+	want := job.Manifest()
+	if _, qpath, err := shard.Claim(s.cfg.fs, path, &want); err != nil {
+		return nil, err
+	} else if qpath != "" {
+		s.logf("serve: worker shard %s: quarantined unusable checkpoint to %s, re-deriving", plan, qpath)
 	}
-	rs, rerr := run()
-	if errors.Is(rerr, shard.ErrCorruptPartial) || errors.Is(rerr, shard.ErrForeignPartial) {
-		qpath, qerr := shard.Quarantine(s.cfg.fs, path, path+".corrupt")
-		if qerr != nil {
-			return nil, fmt.Errorf("serve: cannot quarantine corrupt worker checkpoint: %w (cause: %v)", qerr, rerr)
-		}
-		s.logf("serve: worker shard %s: quarantined corrupt checkpoint to %s, re-deriving", plan, qpath)
-		rs, rerr = run()
-	}
-	if rerr != nil {
-		return nil, rerr
+	_, rs, err := shard.Run(ctx, job, shard.RunOptions{
+		Path:            path,
+		CheckpointEvery: stride,
+		OnCheckpoint:    s.cfg.OnCheckpoint,
+		FS:              s.cfg.fs,
+	})
+	if err != nil {
+		return nil, err
 	}
 	s.stats.evaluated.Add(rs.Evaluated)
 	s.stats.deriveNanos.Add(int64(time.Since(start)))

@@ -112,8 +112,9 @@ type RunStats struct {
 // blocks, flushing the accumulated partial frontier to opts.Path after
 // each block, and returns the final partial. If opts.Path already holds a
 // partial of the same derivation and shard, the run resumes at its
-// completed-through mark — the restart path for a killed shard; a partial
-// of a different derivation is an error, never silently overwritten. A
+// completed-through mark — the restart path for a killed shard; a corrupt
+// partial or one of a different derivation is an error, never silently
+// overwritten (Claim is the recovery that sets it aside). A
 // legacy format-version-1 checkpoint resumes like any other and is
 // upgraded in place: the first flush rewrites it at the current
 // FormatVersion with the job's Spec embedded.
@@ -154,27 +155,17 @@ func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, err
 	}
 
 	var acc *pareto.Curve
-	prev, err := ReadPartial(fsys, opts.Path)
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		// Fresh start: no checkpoint yet.
-	case err != nil:
-		// An unreadable checkpoint is evidence of a problem (corruption,
-		// wrong file); overwriting it would destroy that evidence. The
-		// scheduler quarantines it (rename to *.corrupt) and re-derives.
-		if !errors.Is(err, ErrCorruptPartial) {
+	prev, err := inspect(fsys, opts.Path, &m)
+	if err != nil {
+		// An unusable checkpoint is evidence of a problem (corruption,
+		// wrong file); overwriting it would destroy that evidence. Claim
+		// sets it aside so the slot can be re-derived.
+		if !errors.Is(err, ErrCorruptPartial) && !errors.Is(err, ErrForeignPartial) {
 			err = fmt.Errorf("%w: %w", ErrCorruptPartial, err)
 		}
-		return nil, stats, fmt.Errorf("shard: %s exists but is not a readable partial; refusing to overwrite: %w", opts.Path, err)
-	default:
-		if cerr := prev.Manifest.CompatibleWith(&m); cerr != nil {
-			return nil, stats, fmt.Errorf("shard: %s holds a different derivation (%v); refusing to resume or overwrite: %w",
-				opts.Path, cerr, ErrForeignPartial)
-		}
-		if prev.Manifest.ShardIndex != m.ShardIndex {
-			return nil, stats, fmt.Errorf("shard: %s holds shard %d/%d, this run is %s; refusing to resume or overwrite: %w",
-				opts.Path, prev.Manifest.ShardIndex+1, prev.Manifest.ShardCount, job.Plan, ErrForeignPartial)
-		}
+		return nil, stats, fmt.Errorf("%w; refusing to resume or overwrite", err)
+	}
+	if prev != nil {
 		m.CompletedThrough = prev.Manifest.CompletedThrough
 		acc = prev.Curve
 		stats.Resumed = true
@@ -258,4 +249,45 @@ func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, err
 	}
 	elapse()
 	return &Partial{Manifest: m, Curve: acc}, stats, nil
+}
+
+// inspect reads the partial at path and classifies it for the shard whose
+// fresh manifest is want: (nil, nil) for an empty slot, the partial when
+// the shard may resume it, and an error wrapping ErrCorruptPartial or
+// ErrForeignPartial when it must not. Any other error is the read's own.
+func inspect(fsys FS, path string, want *Manifest) (*Partial, error) {
+	prev, err := ReadPartial(fsys, path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, nil
+	case err != nil:
+		return nil, err
+	}
+	if cerr := prev.Manifest.CompatibleWith(want); cerr != nil {
+		return nil, fmt.Errorf("shard: %s holds a different derivation (%v): %w", path, cerr, ErrForeignPartial)
+	}
+	if prev.Manifest.ShardIndex != want.ShardIndex {
+		return nil, fmt.Errorf("shard: %s holds shard %d/%d, want %d/%d: %w",
+			path, prev.Manifest.ShardIndex+1, prev.Manifest.ShardCount, want.ShardIndex+1, want.ShardCount, ErrForeignPartial)
+	}
+	return prev, nil
+}
+
+// Claim readies the partial-frontier slot at path for the shard whose
+// fresh manifest is want (Job.Manifest) — the one recovery rule for a
+// slot, which Run refuses to decide. A corrupt or foreign partial is moved
+// aside to the first free "<path>.corrupt[.N]" name (Quarantine) and that
+// name is returned; a compatible partial, complete or not, is returned as
+// it is; an empty slot returns neither. An error means the slot could not
+// be read or cleared, and deriving over it would destroy evidence.
+func Claim(fsys FS, path string, want *Manifest) (*Partial, string, error) {
+	prev, err := inspect(orOS(fsys), path, want)
+	if err == nil || !errors.Is(err, ErrCorruptPartial) && !errors.Is(err, ErrForeignPartial) {
+		return prev, "", err
+	}
+	qpath, qerr := Quarantine(fsys, path, path+".corrupt")
+	if qerr != nil {
+		return nil, "", fmt.Errorf("shard: cannot quarantine %s: %w (cause: %v)", path, qerr, err)
+	}
+	return nil, qpath, nil
 }

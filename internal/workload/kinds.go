@@ -3,12 +3,15 @@ package workload
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/bound"
+	"repro/internal/einsum"
 	"repro/internal/fusion"
 	"repro/internal/multilevel"
 	"repro/internal/pareto"
+	"repro/internal/shape"
 	"repro/internal/shard"
 )
 
@@ -88,6 +91,11 @@ type kindDef struct {
 	// manifests and reported as the served response's workload field.
 	label func(s *Spec) string
 
+	// ceiling bounds every byte count the kind's derivation can form
+	// (einsumCeiling, chainCeiling); def rejects a Spec whose ceiling does
+	// not fit an int64, so no count wraps.
+	ceiling func(s *Spec) count
+
 	// space sizes the flat enumeration space shard plans slice.
 	space func(s *Spec) (int64, error)
 
@@ -113,6 +121,7 @@ var kinds = [...]kindDef{
 		workload: func(s *Spec) string { return s.Einsum.Canonical() },
 		options:  func(s *Spec) string { return boundOpts(s, 0).Canonical() },
 		label:    func(s *Spec) string { return s.Einsum.String() },
+		ceiling:  func(s *Spec) count { return einsumCeiling(s.Einsum) },
 		space:    func(s *Spec) (int64, error) { return bound.Space(s.Einsum, boundOpts(s, 0)) },
 		derive: func(s *Spec, workers int) (shard.DeriveFunc, error) {
 			o := boundOpts(s, workers)
@@ -150,7 +159,8 @@ var kinds = [...]kindDef{
 		label: func(s *Spec) string {
 			return fmt.Sprintf("%s three-level L1=%dB", s.Einsum.String(), s.MultiLevel.L1CapBytes)
 		},
-		space: func(s *Spec) (int64, error) { return multilevel.Space(s.Einsum) },
+		ceiling: func(s *Spec) count { return einsumCeiling(s.Einsum) },
+		space:   func(s *Spec) (int64, error) { return multilevel.Space(s.Einsum) },
 		derive: func(s *Spec, workers int) (shard.DeriveFunc, error) {
 			o := multilevel.Options{Workers: workers}
 			return func(ctx context.Context, lo, hi int64) (*pareto.Curve, int64, error) {
@@ -174,7 +184,8 @@ var kinds = [...]kindDef{
 		label: func(s *Spec) string {
 			return fmt.Sprintf("%s: %d ops over M=%d", s.Chain.Name, len(s.Chain.Ops), s.Chain.M)
 		},
-		space: func(s *Spec) (int64, error) { return fusion.TiledFusionSpace(s.Chain) },
+		ceiling: func(s *Spec) count { return chainCeiling(s.Chain) },
+		space:   func(s *Spec) (int64, error) { return fusion.TiledFusionSpace(s.Chain) },
 		derive: func(s *Spec, workers int) (shard.DeriveFunc, error) {
 			return func(ctx context.Context, lo, hi int64) (*pareto.Curve, int64, error) {
 				curve, ts, err := fusion.TiledFusionRange(ctx, s.Chain, lo, hi, workers)
@@ -201,7 +212,8 @@ var kinds = [...]kindDef{
 		label: func(s *Spec) string {
 			return fmt.Sprintf("%s: %d-op segmentation study over M=%d", s.Chain.Name, len(s.Chain.Ops), s.Chain.M)
 		},
-		space: func(s *Spec) (int64, error) { return fusion.SegmentationSpace(s.Chain) },
+		ceiling: func(s *Spec) count { return chainCeiling(s.Chain) },
+		space:   func(s *Spec) (int64, error) { return fusion.SegmentationSpace(s.Chain) },
 		// The sweep is held across the job's checkpoint blocks so fused
 		// sub-chain curves are memoized for the life of the process. The
 		// memo is derived state and is never checkpointed: a resumed shard
@@ -273,7 +285,64 @@ func (s *Spec) def() (*kindDef, error) {
 			return nil, err
 		}
 	}
+	if !k.ceiling(s).ok {
+		return nil, fmt.Errorf("workload: kind %q: the workload's byte counts can exceed int64 (their ceiling overflows)", s.Kind)
+	}
 	return k, nil
+}
+
+// count is a checked non-negative int64 accumulation: ok turns false for
+// good once a product or sum no longer fits.
+type count struct {
+	n  int64
+	ok bool
+}
+
+func (c count) mul(x int64) count {
+	n, ok := shape.MulCount(c.n, x)
+	return count{n, c.ok && ok}
+}
+
+func (c count) add(x count) count {
+	return count{c.n + x.n, c.ok && x.ok && c.n <= math.MaxInt64-x.n}
+}
+
+// einsumCeiling bounds every byte count a derivation over e can form:
+//
+//	count ≤ 2 · #tensors · MACs · element size
+//
+// where MACs is the product of all rank extents. Each tensor holds at
+// most MACs elements, since its footprint is a product of relevant
+// extents and an affine index p+r−1 ≤ p·r keeps a halo under that
+// product; so a buffer, at most Σ tensor bytes, is under the ceiling.
+// Each tiling moves every tensor at most once per MAC, and a
+// spill-charged output twice (write and read back), which is the 2.
+func einsumCeiling(e *einsum.Einsum) count {
+	c := count{2, true}.mul(int64(len(e.Tensors))).mul(e.ElementSize)
+	for _, r := range e.Ranks {
+		c = c.mul(r.Shape)
+	}
+	return c
+}
+
+// chainCeiling bounds every byte count a chain derivation can form: the
+// sum over the ops of the op's reference-Einsum ceiling (its standalone
+// curve, which the segmentation study and the unfused baseline add up)
+// and of the fused schedule's own ceiling,
+//
+//	2 · M · (InW · (1 + HaloRows) + OutW + WInst) · element size,
+//
+// since a fused block of at least one row moves each op's input row and
+// halo, its output row and at most its instance's weights, and a spilled
+// row moves twice.
+func chainCeiling(c *fusion.Chain) count {
+	sum := count{0, true}
+	for i := range c.Ops {
+		op := &c.Ops[i]
+		row := count{op.InW, true}.mul(1 + op.HaloRows).add(count{op.OutW, true}).add(count{op.WInst, true})
+		sum = sum.add(einsumCeiling(op.Ref)).add(row.mul(2).mul(c.M).mul(c.ElementSize))
+	}
+	return sum
 }
 
 // materialized reports whether the Spec carries every input its kind

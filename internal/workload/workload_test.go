@@ -130,6 +130,7 @@ func TestDecodeRejections(t *testing.T) {
 		"not an object":  `[1,2,3]`,
 		"torn json":      string(valid[:len(valid)/2]),
 		"bound w/ chain": strings.Replace(string(valid), `"kind":"fusion-tiled"`, `"kind":"bound"`, 1),
+		"negative halo":  strings.Replace(string(valid), `"rows_per_inst":`, `"halo_rows":-1,"rows_per_inst":`, 1),
 	}
 	for name, data := range cases {
 		if _, err := Decode([]byte(data)); err == nil {
@@ -576,9 +577,9 @@ func TestUnvalidatedSpecsError(t *testing.T) {
 
 // FuzzSpecDecode fuzzes the Spec decoder every fleet worker, spool and
 // resumed manifest runs on untrusted bytes: an accepted spec must encode
-// to a canonical form that decodes and re-encodes to the same bytes, and
-// Describe and the digests must not panic on it. Space is left out: sizing
-// a spec with huge extents enumerates divisors in O(sqrt(n)).
+// to a canonical form that decodes and re-encodes to the same bytes, its
+// count ceiling must fit an int64, and Describe, the digests and Space
+// must not panic on it.
 func FuzzSpecDecode(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "spec_*.json"))
 	if err != nil || len(paths) == 0 {
@@ -618,5 +619,13 @@ func FuzzSpecDecode(f *testing.F) {
 		if _, _, err := s.CacheDigests(); err != nil {
 			t.Fatalf("accepted spec has no cache identity: %v", err)
 		}
+		k, err := lookup(s.Kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := k.ceiling(s); !c.ok || c.n < 1 {
+			t.Fatalf("accepted spec's count ceiling %d does not fit (ok=%v)", c.n, c.ok)
+		}
+		s.Space()
 	})
 }
