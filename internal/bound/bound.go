@@ -10,10 +10,10 @@
 //
 // Nor does every tiling need its DP. A tiling is dominated when another
 // tiling has the same access count and a buffer no larger: it adds
-// nothing to the frontier, since pareto.Builder drops such a point. Two
+// nothing to the frontier, since pareto.Builder drops such a point. Three
 // lemmas, fixed once per derivation from the Einsum and the accounting
-// (snowcat.Dominators), name split options that make a tiling dominated
-// whatever the other ranks' options are:
+// (snowcat.Skips), name tilings whose point another tiling equals or
+// dominates, whatever the other ranks' options are:
 //
 //  1. Batch ranks, under Perfect and SpillCharged. Let every tensor index
 //     rank h in exactly one dim, alone, with coefficient 1 and no
@@ -33,14 +33,44 @@
 //     the smallest candidate of each run of equal outers dominates the
 //     run. Grouped ranks are excluded because the grouped transfer factor
 //     reads the inner tile.
+//  3. Rank symmetry. Let π permute the ranks with shape(π r) = shape(r),
+//     fix every grouped rank, and map the tensors onto themselves —
+//     output to output, each input to an input — where a dim is compared
+//     as its grouping divisor and multiset of (rank, coeff) terms and a
+//     tensor as its multiset of dims (einsum.Compiled.Automorphisms; the
+//     m ↔ n swap of a square GEMM or BMM, the (p, r) ↔ (q, s) swap of a
+//     conv with P = Q and R = S). Equal shapes have equal split options,
+//     so the tiling π(τ), which gives rank π(r) the split of rank r, is
+//     in the mapspace. It has the footprints of τ carried onto the image
+//     tensors, hence the same buffer, and each outer order O of τ has the
+//     image order π(O) of π(τ) with the same count per tensor role, hence
+//     the same minimum over orders: the same point. Under
+//     Perfect and SpillCharged this is exact integer arithmetic, and the
+//     output maps to itself, so the spill reload is the same. Under
+//     Imperfect the effective footprints are floats, so π is admitted
+//     only when MeanFootprint evaluates each image in the same order, or
+//     one IEEE makes equal (einsum.Compiled.KeepsFloatOrder: two-factor
+//     products commute exactly, so a GEMM qualifies, but a conv's 4-dim
+//     weight does not).
 //
-// Replacing every such option by its dominator gives a tiling's
-// reduction, which has a lower flat index. DeriveRange skips a tiling only
-// when its reduction lies in the range it derives, which therefore scores
-// the reduction: a partial frontier is exact over its own range, so the
-// union over any subset of a shard cover — a degraded merge — is the
-// frontier of the tilings it covers. A skipped tiling still counts its
-// mappings, so MappingsEvaluated, Space and every partial are unchanged.
+// Replacing every option by its dominator gives a tiling's reduction,
+// which has a lower flat index unless it is the tiling; each admitted π
+// gives an image, which may lie above or below. A tiling is skipped when
+// its reduction or an image lies in [floor, flat), where flat is its own
+// index and floor the start of the frontier it feeds. Every skipped
+// tiling then has a lower-index tiling in [floor, flat) whose point is
+// equal or dominating. Induction on the index ends that chain at a scored
+// tiling of the range or inside [floor, lo), whose frontier the caller
+// already holds, so the frontier over [floor, hi) is exact. DeriveRange
+// with floor = lo therefore returns the exact frontier of its own range:
+// the union over any subset of a shard cover — a degraded merge — is the
+// frontier of the tilings it covers. A shard run (shard.Run) passes its
+// range start as the floor of every checkpoint block, since its
+// accumulated frontier covers [range start, block start); a resume
+// continues from the last flush, whose frontier covers the same prefix,
+// so every flushed partial is still the exact frontier of the indices it
+// records. A skipped tiling still counts its mappings, so
+// MappingsEvaluated, Space and every partial are unchanged.
 package bound
 
 import (
@@ -63,10 +93,11 @@ import (
 type Stats struct {
 	// MappingsEvaluated counts the mappings the traversal represents,
 	// not the evaluations it ran: each tiling is scored at most once, by
-	// the exact minimum over its outer-loop orders (not at all when it is
-	// dominated; see the package doc), and counts as active! mappings
-	// (active = ranks with an outer bound above 1). It is the size of the
-	// mapspace covered, as Enum.Visit would enumerate it.
+	// the exact minimum over its outer-loop orders (not at all when the
+	// package doc's lemmas give it a lower-index tiling with an equal or
+	// dominating point), and counts as active! mappings (active = ranks
+	// with an outer bound above 1). It is the size of the mapspace
+	// covered, as Enum.Visit would enumerate it.
 	MappingsEvaluated int64
 	Elapsed           time.Duration
 
@@ -168,7 +199,7 @@ func Derive(e *einsum.Einsum, opts Options) Result {
 	if err != nil {
 		panic(err.Error())
 	}
-	r, err := DeriveRange(context.Background(), e, opts, 0, space)
+	r, err := DeriveRange(context.Background(), e, opts, 0, 0, space)
 	if err != nil {
 		// DeriveRange fails only on context cancellation (impossible under
 		// the background context) or a recovered evaluator panic
@@ -183,27 +214,31 @@ func Derive(e *einsum.Einsum, opts Options) Result {
 // DeriveRange derives the partial ski-slope frontier over the global
 // tiling indices [lo, hi) of e's mapspace under opts — one shard's (or one
 // checkpoint block's) share of the full traversal. Deriving a disjoint
-// cover of [0, Space(e, opts)) and merging the partial curves with
-// pareto.Union reproduces Derive's curve byte-for-byte; the annotations
-// are already set on every partial, since they depend only on the
-// workload. Each partial is the exact frontier of its own range, since a
-// dominated tiling is skipped only when the tiling that dominates it lies
-// in the range too (package doc). Panics on invalid Options or an
-// out-of-bounds range.
+// cover of [0, Space(e, opts)) with floor = lo and merging the partial
+// curves with pareto.Union reproduces Derive's curve byte-for-byte; the
+// annotations are already set on every partial, since they depend only
+// on the workload.
+//
+// floor ≤ lo marks where the frontier the result feeds starts: the caller
+// unions the curve into a frontier of [floor, lo), and the union is the
+// exact frontier of [floor, hi). A tiling whose point a tiling in
+// [floor, flat) equals or dominates is skipped (package doc), so with
+// floor = lo the partial is the exact frontier of its own range. Panics
+// on invalid Options, an out-of-bounds range or a floor outside [0, lo].
 //
 // Cancelling ctx aborts the traversal within about one worker chunk and
 // returns the context's error with no curve — the cancellation path a
 // scheduled shard run (internal/fleet) relies on to stop inside a
 // checkpoint block rather than after it.
-func DeriveRange(ctx context.Context, e *einsum.Einsum, opts Options, lo, hi int64) (Result, error) {
+func DeriveRange(ctx context.Context, e *einsum.Einsum, opts Options, floor, lo, hi int64) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		panic(err.Error())
 	}
 	start := time.Now()
 
 	en := newEnum(e, opts)
-	if lo < 0 || hi < lo || hi > en.Tilings() {
-		panic(fmt.Sprintf("bound: DeriveRange [%d, %d) outside [0, %d)", lo, hi, en.Tilings()))
+	if floor < 0 || lo < floor || hi < lo || hi > en.Tilings() {
+		panic(fmt.Sprintf("bound: DeriveRange [%d, %d) from floor %d outside [0, %d)", lo, hi, floor, en.Tilings()))
 	}
 
 	acct := snowcat.Perfect
@@ -213,12 +248,12 @@ func DeriveRange(ctx context.Context, e *einsum.Einsum, opts Options, lo, hi int
 	case opts.ChargeSpills:
 		acct = snowcat.SpillCharged
 	}
-	dominators := snowcat.Dominators(e, acct, en)
+	skip := snowcat.Skips(e, acct, en)
 	curve, ts, err := traverse.FrontierRange(ctx, lo, hi, opts.Workers, func() traverse.ChunkFunc {
 		ev := snowcat.NewEvaluator(e)
 		return func(clo, chi int64, b *pareto.Builder) int64 {
 			var count int64
-			en.VisitTilings(clo, chi, dominators, lo, func(splits []shape.Split, skipped bool) {
+			en.VisitTilings(clo, chi, skip, floor, func(splits []shape.Split, skipped bool) {
 				if !skipped {
 					b.Add(ev.MinCompact(acct, splits))
 				}

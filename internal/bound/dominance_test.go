@@ -79,7 +79,7 @@ func TestDeriveRangeMatchesReferenceOnEveryRange(t *testing.T) {
 				for k := int64(0); k < n; k++ {
 					lo, hi := k*space/n, (k+1)*space/n
 					want, wantN := referenceDeriveRange(t, e, opts, lo, hi)
-					r, err := bound.DeriveRange(context.Background(), e, opts, lo, hi)
+					r, err := bound.DeriveRange(context.Background(), e, opts, lo, lo, hi)
 					if err != nil {
 						t.Fatal(err)
 					}

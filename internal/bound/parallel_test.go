@@ -171,7 +171,8 @@ func BenchmarkDerivePerfect(b *testing.B) {
 }
 
 // BenchmarkDeriveBMM derives Fig. 13's h32 head split, whose batch rank
-// H leaves one tiling in six to score.
+// H leaves one tiling in six to score, and its m ↔ n symmetry about half
+// of those.
 func BenchmarkDeriveBMM(b *testing.B) {
 	e := einsum.BMM("h32", 32, 4096, 128, 4096)
 	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
@@ -180,6 +181,16 @@ func BenchmarkDeriveBMM(b *testing.B) {
 				Derive(e, Options{Workers: w})
 			}
 		})
+	}
+}
+
+// BenchmarkDeriveConv derives Fig. 12's 3x3 convolution on one worker.
+// It has no batch rank, so only its (p, r) ↔ (q, s) rank symmetry skips
+// tilings: 2,695 of 4,900 are scored.
+func BenchmarkDeriveConv(b *testing.B) {
+	e := einsum.Conv2D("R3S3", einsum.ConvConfig{P: 16, Q: 16, N: 64, C: 64, R: 3, S: 3})
+	for i := 0; i < b.N; i++ {
+		Derive(e, Options{Workers: 1})
 	}
 }
 

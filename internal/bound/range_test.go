@@ -39,7 +39,7 @@ func checkRangeCoverParity(t *testing.T, e *einsum.Einsum) {
 		var parts []*pareto.Curve
 		var evaluated int64
 		for i := 0; i+1 < len(cuts); i++ {
-			r, err := DeriveRange(context.Background(), e, opts, cuts[i], cuts[i+1])
+			r, err := DeriveRange(context.Background(), e, opts, cuts[i], cuts[i], cuts[i+1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func checkRangeCoverParity(t *testing.T, e *einsum.Einsum) {
 // than items" case and must carry workload annotations for the merge.
 func TestDeriveRangeEmptyStillAnnotated(t *testing.T) {
 	e := einsum.GEMM("g", 8, 8, 8)
-	r, err := DeriveRange(context.Background(), e, Options{}, 0, 0)
+	r, err := DeriveRange(context.Background(), e, Options{}, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +84,16 @@ func TestDeriveRangePanicsOutOfBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range [][2]int64{{-1, 2}, {0, space + 1}, {5, 4}} {
+	// {floor, lo, hi}: a range outside the space, an inverted range, a
+	// negative floor and a floor above the range start.
+	for _, r := range [][3]int64{{0, -1, 2}, {0, 0, space + 1}, {0, 5, 4}, {-1, 0, 2}, {3, 2, 4}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("DeriveRange[%d, %d) did not panic", r[0], r[1])
+					t.Errorf("DeriveRange[%d, %d) from floor %d did not panic", r[1], r[2], r[0])
 				}
 			}()
-			DeriveRange(context.Background(), e, Options{}, r[0], r[1])
+			DeriveRange(context.Background(), e, Options{}, r[0], r[1], r[2])
 		}()
 	}
 }

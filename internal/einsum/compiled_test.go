@@ -2,6 +2,7 @@ package einsum
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -83,6 +84,53 @@ func TestCompiledBatchAndGroupedRanks(t *testing.T) {
 		}
 		if batch != cs.batch || grouped != cs.grouped {
 			t.Errorf("%s: batch %q grouped %q, want %q and %q", cs.e, batch, grouped, cs.batch, cs.grouped)
+		}
+	}
+}
+
+// TestCompiledAutomorphisms pins which rank permutations map an Einsum
+// onto itself (each rendered as the rank names the ranks become, in rank
+// order), and which of them keep MeanFootprint's floating-point order.
+// The negative cases each hinge on one part of the comparison: shapes, a
+// coefficient paired with its rank, a grouped rank that must stay fixed,
+// and the search budget.
+func TestCompiledAutomorphisms(t *testing.T) {
+	cases := []struct {
+		e          *Einsum
+		auto, keep string // comma-separated images; keep lists those KeepsFloatOrder admits
+	}{
+		{GEMM("square", 8, 8, 8), "NKM", "NKM"},
+		{GEMM("mn", 8, 4, 8), "NKM", "NKM"},
+		{GEMM("oblong", 8, 4, 6), "", ""},
+		{BMM("bmm", 4, 8, 2, 8), "HNKM", ""}, // A[h,m,k] → [h,n,k] trades W's last two dims
+		{Conv2D("conv", ConvConfig{P: 8, Q: 8, N: 4, C: 4, R: 3, S: 3, T: 2, D: 2}), "QPNCSR", ""},
+		{Conv2D("rect", ConvConfig{P: 8, Q: 8, N: 4, C: 4, R: 3, S: 1}), "", ""},
+		// Stride 2 along p only: p and q have equal shapes and dim widths,
+		// but 2p+r cannot become 2q+s.
+		{MustParse("B[p,q,n] = A[2p+r,q+s,c] * W[c,n,r,s] {P=4,Q=4,N=2,C=2,R=3,S=3}"), "", ""},
+		// Swapping a and b maps X onto Y, but both ranks are grouped.
+		{MustParse("Z[a,b] = X[a/2,b] * Y[a,b/2] {A=4,B=4}"), "", ""},
+		// 7! candidate permutations: more than the search budget.
+		{MustParse("Z[a,b,c,d,e,f,g] = X[a,b,c,d,e,f,g] * Y[a,b,c,d,e,f,g] {A=2,B=2,C=2,D=2,E=2,F=2,G=2}"), "", ""},
+	}
+	for _, cs := range cases {
+		c := cs.e.Compile()
+		var auto, keep []string
+		for _, p := range c.Automorphisms() {
+			img := ""
+			for _, r := range p {
+				img += cs.e.Ranks[r].Name
+			}
+			auto = append(auto, img)
+			if c.KeepsFloatOrder(p) {
+				keep = append(keep, img)
+			}
+		}
+		if got := strings.Join(auto, ","); got != cs.auto {
+			t.Errorf("%s: automorphisms %q, want %q", cs.e, got, cs.auto)
+		}
+		if got := strings.Join(keep, ","); got != cs.keep {
+			t.Errorf("%s: float-order automorphisms %q, want %q", cs.e, got, cs.keep)
 		}
 	}
 }

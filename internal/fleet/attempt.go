@@ -285,34 +285,13 @@ func (c *coord) post(ctx context.Context, slotPath string, job *shard.Job, expec
 		}
 		return nil, "", fmt.Errorf("fleet: reading response from %s: %w", worker, err)
 	}
-	if verr := validatePartial(data, plan, expected); verr != nil {
+	// The one slot-admission rule, applied before the bytes can touch
+	// the spool: exactly what a merge would check.
+	if _, verr := shard.Admit(data, expected, true); verr != nil {
 		qpath := c.quarantineBytes(slotPath, data)
 		return nil, qpath, fmt.Errorf("%w from %s: %v", ErrInvalidResponse, worker, verr)
 	}
 	return data, "", nil
-}
-
-// validatePartial parses and validates response bytes against the
-// expected manifest: structural validity and a present curve
-// (shard.DecodePartial), digest compatibility (CompatibleWith — engine,
-// kind, workload/options digests, space size, shard count), the right
-// shard slot, and completeness. Exactly the checks a merge would apply,
-// applied before the bytes can touch the spool.
-func validatePartial(data []byte, plan shard.Plan, expected *shard.Manifest) error {
-	p, err := shard.DecodePartial(data)
-	if err != nil {
-		return err
-	}
-	if err := expected.CompatibleWith(&p.Manifest); err != nil {
-		return fmt.Errorf("digest mismatch: %v", err)
-	}
-	if p.Manifest.ShardIndex != plan.Index {
-		return fmt.Errorf("shard %d/%d answered for slot %s", p.Manifest.ShardIndex+1, p.Manifest.ShardCount, plan)
-	}
-	if !p.Manifest.Complete() {
-		return fmt.Errorf("incomplete: completed through %d of [%d, %d)", p.Manifest.CompletedThrough, p.Manifest.RangeLo, p.Manifest.RangeHi)
-	}
-	return nil
 }
 
 // quarantineBytes sets an invalid response's bytes aside beside the slot

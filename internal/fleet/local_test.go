@@ -34,6 +34,25 @@ func fastOpts(dir string) Options {
 	}
 }
 
+// noSyncFS is the OS filesystem with its fsyncs dropped: no test here
+// crashes the host, so durability buys nothing, and disk latency would
+// count against an attempt's timeout.
+type noSyncFS struct{ shard.FS }
+
+func (f noSyncFS) CreateTemp(dir, pattern string) (shard.File, error) {
+	file, err := f.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{file}, nil
+}
+
+func (noSyncFS) SyncDir(string) error { return nil }
+
+type noSyncFile struct{ shard.File }
+
+func (noSyncFile) Sync() error { return nil }
+
 func curveBytes(t *testing.T, c *pareto.Curve) string {
 	t.Helper()
 	b, err := json.Marshal(c)
@@ -217,7 +236,7 @@ func TestSupervisorDegradedMerge(t *testing.T) {
 			return shard.Job{}, err
 		}
 		if p.Index == 1 {
-			job.Derive = func(context.Context, int64, int64) (*pareto.Curve, int64, error) {
+			job.Derive = func(context.Context, int64, int64, int64) (*pareto.Curve, int64, error) {
 				return nil, 0, errDead
 			}
 		}
@@ -317,7 +336,7 @@ func TestCancelledDeriveNotRetried(t *testing.T) {
 			if err != nil {
 				return shard.Job{}, err
 			}
-			job.Derive = func(context.Context, int64, int64) (*pareto.Curve, int64, error) {
+			job.Derive = func(context.Context, int64, int64, int64) (*pareto.Curve, int64, error) {
 				return nil, 0, fmt.Errorf("inner run gave up: %w", cause)
 			}
 			return job, nil
@@ -344,7 +363,9 @@ func TestCancelledDeriveNotRetried(t *testing.T) {
 // rule: an attempt cancelled by its own AttemptTimeout also surfaces as a
 // context error, but that one IS the retry mechanism for slow shards —
 // progress is monotonic across attempts via the checkpoint, so the shard
-// must be retried and converge.
+// must be retried and converge. The timeout bounds the retry too, so the
+// spool skips fsync: a retry's checkpoint flushes then cost microseconds,
+// not disk latency that a loaded host can stretch past the bound.
 func TestAttemptTimeoutStillRetried(t *testing.T) {
 	e, opts, want := testWorkload(t)
 	var stalled atomic.Bool
@@ -354,7 +375,7 @@ func TestAttemptTimeoutStillRetried(t *testing.T) {
 			return job, err
 		}
 		inner := job.Derive
-		job.Derive = func(ctx context.Context, lo, hi int64) (*pareto.Curve, int64, error) {
+		job.Derive = func(ctx context.Context, floor, lo, hi int64) (*pareto.Curve, int64, error) {
 			if stalled.CompareAndSwap(false, true) {
 				// The first block of shard 0's first attempt stalls past
 				// the attempt timeout, honoring its context like a real
@@ -362,11 +383,12 @@ func TestAttemptTimeoutStillRetried(t *testing.T) {
 				<-ctx.Done()
 				return nil, 0, ctx.Err()
 			}
-			return inner(ctx, lo, hi)
+			return inner(ctx, floor, lo, hi)
 		}
 		return job, nil
 	}
 	sopts := fastOpts(t.TempDir())
+	sopts.FS = noSyncFS{shard.OS()}
 	sopts.AttemptTimeout = 50 * time.Millisecond
 	report, err := Run(context.Background(), 2, mkJob, sopts)
 	if err != nil {

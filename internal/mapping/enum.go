@@ -82,7 +82,7 @@ func (en *Enum) Size() (int64, error) {
 // Clone it.
 func (en *Enum) Visit(lo, hi int64, visit func(*Mapping)) {
 	m := &Mapping{Splits: make(map[string]shape.Split, len(en.rankNames))}
-	en.VisitTilings(lo, hi, nil, 0, func(splits []shape.Split, _ bool) {
+	en.VisitTilings(lo, hi, Skip{}, 0, func(splits []shape.Split, _ bool) {
 		for i, r := range en.rankNames {
 			m.Splits[r] = splits[i]
 		}
@@ -95,6 +95,24 @@ func (en *Enum) Visit(lo, hi int64, visit func(*Mapping)) {
 // must not modify it.
 func (en *Enum) Options(i int) []shape.Split { return en.options[i] }
 
+// Skip names the tilings a frontier traversal need not score, for
+// VisitTilings. Both rules are fixed once per derivation
+// (snowcat.Skips); the zero Skip skips nothing.
+type Skip struct {
+	// Reduce maps each rank's split options to the options that dominate
+	// them: Reduce[i][j] is an index at most j whose own entry is itself,
+	// and a missing or nil row maps every option to itself. A tiling's
+	// reduction replaces every option by its entry; its point dominates
+	// the tiling's.
+	Reduce [][]int
+
+	// Perms are rank permutations that leave every tiling's point
+	// unchanged: the image of a tiling under Perms[k] gives rank Perms[k][i]
+	// rank i's option. Each maps ranks onto ranks with the same split
+	// options.
+	Perms [][]int
+}
+
 // VisitTilings enumerates the tilings with flat index in [lo, hi) in
 // Visit's order, calling visit once per tiling with its splits indexed
 // like the Einsum's ranks. Outer orders are not expanded: a per-tiling
@@ -103,38 +121,46 @@ func (en *Enum) Options(i int) []shape.Split { return en.options[i] }
 // is reused between calls, and only the digits that change are rewritten:
 // visitors must not modify it, and those that retain it must copy it.
 //
-// reduce maps each rank's split options to the options that dominate
-// them (snowcat.Dominators): reduce[i][j] is an index at most j whose
-// own entry is itself, and a nil reduce, or a nil row, maps every option
-// to itself. A tiling's reduction replaces every option by its entry; it
-// has a lower flat index unless the tiling is its own reduction. skipped
-// reports that the reduction differs from the tiling and its index is at
-// least floor: a frontier over a range that starts at or below floor and
-// covers [lo, hi) receives the reduction, so it need not score the
-// tiling. The odometer keeps the index distance to the reduction as it
-// advances, so this costs no lookup per tiling.
-func (en *Enum) VisitTilings(lo, hi int64, reduce [][]int, floor int64, visit func(splits []shape.Split, skipped bool)) {
+// skipped reports that the tiling's reduction or its image under one of
+// skip's permutations — a tiling whose point equals or dominates its own
+// — has a lower flat index of at least floor: a frontier over a range
+// that starts at or below floor and covers [lo, hi) receives that
+// tiling's point (package bound proves it), so it need not score this
+// one. The odometer keeps the index distance to the reduction and each
+// image's index as it advances, so this costs no decode per tiling.
+func (en *Enum) VisitTilings(lo, hi int64, skip Skip, floor int64, visit func(splits []shape.Split, skipped bool)) {
 	n := len(en.rankNames)
 	if n == 0 || lo >= hi {
 		return
 	}
 	// back[i][j] is how far rank i's option j moves the flat index to its
 	// replacement: the option's distance times the digit's weight.
+	// moved[i][k] is the weight of rank i's digit in the index of the
+	// image under skip.Perms[k]: the weight of the rank it moves to.
 	back := make([][]int64, n)
+	weight := make([]int64, n)
 	stride := int64(1)
 	for i := n - 1; i >= 0; i-- {
-		if i < len(reduce) && reduce[i] != nil {
-			back[i] = make([]int64, len(reduce[i]))
-			for j, r := range reduce[i] {
+		if i < len(skip.Reduce) && skip.Reduce[i] != nil {
+			back[i] = make([]int64, len(skip.Reduce[i]))
+			for j, r := range skip.Reduce[i] {
 				back[i][j] = int64(j-r) * stride
 			}
 		}
+		weight[i] = stride
 		stride *= int64(len(en.options[i]))
+	}
+	moved := make([][]int64, n)
+	for i := range moved {
+		for _, p := range skip.Perms {
+			moved[i] = append(moved[i], weight[p[i]])
+		}
 	}
 	// Decode lo into mixed-radix digits, then advance odometer-style.
 	idx := make([]int, n)
 	rem := lo
-	var gap int64 // flat index minus the reduction's
+	var gap int64                           // flat index minus the reduction's
+	image := make([]int64, len(skip.Perms)) // the images' flat indices
 	for i := n - 1; i >= 0; i-- {
 		k := int64(len(en.options[i]))
 		idx[i] = int(rem % k)
@@ -142,24 +168,36 @@ func (en *Enum) VisitTilings(lo, hi int64, reduce [][]int, floor int64, visit fu
 		if back[i] != nil {
 			gap += back[i][idx[i]]
 		}
+		for k, w := range moved[i] {
+			image[k] += int64(idx[i]) * w
+		}
 	}
 	splits := make([]shape.Split, n)
 	for i := range splits {
 		splits[i] = en.options[i][idx[i]]
 	}
 	for flat := lo; flat < hi; flat++ {
-		visit(splits, gap > 0 && flat-gap >= floor)
+		skipped := gap > 0 && flat-gap >= floor
+		for _, p := range image {
+			skipped = skipped || p < flat && p >= floor
+		}
+		visit(splits, skipped)
 		for i := n - 1; i >= 0; i-- {
 			b := back[i]
 			if b != nil {
 				gap -= b[idx[i]]
 			}
+			step := int64(1)
 			idx[i]++
 			if idx[i] == len(en.options[i]) {
 				idx[i] = 0
+				step = 1 - int64(len(en.options[i]))
 			}
 			if b != nil {
 				gap += b[idx[i]]
+			}
+			for k, w := range moved[i] {
+				image[k] += step * w
 			}
 			splits[i] = en.options[i][idx[i]]
 			if idx[i] != 0 {

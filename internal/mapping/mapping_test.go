@@ -137,25 +137,29 @@ func TestStringFormat(t *testing.T) {
 }
 
 // TestVisitTilingsReduce checks the odometer's incremental distance to
-// the reduction against a per-tiling decode, over every sub-range of a
-// small imperfect space with reductions on two of its three ranks and
-// floors below, at and above the range start.
+// the reduction, and its incremental index of the image under a rank
+// permutation, against a per-tiling decode, over every sub-range of a
+// small imperfect space with reductions on two of its three ranks, a
+// permutation swapping those two, and floors below, at and above the
+// range start.
 func TestVisitTilingsReduce(t *testing.T) {
-	en := NewImperfectEnum(einsum.GEMM("g", 12, 6, 10), 3)
-	reduce := make([][]int, 3)
+	en := NewImperfectEnum(einsum.GEMM("g", 12, 6, 12), 3)
+	swap := []int{2, 1, 0}
+	skip := Skip{Reduce: make([][]int, 3), Perms: [][]int{swap}}
 	for _, i := range []int{0, 2} {
-		reduce[i] = make([]int, len(en.Options(i)))
-		for j := range reduce[i] {
-			reduce[i][j] = j - j%(i+2)
+		skip.Reduce[i] = make([]int, len(en.Options(i)))
+		for j := range skip.Reduce[i] {
+			skip.Reduce[i][j] = j - j%(i+2)
 		}
 	}
+	weight := []int64{int64(len(en.Options(1)) * len(en.Options(2))), int64(len(en.Options(2))), 1}
 	n := en.Tilings()
 	for lo := int64(0); lo <= n; lo++ {
 		for hi := lo; hi <= n; hi += 7 {
 			for _, floor := range []int64{0, lo - 5, lo, lo + 5} {
 				flat := lo
-				en.VisitTilings(lo, hi, reduce, floor, func(splits []shape.Split, skipped bool) {
-					var red, stride int64 = 0, 1
+				en.VisitTilings(lo, hi, skip, floor, func(splits []shape.Split, skipped bool) {
+					var red, image, stride int64 = 0, 0, 1
 					rem := flat
 					for i := 2; i >= 0; i-- {
 						k := int64(len(en.Options(i)))
@@ -164,14 +168,16 @@ func TestVisitTilingsReduce(t *testing.T) {
 						if splits[i] != en.Options(i)[j] {
 							t.Fatalf("[%d, %d) tiling %d rank %d: split %v, want %v", lo, hi, flat, i, splits[i], en.Options(i)[j])
 						}
-						if reduce[i] != nil {
-							j = reduce[i][j]
+						image += int64(j) * weight[swap[i]]
+						if skip.Reduce[i] != nil {
+							j = skip.Reduce[i][j]
 						}
 						red += int64(j) * stride
 						stride *= k
 					}
-					if want := red != flat && red >= floor; skipped != want {
-						t.Fatalf("[%d, %d) floor %d tiling %d (reduction %d): skipped %v, want %v", lo, hi, floor, flat, red, skipped, want)
+					if want := red != flat && red >= floor || image < flat && image >= floor; skipped != want {
+						t.Fatalf("[%d, %d) floor %d tiling %d (reduction %d, image %d): skipped %v, want %v",
+							lo, hi, floor, flat, red, image, skipped, want)
 					}
 					flat++
 				})

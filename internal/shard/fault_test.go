@@ -16,7 +16,7 @@ import (
 // syntheticDerive is a cheap deterministic DeriveFunc: every index maps to
 // a fixed (buffer, accesses) point, so curve differences expose any lost,
 // duplicated or corrupted work.
-func syntheticDerive(ctx context.Context, lo, hi int64) (*pareto.Curve, int64, error) {
+func syntheticDerive(ctx context.Context, _, lo, hi int64) (*pareto.Curve, int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -389,13 +389,13 @@ func TestCancelDuringBlockLeavesResumableCheckpoint(t *testing.T) {
 	defer cancel()
 	job := syntheticJob(items, plan)
 	inner := job.Derive
-	job.Derive = func(ctx context.Context, lo, hi int64) (*pareto.Curve, int64, error) {
+	job.Derive = func(ctx context.Context, floor, lo, hi int64) (*pareto.Curve, int64, error) {
 		if lo >= 30 {
 			// Cancel mid-block: the derive observes it and aborts, like the
 			// traversal engine does at chunk granularity.
 			cancel()
 		}
-		return inner(ctx, lo, hi)
+		return inner(ctx, floor, lo, hi)
 	}
 
 	p, _, err := Run(ctx, job, RunOptions{Path: path, CheckpointEvery: 10})

@@ -223,7 +223,7 @@ func KillAtIndex(job Job, idx int64, err error) Job {
 	derive := job.Derive
 	var mu sync.Mutex
 	killed := false
-	job.Derive = func(ctx context.Context, lo, hi int64) (*pareto.Curve, int64, error) {
+	job.Derive = func(ctx context.Context, floor, lo, hi int64) (*pareto.Curve, int64, error) {
 		mu.Lock()
 		kill := !killed && lo <= idx && idx < hi
 		if kill {
@@ -233,7 +233,7 @@ func KillAtIndex(job Job, idx int64, err error) Job {
 		if kill {
 			return nil, 0, err
 		}
-		return derive(ctx, lo, hi)
+		return derive(ctx, floor, lo, hi)
 	}
 	return job
 }

@@ -133,7 +133,7 @@ func TestDegradedMergeKeepsCoveredTilings(t *testing.T) {
 		lo, _ := shard.Plan{Index: 1, Count: c.shards}.Slice(en.Tilings())
 		ev := snowcat.NewEvaluator(c.e)
 		b := pareto.NewBuilder()
-		en.VisitTilings(lo, en.Tilings(), nil, 0, func(splits []shape.Split, _ bool) {
+		en.VisitTilings(lo, en.Tilings(), mapping.Skip{}, 0, func(splits []shape.Split, _ bool) {
 			b.Add(ev.MinCompact(acct, splits))
 		})
 		want := b.Curve()

@@ -231,3 +231,31 @@ func DecodePartial(data []byte) (*Partial, error) {
 	}
 	return &p, nil
 }
+
+// Admit decodes data as a partial frontier and checks that it belongs in
+// the slot of the shard whose fresh manifest is want (Job.Manifest): the
+// one admission rule for a slot, whether the bytes come from the slot's
+// file (Run's resume, Claim) or from a remote worker (the fleet). The
+// partial must decode (DecodePartial), describe the same derivation
+// (CompatibleWith) and the same shard, and, when complete is set, cover
+// its whole slice. Undecodable bytes wrap ErrCorruptPartial and another
+// derivation's or shard's partial wraps ErrForeignPartial; an incomplete
+// one is a plain error.
+func Admit(data []byte, want *Manifest, complete bool) (*Partial, error) {
+	p, err := DecodePartial(data)
+	if err != nil {
+		return nil, err
+	}
+	m := &p.Manifest
+	if err := m.CompatibleWith(want); err != nil {
+		return nil, fmt.Errorf("holds a different derivation (%v): %w", err, ErrForeignPartial)
+	}
+	if m.ShardIndex != want.ShardIndex {
+		return nil, fmt.Errorf("holds shard %d/%d, want %d/%d: %w",
+			m.ShardIndex+1, m.ShardCount, want.ShardIndex+1, want.ShardCount, ErrForeignPartial)
+	}
+	if complete && !m.Complete() {
+		return nil, fmt.Errorf("incomplete: completed through %d of [%d, %d)", m.CompletedThrough, m.RangeLo, m.RangeHi)
+	}
+	return p, nil
+}

@@ -26,7 +26,13 @@ const defaultBlocksPerShard = 32
 // Pareto insertion, but only for deterministic evaluation). Cancelling
 // ctx must abort the derivation promptly and return the context's error —
 // the traversal engine's FrontierRange provides exactly this.
-type DeriveFunc func(ctx context.Context, lo, hi int64) (*pareto.Curve, int64, error)
+//
+// floor ≤ lo is the start of the frontier the curve is merged into: Run
+// passes its range start, since its accumulated partial already covers
+// [floor, lo). A hook may leave out an index whose point an index in
+// [floor, lo) equals or dominates, so only the merged curve need be
+// exact (bound.DeriveRange does; the other kinds ignore floor).
+type DeriveFunc func(ctx context.Context, floor, lo, hi int64) (*pareto.Curve, int64, error)
 
 // Job describes one shard's share of a derivation: the identity fields
 // stamped into the manifest plus the range-derivation hook.
@@ -204,7 +210,7 @@ func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, err
 		if bhi > hi {
 			bhi = hi
 		}
-		blk, n, err := job.Derive(ctx, m.CompletedThrough, bhi)
+		blk, n, err := job.Derive(ctx, lo, m.CompletedThrough, bhi)
 		if err != nil {
 			elapse()
 			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
@@ -236,7 +242,7 @@ func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, err
 		// Empty slice (more shards than items) or an already complete
 		// resume of an empty shard: derive the empty range so the curve
 		// still carries the workload annotations, then persist.
-		blk, _, err := job.Derive(ctx, lo, lo)
+		blk, _, err := job.Derive(ctx, lo, lo, lo)
 		if err != nil {
 			elapse()
 			return nil, stats, fmt.Errorf("shard: deriving empty slice: %w", err)
@@ -256,19 +262,16 @@ func Run(ctx context.Context, job Job, opts RunOptions) (*Partial, RunStats, err
 // the shard may resume it, and an error wrapping ErrCorruptPartial or
 // ErrForeignPartial when it must not. Any other error is the read's own.
 func inspect(fsys FS, path string, want *Manifest) (*Partial, error) {
-	prev, err := ReadPartial(fsys, path)
+	data, err := fsys.ReadFile(path)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		return nil, nil
 	case err != nil:
-		return nil, err
+		return nil, fmt.Errorf("shard: reading partial: %w", err)
 	}
-	if cerr := prev.Manifest.CompatibleWith(want); cerr != nil {
-		return nil, fmt.Errorf("shard: %s holds a different derivation (%v): %w", path, cerr, ErrForeignPartial)
-	}
-	if prev.Manifest.ShardIndex != want.ShardIndex {
-		return nil, fmt.Errorf("shard: %s holds shard %d/%d, want %d/%d: %w",
-			path, prev.Manifest.ShardIndex+1, prev.Manifest.ShardCount, want.ShardIndex+1, want.ShardCount, ErrForeignPartial)
+	prev, err := Admit(data, want, false)
+	if err != nil {
+		return nil, fmt.Errorf("shard: partial %s: %w", path, err)
 	}
 	return prev, nil
 }

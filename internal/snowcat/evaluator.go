@@ -116,27 +116,36 @@ func NewEvaluator(e *einsum.Einsum) *Evaluator {
 	return ev
 }
 
-// Dominators returns, for every rank i of e and every split option j of
-// en.Options(i), the index of an option of rank i that dominates j
-// under acct: whatever the other ranks' options, it gives the same
-// access count and a buffer no larger. It is j itself when no such rule
-// applies; a dominator has a lower index and is its own dominator, and a
-// rank with no dominated option has a nil row. This is the reduce table
-// mapping.Enum.VisitTilings takes.
+// Skips returns the tilings a frontier traversal of e under acct need
+// not score, in the form mapping.Enum.VisitTilings takes: each rank's
+// dominated split options (Skip.Reduce), and the automorphisms of e that
+// leave every tiling's point unchanged under acct (Skip.Perms). Package
+// bound states and proves the three lemmas; each rests on this package's
+// cost formulas.
 //
-// Package bound states and proves the two rules; each rests on this
-// package's cost formulas. Under Perfect and SpillCharged a batch rank
+// Reduce: under Perfect and SpillCharged a batch rank
 // (einsum.Compiled.Batch) enters every footprint as its inner tile and
 // every count, spill reloads included, as its outer bound, so its inner
-// tile 1 (option 0) dominates the rest. Under Imperfect an ungrouped
-// rank enters the access count only through its outer bound and its
-// effective tile, shape over outer bound (effectiveTiles), so the
-// smallest candidate of each run sharing an outer bound dominates the
-// run; groupedFactor reads the inner tile itself, so grouped ranks are
-// left alone.
-func Dominators(e *einsum.Einsum, acct Accounting, en *mapping.Enum) [][]int {
+// tile 1 (option 0) dominates the rest. Under Imperfect an ungrouped rank
+// enters the access count only through its outer bound and its effective
+// tile, shape over outer bound (effectiveTiles), so the smallest
+// candidate of each run sharing an outer bound dominates the run;
+// groupedFactor reads the inner tile itself, so grouped ranks are left
+// alone. An entry is j itself where no rule applies, a dominator has a lower
+// index and is its own dominator, and a rank with no dominated option has
+// a nil row.
+//
+// Perms: an automorphism (einsum.Compiled.Automorphisms) maps every
+// tensor's footprints and size onto another tensor of the same role, so
+// under Perfect and SpillCharged, whose arithmetic is exact integer
+// arithmetic, it maps each order's counts onto another order's. Under
+// Imperfect the effective footprints are floating point, so a permutation
+// is admitted only when MeanFootprint evaluates the image in an order
+// IEEE makes bit-identical (einsum.Compiled.KeepsFloatOrder); the ceil and
+// everything after it then see the same numbers.
+func Skips(e *einsum.Einsum, acct Accounting, en *mapping.Enum) mapping.Skip {
 	c := e.Compile()
-	rows := make([][]int, len(e.Ranks))
+	skip := mapping.Skip{Reduce: make([][]int, len(e.Ranks))}
 	for i := range e.Ranks {
 		opts := en.Options(i)
 		row := make([]int, len(opts))
@@ -156,10 +165,15 @@ func Dominators(e *einsum.Einsum, acct Accounting, en *mapping.Enum) [][]int {
 			dominated = dominated || row[j] != j
 		}
 		if dominated {
-			rows[i] = row
+			skip.Reduce[i] = row
 		}
 	}
-	return rows
+	for _, p := range c.Automorphisms() {
+		if acct != Imperfect || c.KeepsFloatOrder(p) {
+			skip.Perms = append(skip.Perms, p)
+		}
+	}
+	return skip
 }
 
 // EvaluateCompact returns only the buffer requirement and access count in

@@ -79,7 +79,7 @@ func TestDominators(t *testing.T) {
 	}
 	g := einsum.GEMM("g", 4096, 512, 4096)
 	en := mapping.NewImperfectEnum(g, 48)
-	rows := Dominators(g, Imperfect, en)
+	rows := Skips(g, Imperfect, en).Reduce
 	for i, want := range []struct{ all, kept int }{{44, 39}, {44, 32}, {44, 39}} {
 		opts := en.Options(i)
 		if n, k := len(opts), kept(rows[i]); n != want.all || k != want.kept {
@@ -91,14 +91,14 @@ func TestDominators(t *testing.T) {
 			}
 		}
 	}
-	if rows := Dominators(g, Perfect, mapping.NewEnum(g)); rows[0] != nil || rows[1] != nil || rows[2] != nil {
+	if rows := Skips(g, Perfect, mapping.NewEnum(g)).Reduce; rows[0] != nil || rows[1] != nil || rows[2] != nil {
 		t.Errorf("perfect GEMM: options reduced %v, want none", rows)
 	}
 
 	b := einsum.BMM("b", 32, 64, 16, 64)
 	for _, acct := range []Accounting{Perfect, SpillCharged} {
 		en := mapping.NewEnum(b)
-		rows := Dominators(b, acct, en)
+		rows := Skips(b, acct, en).Reduce
 		if en.Options(0)[0].Inner != 1 || len(rows[0]) != 6 || kept(rows[0]) != 1 || rows[0][5] != 0 {
 			t.Errorf("BMM H under %d: reductions %v, want every option to inner tile 1 (option 0)", acct, rows[0])
 		}
@@ -110,15 +110,44 @@ func TestDominators(t *testing.T) {
 	}
 	// No batch rule under Imperfect, and no imperfect rule on a grouped rank.
 	gb := einsum.GroupedBMM("gb", 12, 3, 16, 8, 8)
-	if rows := Dominators(gb, Imperfect, mapping.NewImperfectEnum(gb, 12)); rows[0] != nil {
+	if rows := Skips(gb, Imperfect, mapping.NewImperfectEnum(gb, 12)).Reduce; rows[0] != nil {
 		t.Errorf("grouped H under Imperfect: options reduced %v, want none", rows[0])
 	}
 	en = mapping.NewImperfectEnum(b, 12)
-	rows = Dominators(b, Imperfect, en)
+	rows = Skips(b, Imperfect, en).Reduce
 	for j, s := range en.Options(0) {
 		dominated := j > 0 && en.Options(0)[j-1].Outer == s.Outer
 		if got := rows[0] != nil && rows[0][j] != j; got != dominated {
 			t.Errorf("BMM H under Imperfect: option %v reduced %v, want %v", s, got, dominated)
+		}
+	}
+}
+
+// TestSkipsPerms pins which automorphisms each accounting admits: every
+// one under the exact-integer rules, and under Imperfect only those whose
+// effective footprints keep their float evaluation order — a GEMM's
+// two-dim tensors, but neither the conv's four-dim weight nor the BMM's
+// three-dim operands. A grouped BMM has none to admit.
+func TestSkipsPerms(t *testing.T) {
+	cases := []struct {
+		e    *einsum.Einsum
+		want [3]int // admitted permutations under Perfect, SpillCharged, Imperfect
+	}{
+		{einsum.GEMM("g", 64, 32, 64), [3]int{1, 1, 1}},
+		{einsum.GEMM("cube", 64, 64, 64), [3]int{1, 1, 1}},
+		{einsum.BMM("b", 4, 64, 16, 64), [3]int{1, 1, 0}},
+		{einsum.Conv2D("c", einsum.ConvConfig{P: 16, Q: 16, N: 8, C: 8, R: 3, S: 3}), [3]int{1, 1, 0}},
+		{einsum.GroupedBMM("gb", 8, 2, 64, 16, 64), [3]int{0, 0, 0}},
+	}
+	for _, cs := range cases {
+		for acct, want := range cs.want {
+			en := mapping.NewEnum(cs.e)
+			if Accounting(acct) == Imperfect {
+				en = mapping.NewImperfectEnum(cs.e, 4)
+			}
+			if got := len(Skips(cs.e, Accounting(acct), en).Perms); got != want {
+				t.Errorf("%s under %d: %d permutations admitted, want %d", cs.e, acct, got, want)
+			}
 		}
 	}
 }

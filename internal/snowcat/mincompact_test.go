@@ -51,7 +51,7 @@ func TestMinCompactMatchesOrderMinimum(t *testing.T) {
 				}
 				for i := int64(0); i < en.Tilings(); i++ {
 					var splits []shape.Split
-					en.VisitTilings(i, i+1, nil, 0, func(s []shape.Split, _ bool) { splits = append(splits, s...) })
+					en.VisitTilings(i, i+1, mapping.Skip{}, 0, func(s []shape.Split, _ bool) { splits = append(splits, s...) })
 					var orders, wantBuf, wantAcc int64
 					en.Visit(i, i+1, func(m *mapping.Mapping) {
 						buf, acc := eval(m)

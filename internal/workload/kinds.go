@@ -128,8 +128,8 @@ var kinds = [...]kindDef{
 			if err := o.Validate(); err != nil {
 				return nil, err
 			}
-			return func(ctx context.Context, lo, hi int64) (*pareto.Curve, int64, error) {
-				r, err := bound.DeriveRange(ctx, s.Einsum, o, lo, hi)
+			return func(ctx context.Context, floor, lo, hi int64) (*pareto.Curve, int64, error) {
+				r, err := bound.DeriveRange(ctx, s.Einsum, o, floor, lo, hi)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -163,7 +163,7 @@ var kinds = [...]kindDef{
 		space:   func(s *Spec) (int64, error) { return multilevel.Space(s.Einsum) },
 		derive: func(s *Spec, workers int) (shard.DeriveFunc, error) {
 			o := multilevel.Options{Workers: workers}
-			return func(ctx context.Context, lo, hi int64) (*pareto.Curve, int64, error) {
+			return func(ctx context.Context, _, lo, hi int64) (*pareto.Curve, int64, error) {
 				r, err := multilevel.DeriveRange(ctx, s.Einsum, s.MultiLevel.L1CapBytes, lo, hi, o)
 				if err != nil {
 					return nil, 0, err
@@ -187,7 +187,7 @@ var kinds = [...]kindDef{
 		ceiling: func(s *Spec) count { return chainCeiling(s.Chain) },
 		space:   func(s *Spec) (int64, error) { return fusion.TiledFusionSpace(s.Chain) },
 		derive: func(s *Spec, workers int) (shard.DeriveFunc, error) {
-			return func(ctx context.Context, lo, hi int64) (*pareto.Curve, int64, error) {
+			return func(ctx context.Context, _, lo, hi int64) (*pareto.Curve, int64, error) {
 				curve, ts, err := fusion.TiledFusionRange(ctx, s.Chain, lo, hi, workers)
 				if err != nil {
 					return nil, 0, err
@@ -224,7 +224,7 @@ var kinds = [...]kindDef{
 			if err != nil {
 				return nil, err
 			}
-			return func(ctx context.Context, lo, hi int64) (*pareto.Curve, int64, error) {
+			return func(ctx context.Context, _, lo, hi int64) (*pareto.Curve, int64, error) {
 				curve, ts, err := sweep.Range(ctx, lo, hi, workers)
 				if err != nil {
 					return nil, 0, err
@@ -481,7 +481,7 @@ func (s *Spec) Run(ctx context.Context, exec Exec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	curve, evaluated, err := derive(ctx, 0, space)
+	curve, evaluated, err := derive(ctx, 0, 0, space)
 	if err != nil {
 		return nil, err
 	}
@@ -566,7 +566,7 @@ func materializePerOp(ctx context.Context, s *Spec, exec Exec) (*Spec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: per-op curve %d (%s): %w", i, ref.String(), err)
 		}
-		r, err := bound.DeriveRange(ctx, ref, opts, 0, space)
+		r, err := bound.DeriveRange(ctx, ref, opts, 0, 0, space)
 		if err != nil {
 			return nil, fmt.Errorf("workload: per-op curve %d (%s): %w", i, ref.String(), err)
 		}
