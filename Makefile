@@ -15,7 +15,7 @@ RACE_PKGS := ./internal/bound ./internal/pareto ./internal/fusion \
 # already shortened to milliseconds.
 ROBUST_PKGS := ./internal/shard ./internal/fleet ./internal/traverse
 
-.PHONY: all vet build test race robust serve fleet chaos store fuzz bench-smoke docs ci
+.PHONY: all vet build test race robust serve fleet chaos store fuzz bench-smoke docs loc ci
 
 all: ci
 
@@ -32,6 +32,23 @@ docs:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	go vet ./...
 	go run ./internal/tools/doccheck
+
+# Go line counts, non-test and test, in four groups: the infrastructure
+# (fleet with its chaos harness, serve, shard, store, workload, cliutil),
+# the derivation model (the rest of internal/, tools aside), cmd/ and
+# bench/. Informational, with no threshold: it is the one command behind
+# the net line delta each change reports.
+INFRA_DIRS := $(addprefix internal/,fleet serve shard store workload cliutil)
+MODEL_DIRS := $(filter-out $(INFRA_DIRS) internal/tools,$(patsubst %/,%,$(wildcard internal/*/)))
+
+loc:
+	@printf '%-15s %7s %7s\n' group source test
+	@for g in "infrastructure:$(INFRA_DIRS)" "model:$(MODEL_DIRS)" "cmd:cmd" "bench:bench"; do \
+		dirs=$${g#*:}; \
+		src=$$(find $$dirs -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		tst=$$(find $$dirs -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%-15s %7d %7d\n' "$${g%%:*}" $$src $$tst; \
+	done
 
 build:
 	go build ./...
@@ -119,4 +136,4 @@ bench-smoke:
 	bash bench/run.sh --workload derive-mixed --seconds 2
 	bash bench/run.sh --workload shard-fleet --seconds 2
 
-ci: vet build test race robust serve fleet chaos store fuzz docs bench-smoke
+ci: vet build test race robust serve fleet chaos store fuzz docs loc bench-smoke

@@ -4,8 +4,9 @@
 // derives. It refuses, with a descriptive error, any set of partials that
 // does not form the complete shard set of one derivation: mismatched
 // workload or options digests, differing engine versions, missing,
-// duplicated or incomplete shards. See docs/shard-format.md for the file
-// format.
+// duplicated or incomplete shards. With -out the file is replaced
+// atomically, so a killed or failing merge never leaves a torn curve.
+// See docs/shard-format.md for the file format.
 //
 // With -allow-partial, an incomplete shard set (missing or interrupted
 // shards) merges into an explicitly annotated degraded curve instead of
@@ -31,6 +32,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -88,7 +90,12 @@ func main() {
 				d.CoveredIndices, d.Items, 100*d.CoveredFraction, d.Curve.Len(),
 				d.MissingShards, d.IncompleteShards)
 		}
-		if err := writeDegraded(d, *out, *csv); err != nil {
+		// The JSON form is the annotated envelope; the CSV form leads with
+		// "# degraded" comment lines, so the coverage annotation can never
+		// be separated from the data.
+		header := fmt.Sprintf("# degraded: %t\n# covered_indices: %d of %d (fraction %.6f)\n# missing_shards: %v\n# incomplete_shards: %v\n",
+			!d.Complete(), d.CoveredIndices, d.Items, d.CoveredFraction, d.MissingShards, d.IncompleteShards)
+		if err := write(*out, *csv, d, d.Curve, header); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -107,7 +114,7 @@ func main() {
 			shape.FormatBytes(merged.MaxEffectualBufferBytes()))
 	}
 
-	if err := writeCurve(merged, *out, *csv); err != nil {
+	if err := write(*out, *csv, merged, merged, ""); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -151,58 +158,28 @@ func resumeIncomplete(partials []*shard.Partial, paths []string, workers int, su
 	}
 }
 
-// writeCurve emits the merged curve as JSON (annotations included) or as
-// two-column CSV, to path or stdout.
-func writeCurve(c *pareto.Curve, path string, csv bool) error {
-	w := os.Stdout
-	if path != "" {
-		f, err := os.Create(path)
+// write emits a merge result to path, or to stdout when path is empty:
+// payload as one JSON line, or with csv the header followed by curve's
+// two-column CSV. A file is replaced atomically (shard.WriteFileAtomic),
+// so a killed or failing merge leaves the previous file or the complete
+// new one, never a torn curve.
+func write(path string, csv bool, payload any, curve *pareto.Curve, header string) error {
+	var buf bytes.Buffer
+	if csv {
+		buf.WriteString(header)
+		if _, err := curve.WriteTo(&buf); err != nil {
+			return err
+		}
+	} else {
+		data, err := json.Marshal(payload)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
+		buf.Write(append(data, '\n'))
 	}
-	if csv {
-		_, err := c.WriteTo(w)
+	if path == "" {
+		_, err := os.Stdout.Write(buf.Bytes())
 		return err
 	}
-	data, err := json.Marshal(c)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// writeDegraded emits a degraded merge, to path or stdout. The JSON form
-// is the annotated envelope; the CSV form leads with "# degraded" comment
-// lines so the coverage annotation can never be separated from the data.
-func writeDegraded(d *shard.Degraded, path string, csv bool) error {
-	w := os.Stdout
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if csv {
-		if _, err := fmt.Fprintf(w, "# degraded: %t\n# covered_indices: %d of %d (fraction %.6f)\n# missing_shards: %v\n# incomplete_shards: %v\n",
-			!d.Complete(), d.CoveredIndices, d.Items, d.CoveredFraction,
-			d.MissingShards, d.IncompleteShards); err != nil {
-			return err
-		}
-		_, err := d.Curve.WriteTo(w)
-		return err
-	}
-	data, err := json.Marshal(d)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
+	return shard.WriteFileAtomic(nil, path, buf.Bytes())
 }

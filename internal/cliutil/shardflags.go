@@ -241,29 +241,20 @@ func runPlan(ctx context.Context, cfg ShardRunConfig, f *ShardFlags, mkJob func(
 	} else {
 		fmt.Printf("supervised %d shards in %d attempts\n", f.Supervise, attempts)
 	}
-	emitMerged(cfg, f, report.Curve, report.Degraded)
-}
-
-// emitMerged renders a sharded run's merged result — exact curve or
-// annotated degraded envelope — and writes -out; the tail of runPlan.
-func emitMerged(cfg ShardRunConfig, f *ShardFlags, curve *pareto.Curve, degraded *shard.Degraded) {
-	if degraded != nil {
-		curve = degraded.Curve
+	curve := report.Curve
+	// A degraded result is serialized only inside its annotated
+	// envelope, never as a bare curve.
+	var payload any = curve
+	if curve.Degraded {
+		d := report.Degraded
+		payload = d
 		fmt.Printf("DEGRADED curve: covers %d of %d indices (%.2f%%); missing shards %v, incomplete %v\n",
-			degraded.CoveredIndices, degraded.Items, 100*degraded.CoveredFraction,
-			degraded.MissingShards, degraded.IncompleteShards)
+			d.CoveredIndices, d.Items, 100*d.CoveredFraction, d.MissingShards, d.IncompleteShards)
 	}
 	if cfg.Summarize != nil {
 		cfg.Summarize(curve)
 	}
-
 	if f.Out != "" {
-		// A degraded result is serialized only inside its annotated
-		// envelope, never as a bare curve.
-		var payload any = curve
-		if degraded != nil {
-			payload = degraded
-		}
 		writeOut(f.Out, payload)
 		fmt.Printf("merged curve: %d points -> %s\n", curve.Len(), f.Out)
 	}

@@ -346,7 +346,7 @@ func TestChaosLastWorkerDies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("allow_partial run failed outright: %v", err)
 		}
-		if report.Degraded == nil || report.Curve != nil {
+		if report.Degraded == nil || report.Curve != report.Degraded.Curve {
 			t.Fatal("run did not degrade")
 		}
 		d := report.Degraded

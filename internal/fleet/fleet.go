@@ -30,9 +30,11 @@
 //   - Interrupts. Cancelling the run's context stops every attempt
 //     within about one traversal chunk with checkpoints flushed; the
 //     report is marked interrupted and rerunning resumes.
-//   - The final merge: exact (shard.MergeFiles, byte-identical to a
-//     single-process derivation) or — only under Options.AllowPartial —
-//     a degraded merge annotated with its covered index fraction.
+//   - The final merge: the spooled partials are read once and merged
+//     once (shard.MergeDegraded). A complete cover is the exact curve,
+//     byte-identical to a single-process derivation; an incomplete one
+//     is accepted only under Options.AllowPartial, as a degraded curve
+//     annotated with its covered index fraction.
 //
 // The HTTP attempt adds the fleet machinery: per-worker dispatch slots,
 // retry on a different worker, validation of every response against the
@@ -62,7 +64,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -285,10 +286,12 @@ type ShardState struct {
 	Err error
 }
 
-// Report is the outcome of a run: per-shard states and exactly one of
-// Curve (exact merge) or Degraded (annotated best-effort merge under
-// AllowPartial); both nil when the run was interrupted or failed. Fleet
-// totals and worker state live in the Registry (Totals, Snapshot).
+// Report is the outcome of a run: per-shard states and the merged
+// Curve. Degraded is set only when the merge covered part of the index
+// space (possible only under AllowPartial); Curve is then its degraded
+// union, with Curve.Degraded set. Both are nil when the run was
+// interrupted or failed. Fleet totals and worker state live in the
+// Registry (Totals, Snapshot).
 type Report struct {
 	Shards      []ShardState
 	Curve       *pareto.Curve
@@ -379,56 +382,51 @@ func Run(ctx context.Context, n int, mkJob func(shard.Plan) (shard.Job, error), 
 			failed = append(failed, st.Err)
 		}
 	}
-	if len(failed) == 0 {
-		paths := make([]string, n)
-		for k := range paths {
-			paths[k] = report.Shards[k].Path
-		}
-		curve, err := shard.MergeFiles(opts.FS, paths...)
-		if err != nil {
-			return report, fmt.Errorf("fleet: final merge: %w", err)
-		}
-		report.Curve = curve
-		return report, nil
-	}
-	if !opts.AllowPartial {
+	if len(failed) > 0 && !opts.AllowPartial {
 		// Wrapping the joined shard errors keeps the sentinels reachable:
 		// errors.Is(err, ErrRetriesExhausted) and errors.Is(err,
 		// ErrNoWorkers) hold at the run level.
 		return report, fmt.Errorf("fleet: %d of %d shards failed permanently (rerun to retry, or use -allow-partial for an annotated degraded merge): %w",
 			len(failed), n, errors.Join(failed...))
 	}
-	degraded, err := mergeDegraded(report, &opts)
-	if err != nil {
-		return report, err
+	merged, err := mergeSpool(report, &opts)
+	if err == nil && merged.Curve.Degraded && !opts.AllowPartial {
+		err = fmt.Errorf("spool covers %d of %d indices; missing shards %v, incomplete %v",
+			merged.CoveredIndices, merged.Items, merged.MissingShards, merged.IncompleteShards)
 	}
-	report.Degraded = degraded
-	opts.logf("fleet: degraded merge covers %d of %d indices (%.2f%%); missing shards %v, incomplete %v",
-		degraded.CoveredIndices, degraded.Items, 100*degraded.CoveredFraction,
-		degraded.MissingShards, degraded.IncompleteShards)
+	if err != nil {
+		return report, fmt.Errorf("fleet: final merge: %w", err)
+	}
+	report.Curve = merged.Curve
+	if merged.Curve.Degraded {
+		report.Degraded = merged
+		opts.logf("fleet: degraded merge covers %d of %d indices (%.2f%%); missing shards %v, incomplete %v",
+			merged.CoveredIndices, merged.Items, 100*merged.CoveredFraction,
+			merged.MissingShards, merged.IncompleteShards)
+	}
 	return report, nil
 }
 
-// mergeDegraded merges every readable partial the run left in the spool.
-func mergeDegraded(report *Report, opts *Options) (*shard.Degraded, error) {
+// mergeSpool reads the run's spooled partials once and merges them with
+// shard.MergeDegraded, the one merge of exact and degraded shard sets.
+// An unreadable partial fails the merge unless AllowPartial, under which
+// it is skipped and the merge covers what remains.
+func mergeSpool(report *Report, opts *Options) (*shard.Degraded, error) {
 	var partials []*shard.Partial
 	for k := range report.Shards {
-		st := &report.Shards[k]
-		p, err := shard.ReadPartial(opts.FS, st.Path)
-		if err != nil {
-			if !errors.Is(err, fs.ErrNotExist) {
-				opts.logf("fleet: degraded merge skips %s: %v", st.Path, err)
-			}
-			continue
+		p, err := shard.ReadPartial(opts.FS, report.Shards[k].Path)
+		switch {
+		case err == nil:
+			partials = append(partials, p)
+		case !opts.AllowPartial:
+			return nil, err
+		case !errors.Is(err, fs.ErrNotExist):
+			opts.logf("fleet: degraded merge skips %s: %v", report.Shards[k].Path, err)
 		}
-		partials = append(partials, p)
 	}
 	if len(partials) == 0 {
-		return nil, fmt.Errorf("fleet: degraded merge: no readable partial frontiers")
+		return nil, fmt.Errorf("no readable partial frontiers")
 	}
-	sort.Slice(partials, func(i, j int) bool {
-		return partials[i].Manifest.ShardIndex < partials[j].Manifest.ShardIndex
-	})
 	return shard.MergeDegraded(partials...)
 }
 

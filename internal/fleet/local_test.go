@@ -261,12 +261,12 @@ func TestSupervisorDegradedMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Curve != nil {
-		t.Fatal("degraded run also emitted an exact curve")
-	}
 	d := report.Degraded
 	if d == nil {
 		t.Fatal("AllowPartial run emitted no degraded merge")
+	}
+	if report.Curve != d.Curve || !report.Curve.Degraded {
+		t.Fatal("degraded run's curve is not its degraded union")
 	}
 	if d.Complete() || d.CoveredFraction >= 1 {
 		t.Fatalf("degraded merge claims completeness: %+v", d)

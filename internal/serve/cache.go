@@ -93,23 +93,48 @@ func (s *memCache) get(key string) (result, bool) {
 // The second return reports leadership: the leader must start the
 // derivation and eventually call finish; everyone (leader included, via
 // its request handler) waits on f.done or leaves.
-func (s *memCache) join(base context.Context, key string) (f *flight, leader bool) {
+//
+// A flight whose last waiter left is cancelled but stays in the table
+// until its derivation winds down. Its outcome is that cancellation, so
+// join never attaches to it; nor does it start a second flight of the
+// key beside it, since the flights of a spooled derivation share one
+// spool directory. It waits for the abandoned flight to finish, joins it
+// if it succeeded anyway, and otherwise leads or joins a fresh flight.
+// If ctx ends first, join returns ctx's error.
+func (s *memCache) join(ctx, base context.Context, key string) (*flight, bool, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.flights[key]; ok {
-		f.waiters++
-		return f, false
+	for {
+		f, ok := s.flights[key]
+		if !ok {
+			break
+		}
+		if f.waiters > 0 {
+			f.waiters++
+			s.mu.Unlock()
+			return f, false, nil
+		}
+		s.mu.Unlock()
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
+		if f.err == nil {
+			return f, false, nil
+		}
+		s.mu.Lock()
 	}
-	ctx, cancel := context.WithCancel(base)
-	f = &flight{
+	defer s.mu.Unlock()
+	fctx, cancel := context.WithCancel(base)
+	f := &flight{
 		key:     key,
-		ctx:     ctx,
+		ctx:     fctx,
 		cancel:  cancel,
 		done:    make(chan struct{}),
 		waiters: 1,
 	}
 	s.flights[key] = f
-	return f, true
+	return f, true, nil
 }
 
 // leave detaches a waiter that gave up (deadline expired, client

@@ -17,10 +17,14 @@
 //     and concurrent identical requests — keyed by the same canonical
 //     workload/options encodings the sharded format uses — share one
 //     derivation. A stampede of N requests costs one traversal.
-//   - Panic containment. A panic anywhere in a derivation (traversal
-//     workers already recover their own; the flight runner recovers the
-//     rest) becomes a structured 500 with the stack in the server log.
-//     The process never crashes on a request.
+//   - Panic containment. A panic anywhere in a derivation or a worker
+//     shard (traversal workers already recover their own; the guarded
+//     run both endpoints share recovers the rest) becomes a structured
+//     500 with the stack in the server log. The process never crashes on
+//     a request.
+//   - One failure table. Both endpoints answer every failure through
+//     the same mapping from error to status, code and Retry-After, so a
+//     curve client and a fleet coordinator read the same taxonomy.
 //   - Graceful drain. Drain stops admissions, lets in-flight work finish
 //     within a deadline, then cancels the rest — and because sharded
 //     derivations checkpoint partial frontiers in the spool directory,
@@ -404,8 +408,8 @@ type ResultFields struct {
 // ErrorInfo is the machine-readable error payload.
 type ErrorInfo struct {
 	// Code is one of: invalid_request, invalid_workload,
-	// method_not_allowed, saturated, draining, deadline, panic,
-	// internal.
+	// unsupported_version, method_not_allowed, worker_disabled,
+	// saturated, draining, deadline, panic, invalid_curve, internal.
 	Code string `json:"code"`
 	// Message is the human-readable detail.
 	Message string `json:"message"`
@@ -529,21 +533,9 @@ func (s *Server) enter() bool {
 	return true
 }
 
-// errDraining fails a flight that could not start because the server is
+// errDraining fails work that could not start because the server is
 // draining.
 var errDraining = errors.New("serve: server is draining")
-
-// lead starts the leader's flight f in its own goroutine, or — when the
-// server is draining — finishes it with errDraining, which every waiter
-// answers with 503 draining.
-func (s *Server) lead(f *flight, d *derivation, shards int, allowPartial, noCache bool) {
-	if !s.enter() {
-		f.cancel()
-		s.mem.finish(f, result{}, errDraining)
-		return
-	}
-	go s.runFlight(f, d, shards, allowPartial, noCache)
-}
 
 func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
 	if retryAfter > 0 {
@@ -569,8 +561,7 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining",
-			"server is draining; retry against another replica", time.Second)
+		s.fail(w, r.Context(), errDraining)
 		return
 	}
 
@@ -626,33 +617,34 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.misses.Add(1)
 
-	timeout := s.timeout(req.TimeoutMS)
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
 	defer cancel()
-
-	f, leader := s.mem.join(s.base, d.key)
-	if leader {
-		s.lead(f, d, req.Shards, req.AllowPartial, req.NoCache)
+	res, err := s.fly(ctx, d, req.Shards, req.AllowPartial, req.NoCache)
+	if err != nil {
+		s.fail(w, ctx, err)
+		return
 	}
+	s.respond(w, d, &req, res, false)
+}
 
+// fly joins — or leads — the single flight of d's key and waits for its
+// outcome under ctx: the flight's result and error, or ctx's error if ctx
+// ends first, in which case the caller leaves the flight.
+func (s *Server) fly(ctx context.Context, d *derivation, shards int, allowPartial, noCache bool) (result, error) {
+	f, leader, err := s.mem.join(ctx, s.base, d.key)
+	if err != nil {
+		return result{}, err
+	}
+	if leader {
+		go s.runFlight(f, d, shards, allowPartial, noCache)
+	}
+	defer s.mem.leave(f)
 	select {
 	case <-f.done:
 		// finish has published res/err; waiters read them after done.
-		if f.err != nil {
-			s.mem.leave(f)
-			s.writeDeriveError(w, f.err)
-			return
-		}
-		s.mem.leave(f)
-		s.respond(w, d, &req, f.res, false)
+		return f.res, f.err
 	case <-ctx.Done():
-		s.mem.leave(f)
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.stats.deadlines.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "deadline",
-				fmt.Sprintf("derivation exceeded the request deadline (%s)", timeout), 0)
-		}
-		// Client disconnect: nobody is listening; write nothing.
+		return result{}, ctx.Err()
 	}
 }
 
@@ -695,9 +687,14 @@ func (s *Server) respond(w http.ResponseWriter, d *derivation, req *Request, res
 	_, _ = w.Write(res.fields)
 }
 
-// writeDeriveError maps a flight failure onto the error taxonomy.
-func (s *Server) writeDeriveError(w http.ResponseWriter, err error) {
+// fail answers a failed request of either endpoint from the one failure
+// table, which maps err to the status, code and Retry-After clients see.
+// A context error is classified by who cancelled it: server shutdown (503
+// draining), the request's deadline (504 deadline), or the client hanging
+// up (no body: nobody is listening). ctx is the request's context.
+func (s *Server) fail(w http.ResponseWriter, ctx context.Context, err error) {
 	var pe *traverse.PanicError
+	cancelled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 	switch {
 	case errors.Is(err, errDraining):
 		writeError(w, http.StatusServiceUnavailable, "draining",
@@ -705,52 +702,76 @@ func (s *Server) writeDeriveError(w http.ResponseWriter, err error) {
 	case errors.Is(err, errSaturated):
 		s.stats.saturated.Add(1)
 		writeError(w, http.StatusTooManyRequests, "saturated",
-			"derivation capacity and queue are full; retry later", s.cfg.QueueWait)
+			"derivation capacity and queue are full; retry later or elsewhere", s.cfg.QueueWait)
 	case errors.As(err, &pe):
 		writeError(w, http.StatusInternalServerError, "panic",
 			"derivation panicked; see server logs", 0)
 	case errors.Is(err, errInvalidCurve):
 		writeError(w, http.StatusInternalServerError, "invalid_curve", err.Error(), 0)
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// The flight itself was cancelled — that only happens under
-		// server shutdown (flights outlive request deadlines as long as
-		// any waiter remains).
+	case cancelled && s.base.Err() != nil:
 		writeError(w, http.StatusServiceUnavailable, "draining",
-			"derivation cancelled by server shutdown; sharded progress was checkpointed", time.Second)
+			"derivation cancelled by server shutdown; sharded progress is checkpointed", time.Second)
+	case cancelled && errors.Is(ctx.Err(), context.DeadlineExceeded):
+		s.stats.deadlines.Add(1)
+		writeError(w, http.StatusGatewayTimeout, "deadline",
+			"derivation exceeded the request deadline; sharded progress is checkpointed", 0)
+	case cancelled && ctx.Err() != nil:
+		// The client hung up: nobody is listening; write nothing.
 	default:
+		// Any other failure, including a derivation that cancelled itself.
 		writeError(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 	}
 }
 
-// runFlight is the flight leader's goroutine: admission, disk-tier
-// lookup, derivation, panic containment, and publication. It runs under
+// guard is the one guarded run of both endpoints. It registers with the
+// drain barrier (errDraining once draining), answers from lookup when
+// that reports a hit — so a store hit takes no slot — and otherwise runs
+// run holding an admission slot, queueing under ctx. A panic in lookup
+// or run is contained: it returns as a *traverse.PanicError, with the
+// stack logged under what and panics_recovered counted.
+func (s *Server) guard(ctx context.Context, what string, lookup func() bool, run func() error) (err error) {
+	if !s.enter() {
+		return errDraining
+	}
+	defer s.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			err = traverse.Recovered(r)
+		}
+		var pe *traverse.PanicError
+		if errors.As(err, &pe) {
+			s.stats.panics.Add(1)
+			s.logf("serve: recovered panic in %s: %v\n%s", what, pe.Value, pe.Stack)
+		}
+	}()
+	if lookup != nil && lookup() {
+		return nil
+	}
+	if err := s.adm.acquire(ctx); err != nil {
+		return err
+	}
+	defer s.adm.release()
+	return run()
+}
+
+// runFlight is the flight leader's goroutine: the guarded run of the
+// disk-tier lookup and the derivation, then publication. It runs under
 // the flight context — a child of the server lifetime, cancelled early
 // only when every waiter has left or the server shuts down. The durable
 // store is consulted inside the flight, so the single flight spans both
 // cache tiers: a stampede of identical requests costs one disk read —
 // or, past it, one derivation — never N.
 func (s *Server) runFlight(f *flight, d *derivation, shards int, allowPartial, noCache bool) {
-	defer s.wg.Done()
 	defer f.cancel()
 	start := time.Now()
 	var res result
-	var err error
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				err = traverse.Recovered(r)
-			}
-		}()
+	lookup := func() (ok bool) {
 		if !noCache {
-			if out, ok := s.diskGet(d); ok {
-				res = out
-				return
-			}
+			res, ok = s.diskGet(d)
 		}
-		if err = s.adm.acquire(f.ctx); err != nil {
-			return
-		}
-		defer s.adm.release()
+		return ok
+	}
+	err := s.guard(f.ctx, fmt.Sprintf("derivation %s (%.12s)", d.label, d.digest), lookup, func() (err error) {
 		fn := d.run
 		if shards > 1 {
 			fn = s.spooledDerive(d, shards, allowPartial)
@@ -759,19 +780,14 @@ func (s *Server) runFlight(f *flight, d *derivation, shards int, allowPartial, n
 			fn = s.cfg.deriveWrap(d, fn)
 		}
 		if err = d.prepare(f.ctx); err != nil {
-			return
+			return err
 		}
 		res.deriveOut, err = fn(f.ctx)
-	}()
+		return err
+	})
 	if !res.fromStore {
 		// A disk hit replays the original derivation's cost figures.
 		res.elapsed = time.Since(start)
-	}
-	var pe *traverse.PanicError
-	if errors.As(err, &pe) {
-		s.stats.panics.Add(1)
-		s.logf("serve: recovered panic in derivation %s (%.12s): %v\n%s",
-			d.label, d.digest, pe.Value, pe.Stack)
 	}
 	if err == nil {
 		// Encoding validates the curve, so an invalid one is never persisted.
@@ -810,13 +826,12 @@ func (s *Server) diskGet(d *derivation) (result, bool) {
 	}, true
 }
 
-// diskPut persists a successful exact derivation to the durable tier.
-// Degraded results never reach here (they fail the res.degraded==nil
-// publication path and are never cached in any tier); write failures
-// are the store's problem — it degrades itself — and never the
+// diskPut persists a successful exact derivation to the durable tier; a
+// degraded curve is never persisted (nor cached in memory). Write
+// failures are the store's problem — it degrades itself — and never the
 // request's.
 func (s *Server) diskPut(d *derivation, res result) {
-	if s.disk == nil || res.degraded != nil || res.curve.Degraded {
+	if s.disk == nil || res.curve.Degraded {
 		return
 	}
 	err := s.disk.Put(d.digest, &store.Entry{
@@ -885,16 +900,10 @@ func (s *Server) spooledDerive(d *derivation, shards int, allowPartial bool) der
 		if err != nil {
 			return out, err
 		}
-		if report.Degraded != nil && !report.Degraded.Complete() {
-			out.curve = report.Degraded.Curve
+		out.curve = report.Curve
+		if out.curve.Degraded {
 			out.degraded = report.Degraded
 			return out, nil
-		}
-		out.curve = report.Curve
-		if report.Degraded != nil {
-			// AllowPartial was requested but every index was covered
-			// anyway: the merge is exact, so serve it as one.
-			out.curve = report.Degraded.Curve
 		}
 		if rmErr := s.cfg.fs.RemoveAll(dir); rmErr != nil {
 			s.logf("serve: cleaning spool %s: %v", dir, rmErr)

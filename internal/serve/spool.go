@@ -148,18 +148,7 @@ func (s *Server) ResumeOrphans(ctx context.Context) (int, error) {
 		// store already holds the curve; resume never allows a degraded
 		// merge, so an orphan that cannot complete exactly stays in the
 		// spool.
-		f, leader := s.mem.join(s.base, d.key)
-		if leader {
-			s.lead(f, d, env.Shards, false, true)
-		}
-		select {
-		case <-f.done:
-			err = f.err
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
-		s.mem.leave(f)
-		if err != nil {
+		if _, err := s.fly(ctx, d, env.Shards, false, true); err != nil {
 			s.logf("serve: resuming spool %s (%s): %v", dir, d.label, err)
 			continue
 		}

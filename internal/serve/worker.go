@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/shard"
-	"repro/internal/traverse"
 	"repro/internal/workload"
 )
 
@@ -95,8 +94,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining",
-			"worker is draining; dispatch the shard to another worker", time.Second)
+		s.fail(w, r.Context(), errDraining)
 		return
 	}
 
@@ -109,10 +107,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, code, err.Error(), 0)
 		return
 	}
-	plan := job.Plan
-
-	timeout := s.timeout(req.TimeoutMS)
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
 	defer cancel()
 	// Server shutdown must reach a running shard too: Close (and a drain
 	// deadline) cancel the base context, which cancels this run at
@@ -120,27 +115,17 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	stopBase := context.AfterFunc(s.base, cancel)
 	defer stopBase()
 
-	// Register with the drain barrier exactly like a curve flight.
-	if !s.enter() {
-		writeError(w, http.StatusServiceUnavailable, "draining",
-			"worker is draining; dispatch the shard to another worker", time.Second)
-		return
-	}
-	defer s.wg.Done()
-
-	if err := s.adm.acquire(ctx); err != nil {
-		s.writeShardError(w, ctx, timeout, err)
-		return
-	}
-	defer s.adm.release()
-
 	stride := s.cfg.CheckpointEvery
 	if req.CheckpointEvery > 0 {
 		stride = req.CheckpointEvery
 	}
-	data, err := s.runWorkerShard(ctx, job, plan, stride)
+	var data []byte
+	err = s.guard(ctx, fmt.Sprintf("worker shard %s of %s", job.Plan, job.Workload), nil, func() (err error) {
+		data, err = s.runWorkerShard(ctx, job, stride)
+		return err
+	})
 	if err != nil {
-		s.writeShardError(w, ctx, timeout, err)
+		s.fail(w, ctx, err)
 		return
 	}
 	s.stats.workerShards.Add(1)
@@ -183,32 +168,6 @@ func (s *Server) shardJob(req *ShardRequest) (shard.Job, string, error) {
 	return job, "", nil
 }
 
-// writeShardError maps a worker shard failure onto the error taxonomy.
-func (s *Server) writeShardError(w http.ResponseWriter, ctx context.Context, timeout time.Duration, err error) {
-	var pe *traverse.PanicError
-	switch {
-	case errors.Is(err, errSaturated):
-		s.stats.saturated.Add(1)
-		writeError(w, http.StatusTooManyRequests, "saturated",
-			"worker shard capacity and queue are full; dispatch elsewhere or retry later", s.cfg.QueueWait)
-	case errors.As(err, &pe):
-		writeError(w, http.StatusInternalServerError, "panic",
-			"shard derivation panicked; see worker logs", 0)
-	case s.base.Err() != nil:
-		writeError(w, http.StatusServiceUnavailable, "draining",
-			"worker shut down mid-shard; progress is checkpointed on this worker", time.Second)
-	case errors.Is(ctx.Err(), context.DeadlineExceeded):
-		s.stats.deadlines.Add(1)
-		writeError(w, http.StatusGatewayTimeout, "deadline",
-			fmt.Sprintf("shard derivation exceeded the request deadline (%s); progress is checkpointed on this worker", timeout), 0)
-	case ctx.Err() != nil:
-		// Coordinator hung up: nobody is listening; write nothing. The
-		// checkpoint survives for the retry.
-	default:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error(), 0)
-	}
-}
-
 // workerShardPath places one shard's worker-side checkpoint file: the
 // fleet spool layout under a derivation-digest subdirectory of the worker
 // spool, so retried dispatches of the same shard resume the same file
@@ -228,18 +187,8 @@ func (s *Server) workerShardPath(job *shard.Job, plan shard.Plan) string {
 // coordinator owns the durable copy from here on; a response the
 // coordinator never received is simply re-dispatched and re-derived. The digest directory goes with the last
 // live shard of its derivation (holdShard).
-func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.Plan, stride int64) (data []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rec := traverse.Recovered(r)
-			var pe *traverse.PanicError
-			if errors.As(rec, &pe) {
-				s.stats.panics.Add(1)
-				s.logf("serve: recovered panic in worker shard %s of %s: %v\n%s", plan, job.Workload, pe.Value, pe.Stack)
-			}
-			data, err = nil, rec
-		}
-	}()
+func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, stride int64) ([]byte, error) {
+	plan := job.Plan
 	path := s.workerShardPath(&job, plan)
 	release, err := s.holdShard(path)
 	if err != nil {
@@ -264,7 +213,7 @@ func (s *Server) runWorkerShard(ctx context.Context, job shard.Job, plan shard.P
 	}
 	s.stats.evaluated.Add(rs.Evaluated)
 	s.stats.deriveNanos.Add(int64(time.Since(start)))
-	data, err = s.cfg.fs.ReadFile(path)
+	data, err := s.cfg.fs.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}

@@ -173,15 +173,35 @@ func TestCorruptPartialMatrix(t *testing.T) {
 // mergeDegradedFiles reads the named partial-frontier files and merges
 // them best-effort, as shardmerge -allow-partial does.
 func mergeDegradedFiles(paths ...string) (*Degraded, error) {
+	partials, err := readPartials(nil, paths)
+	if err != nil {
+		return nil, err
+	}
+	return MergeDegraded(partials...)
+}
+
+// MergeFiles reads the named partial-frontier files over fsys (nil = OS)
+// and merges them strictly, as shardmerge does. It is exported to the
+// package's external tests, which merge the files their runs leave.
+func MergeFiles(fsys FS, paths ...string) (*pareto.Curve, error) {
+	partials, err := readPartials(fsys, paths)
+	if err != nil {
+		return nil, err
+	}
+	return Merge(partials...)
+}
+
+// readPartials reads the named partial-frontier files over fsys.
+func readPartials(fsys FS, paths []string) ([]*Partial, error) {
 	partials := make([]*Partial, len(paths))
 	for i, path := range paths {
-		p, err := ReadPartial(nil, path)
+		p, err := ReadPartial(fsys, path)
 		if err != nil {
 			return nil, err
 		}
 		partials[i] = p
 	}
-	return MergeDegraded(partials...)
+	return partials, nil
 }
 
 // rewritePartial loads a valid partial, applies mutate, and writes it

@@ -258,6 +258,19 @@ func runSpecShards(t *testing.T, dir string, enc []byte, n int) []string {
 	return paths
 }
 
+// mergeFiles reads the named partial-frontier files and merges them.
+func mergeFiles(paths ...string) (*pareto.Curve, error) {
+	partials := make([]*shard.Partial, len(paths))
+	for i, path := range paths {
+		p, err := shard.ReadPartial(nil, path)
+		if err != nil {
+			return nil, err
+		}
+		partials[i] = p
+	}
+	return shard.Merge(partials...)
+}
+
 // TestSpecShardingParity pins sharding parity for all four kinds: a Spec
 // serialized to JSON, decoded in a fresh context and compiled per shard
 // yields sharded merges byte-identical to the Spec's in-process Run, for
@@ -286,7 +299,7 @@ func TestSpecShardingParity(t *testing.T) {
 			want := curveBytes(t, inProc.Curve)
 			for _, n := range []int{2, 4} {
 				paths := runSpecShards(t, t.TempDir(), enc, n)
-				merged, err := shard.MergeFiles(nil, paths...)
+				merged, err := mergeFiles(paths...)
 				if err != nil {
 					t.Fatalf("N=%d: %v", n, err)
 				}
@@ -383,7 +396,7 @@ func TestKillAndResumeFromManifestSpecAlone(t *testing.T) {
 						stats, killed.Manifest.CompletedThrough)
 				}
 			}
-			merged, err := shard.MergeFiles(nil, paths...)
+			merged, err := mergeFiles(paths...)
 			if err != nil {
 				t.Fatal(err)
 			}
