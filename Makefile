@@ -37,18 +37,34 @@ docs:
 # (fleet with its chaos harness, serve, shard, store, workload, cliutil),
 # the derivation model (the rest of internal/, tools aside), cmd/ and
 # bench/. Informational, with no threshold: it is the one command behind
-# the net line delta each change reports.
+# the net line delta each change reports. `make loc BASE=<rev>` also
+# prints the table of <rev>, extracted with git archive into a temporary
+# directory (the working tree is never touched), and the per-group
+# difference from it to the working tree.
 INFRA_DIRS := $(addprefix internal/,fleet serve shard store workload cliutil)
-MODEL_DIRS := $(filter-out $(INFRA_DIRS) internal/tools,$(patsubst %/,%,$(wildcard internal/*/)))
 
 loc:
-	@printf '%-15s %7s %7s\n' group source test
-	@for g in "infrastructure:$(INFRA_DIRS)" "model:$(MODEL_DIRS)" "cmd:cmd" "bench:bench"; do \
-		dirs=$${g#*:}; \
-		src=$$(find $$dirs -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
-		tst=$$(find $$dirs -name '*_test.go' -exec cat {} + | wc -l); \
-		printf '%-15s %7d %7d\n' "$${g%%:*}" $$src $$tst; \
-	done
+	@count() { \
+		model=$$(cd "$$1" && for d in internal/*/; do d=$${d%/}; \
+			case " $(INFRA_DIRS) internal/tools " in *" $$d "*) ;; *) printf '%s ' $$d ;; esac; done); \
+		for g in "infrastructure:$(INFRA_DIRS)" "model:$$model" "cmd:cmd" "bench:bench"; do \
+			dirs=$${g#*:}; \
+			src=$$(cd "$$1" && find $$dirs -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+			tst=$$(cd "$$1" && find $$dirs -name '*_test.go' -exec cat {} + | wc -l); \
+			echo "$${g%%:*} $$src $$tst"; \
+		done; }; \
+	table() { awk -v fmt="$$1" 'BEGIN { printf "%-15s %7s %7s\n", "group", "source", "test" } \
+		ARGC == 3 && NR == FNR { s[$$1] = $$2; t[$$1] = $$3; next } \
+		{ printf fmt, $$1, $$2 - s[$$1], $$3 - t[$$1] }' "$$2" $${3:+"$$3"}; }; \
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	count . > "$$tmp/head" && table '%-15s %7d %7d\n' "$$tmp/head" && \
+	if [ -n "$(BASE)" ]; then \
+		git rev-parse --verify -q "$(BASE)^{commit}" > /dev/null || { echo "loc: unknown revision $(BASE)" >&2; exit 1; }; \
+		mkdir "$$tmp/tree" && git archive "$(BASE)" | tar -x -C "$$tmp/tree" && \
+		count "$$tmp/tree" > "$$tmp/base" && \
+		echo && echo "$(BASE)" && table '%-15s %7d %7d\n' "$$tmp/base" && \
+		echo && echo "difference from $(BASE)" && table '%-15s %+7d %+7d\n' "$$tmp/base" "$$tmp/head"; \
+	fi
 
 build:
 	go build ./...

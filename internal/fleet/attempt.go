@@ -85,24 +85,12 @@ func parseRetryAfter(h string, now time.Time) (time.Duration, bool) {
 		if secs < 0 {
 			return 0, false
 		}
-		return clampRetryAfter(time.Duration(secs) * time.Second), true
+		return min(time.Duration(secs)*time.Second, maxRetryAfter), true
 	}
 	if t, err := http.ParseTime(h); err == nil {
-		d := t.Sub(now)
-		if d < 0 {
-			d = 0
-		}
-		return clampRetryAfter(d), true
+		return min(max(t.Sub(now), 0), maxRetryAfter), true
 	}
 	return 0, false
-}
-
-// clampRetryAfter bounds a hold at maxRetryAfter.
-func clampRetryAfter(d time.Duration) time.Duration {
-	if d > maxRetryAfter {
-		return maxRetryAfter
-	}
-	return d
 }
 
 // errorEnvelope mirrors serve's error body without importing serve

@@ -22,7 +22,8 @@ type result struct {
 
 	// fields is the encoded tail of every success envelope that serves
 	// this result (encodeResultFields), filled once before the flight
-	// publishes the result: a cache hit encodes only its header.
+	// publishes the result: a cache hit encodes only its header. A worker
+	// shard's flight publishes the whole partial-frontier file here.
 	fields []byte
 }
 
@@ -56,7 +57,8 @@ type centry struct {
 }
 
 // memCache is the digest-keyed result cache plus the single-flight table,
-// under one mutex: a finishing flight inserts its result and removes
+// under one mutex (a table of capacity 0 caches nothing and is a bare
+// single-flight table): a finishing flight inserts its result and removes
 // itself atomically, so there is no window in which a new request sees
 // neither the cached result nor the running flight and starts a
 // duplicate derivation.
@@ -98,9 +100,10 @@ func (s *memCache) get(key string) (result, bool) {
 // until its derivation winds down. Its outcome is that cancellation, so
 // join never attaches to it; nor does it start a second flight of the
 // key beside it, since the flights of a spooled derivation share one
-// spool directory. It waits for the abandoned flight to finish, joins it
-// if it succeeded anyway, and otherwise leads or joins a fresh flight.
-// If ctx ends first, join returns ctx's error.
+// spool directory and those of a worker shard one checkpoint path. It
+// waits for the abandoned flight to finish, joins it if it succeeded
+// anyway, and otherwise leads or joins a fresh flight. If ctx ends
+// first, join returns ctx's error.
 func (s *memCache) join(ctx, base context.Context, key string) (*flight, bool, error) {
 	s.mu.Lock()
 	for {

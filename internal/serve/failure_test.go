@@ -94,7 +94,7 @@ func TestFailureTable(t *testing.T) {
 				cfg := Config{Workers: 1, MaxConcurrent: 1, MaxQueue: 1, QueueWait: 100 * time.Millisecond}
 				ep.arm(t, &cfg, func() { once.Do(func() { cl.act(s, hangUp, gate) }) })
 				s = New(cfg)
-				t.Cleanup(s.Close)
+				t.Cleanup(func() { stop(s) })
 				serve := func(ctx context.Context, m int64) *httptest.ResponseRecorder {
 					rec := httptest.NewRecorder()
 					req := httptest.NewRequest(http.MethodPost, ep.path, strings.NewReader(ep.body(m, cl.timeoutMS)))

@@ -16,7 +16,8 @@
 //   - Single-flight caching. Results are cached in a digest-keyed LRU,
 //     and concurrent identical requests — keyed by the same canonical
 //     workload/options encodings the sharded format uses — share one
-//     derivation. A stampede of N requests costs one traversal.
+//     derivation. A stampede of N requests costs one traversal. Fleet
+//     worker shards fly the same way, keyed by checkpoint path.
 //   - Panic containment. A panic anywhere in a derivation or a worker
 //     shard (traversal workers already recover their own; the guarded
 //     run both endpoints share recovers the rest) becomes a structured
@@ -127,9 +128,10 @@ type Config struct {
 
 	// WorkerDir, when set, enables the fleet worker endpoint POST
 	// /v1/shard (docs/fleet-protocol.md): dispatched shard slices run as
-	// checkpointed shard jobs under WorkerDir/<digest prefix>, so a
-	// retried dispatch resumes instead of restarting. Empty disables the
-	// endpoint (404 worker_disabled).
+	// checkpointed shard jobs at WorkerDir/<digest prefix>-shard-K-of-N.json,
+	// so a retried dispatch resumes instead of restarting. The worker
+	// creates the directory if it is missing. Empty disables the endpoint
+	// (404 worker_disabled).
 	WorkerDir string
 
 	// FleetWorkers, when non-empty, switches spooled sharded derivations
@@ -211,12 +213,10 @@ type Server struct {
 	flightMu sync.Mutex
 	wg       sync.WaitGroup
 
-	// workerLocks serializes concurrent /v1/shard runs per checkpoint
-	// path and workerDirs counts the live shard runs per digest directory
-	// (see holdShard); workerMu guards both.
-	workerMu    sync.Mutex
-	workerLocks map[string]*wlock
-	workerDirs  map[string]int
+	// shards is the single-flight table of /v1/shard runs, keyed by
+	// checkpoint path: an overlapping identical dispatch joins the running
+	// slice. Its capacity is 0, so shard bytes are never cached.
+	shards *memCache
 
 	// fleetReg is the server-lifetime fleet membership: worker health,
 	// circuit breakers, Retry-After holds and throughput scores persist
@@ -269,6 +269,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		mux:        http.NewServeMux(),
 		mem:        newMemCache(cfg.CacheEntries),
+		shards:     newMemCache(0),
 		adm:        newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueueWait),
 		started:    time.Now(),
 		base:       base,
@@ -619,7 +620,7 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
 	defer cancel()
-	res, err := s.fly(ctx, d, req.Shards, req.AllowPartial, req.NoCache)
+	res, err := s.fly(ctx, s.mem, d.key, s.leadCurve(d, req.Shards, req.AllowPartial, req.NoCache))
 	if err != nil {
 		s.fail(w, ctx, err)
 		return
@@ -627,18 +628,23 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, d, &req, res, false)
 }
 
-// fly joins — or leads — the single flight of d's key and waits for its
-// outcome under ctx: the flight's result and error, or ctx's error if ctx
-// ends first, in which case the caller leaves the flight.
-func (s *Server) fly(ctx context.Context, d *derivation, shards int, allowPartial, noCache bool) (result, error) {
-	f, leader, err := s.mem.join(ctx, s.base, d.key)
+// fly joins — or leads — the single flight of key in table and waits for
+// its outcome under ctx: the flight's result and error, or ctx's error if
+// ctx ends first, in which case the caller leaves the flight. A leader
+// starts lead under the flight context and publishes what it returns.
+func (s *Server) fly(ctx context.Context, table *memCache, key string, lead func(context.Context) (result, error)) (result, error) {
+	f, leader, err := table.join(ctx, s.base, key)
 	if err != nil {
 		return result{}, err
 	}
 	if leader {
-		go s.runFlight(f, d, shards, allowPartial, noCache)
+		go func() {
+			defer f.cancel()
+			res, err := lead(f.ctx)
+			table.finish(f, res, err)
+		}()
 	}
-	defer s.mem.leave(f)
+	defer table.leave(f)
 	select {
 	case <-f.done:
 		// finish has published res/err; waiters read them after done.
@@ -754,52 +760,52 @@ func (s *Server) guard(ctx context.Context, what string, lookup func() bool, run
 	return run()
 }
 
-// runFlight is the flight leader's goroutine: the guarded run of the
-// disk-tier lookup and the derivation, then publication. It runs under
-// the flight context — a child of the server lifetime, cancelled early
-// only when every waiter has left or the server shuts down. The durable
-// store is consulted inside the flight, so the single flight spans both
-// cache tiers: a stampede of identical requests costs one disk read —
-// or, past it, one derivation — never N.
-func (s *Server) runFlight(f *flight, d *derivation, shards int, allowPartial, noCache bool) {
-	defer f.cancel()
-	start := time.Now()
-	var res result
-	lookup := func() (ok bool) {
-		if !noCache {
-			res, ok = s.diskGet(d)
+// leadCurve returns the leader of d's flight: the guarded run of the
+// disk-tier lookup and the derivation, under the flight context — a child
+// of the server lifetime, cancelled early only when every waiter has left
+// or the server shuts down. The durable store is consulted inside the
+// flight, so the single flight spans both cache tiers: a stampede of
+// identical requests costs one disk read — or, past it, one derivation —
+// never N.
+func (s *Server) leadCurve(d *derivation, shards int, allowPartial, noCache bool) func(context.Context) (result, error) {
+	return func(ctx context.Context) (res result, err error) {
+		start := time.Now()
+		lookup := func() (ok bool) {
+			if !noCache {
+				res, ok = s.diskGet(d)
+			}
+			return ok
 		}
-		return ok
-	}
-	err := s.guard(f.ctx, fmt.Sprintf("derivation %s (%.12s)", d.label, d.digest), lookup, func() (err error) {
-		fn := d.run
-		if shards > 1 {
-			fn = s.spooledDerive(d, shards, allowPartial)
-		}
-		if s.cfg.deriveWrap != nil {
-			fn = s.cfg.deriveWrap(d, fn)
-		}
-		if err = d.prepare(f.ctx); err != nil {
+		err = s.guard(ctx, fmt.Sprintf("derivation %s (%.12s)", d.label, d.digest), lookup, func() (err error) {
+			fn := d.run
+			if shards > 1 {
+				fn = s.spooledDerive(d, shards, allowPartial)
+			}
+			if s.cfg.deriveWrap != nil {
+				fn = s.cfg.deriveWrap(d, fn)
+			}
+			if err = d.prepare(ctx); err != nil {
+				return err
+			}
+			res.deriveOut, err = fn(ctx)
 			return err
+		})
+		if !res.fromStore {
+			// A disk hit replays the original derivation's cost figures.
+			res.elapsed = time.Since(start)
 		}
-		res.deriveOut, err = fn(f.ctx)
-		return err
-	})
-	if !res.fromStore {
-		// A disk hit replays the original derivation's cost figures.
-		res.elapsed = time.Since(start)
+		if err == nil {
+			// Encoding validates the curve, so an invalid one is never persisted.
+			res.fields, err = encodeResultFields(res.deriveOut)
+		}
+		if err == nil && !res.fromStore {
+			s.stats.derivations.Add(1)
+			s.stats.evaluated.Add(res.evaluated)
+			s.stats.deriveNanos.Add(int64(res.elapsed))
+			s.diskPut(d, res)
+		}
+		return res, err
 	}
-	if err == nil {
-		// Encoding validates the curve, so an invalid one is never persisted.
-		res.fields, err = encodeResultFields(res.deriveOut)
-	}
-	if err == nil && !res.fromStore {
-		s.stats.derivations.Add(1)
-		s.stats.evaluated.Add(res.evaluated)
-		s.stats.deriveNanos.Add(int64(res.elapsed))
-		s.diskPut(d, res)
-	}
-	s.mem.finish(f, res, err)
 }
 
 // diskGet consults the durable curve tier for the derivation's digest.

@@ -30,9 +30,17 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		s.Close()
+		stop(s)
 	})
 	return s, ts
+}
+
+// stop closes s and waits for its cancelled flights to wind down: a
+// flight outlives the requests that left it, and must not write into a
+// test's temporary directories after the test has removed them.
+func stop(s *Server) {
+	s.Close()
+	_ = s.Drain(context.Background())
 }
 
 // curveEnvelope decodes the response, keeping the curve as raw bytes for

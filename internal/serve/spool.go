@@ -148,7 +148,7 @@ func (s *Server) ResumeOrphans(ctx context.Context) (int, error) {
 		// store already holds the curve; resume never allows a degraded
 		// merge, so an orphan that cannot complete exactly stays in the
 		// spool.
-		if _, err := s.fly(ctx, d, env.Shards, false, true); err != nil {
+		if _, err := s.fly(ctx, s.mem, d.key, s.leadCurve(d, env.Shards, false, true)); err != nil {
 			s.logf("serve: resuming spool %s (%s): %v", dir, d.label, err)
 			continue
 		}

@@ -2,13 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -305,6 +308,87 @@ func TestWorkerSiblingShardKeepsDigestDir(t *testing.T) {
 	}
 	if left, err := filepath.Glob(filepath.Join(workerDir, "*")); err != nil || len(left) != 0 {
 		t.Fatalf("worker directory not cleaned after both shards: %v (err=%v)", left, err)
+	}
+}
+
+// TestWorkerOverlappingDispatchSharesRun: two identical dispatches that
+// overlap on one worker join one flight keyed by the checkpoint path, so
+// the slice is derived once and both answer 200 with the same bytes. The
+// first run's first checkpoint is held until the flight has both waiters.
+func TestWorkerOverlappingDispatchSharesRun(t *testing.T) {
+	spec := workload.NewBound(einsum.GEMM("gemm_32x24x16", 32, 24, 16), bound.Options{})
+	plan := shard.Plan{Index: 0, Count: 2}
+	job, err := spec.Compile(plan, workload.Exec{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stride = 4
+	var refCheckpoints atomic.Int64
+	_, ref, err := shard.Run(context.Background(), job, shard.RunOptions{
+		Path:            filepath.Join(t.TempDir(), "ref.json"),
+		CheckpointEvery: stride,
+		OnCheckpoint:    func(shard.Manifest) { refCheckpoints.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var s *Server
+	var path string
+	gate := &gateFS{FS: shard.OS(), hold: "shard-1-of-2"}
+	gate.release = func() {
+		deadline := time.Now().Add(30 * time.Second)
+		for time.Now().Before(deadline) {
+			s.shards.mu.Lock()
+			f := s.shards.flights[path]
+			joined := f != nil && f.waiters == 2
+			s.shards.mu.Unlock()
+			if joined {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	var checkpoints atomic.Int64
+	workerDir := t.TempDir()
+	s, ts := newTestServer(t, Config{
+		WorkerDir:       workerDir,
+		MaxConcurrent:   2,
+		CheckpointEvery: stride,
+		OnCheckpoint:    func(shard.Manifest) { checkpoints.Add(1) },
+		fs:              gate,
+	})
+	path = s.workerShardPath(&job, plan)
+
+	body := shardBody(t, spec, 0, 2)
+	var wg sync.WaitGroup
+	statuses, bodies := make([]int, 2), make([][]byte, 2)
+	for i := range statuses {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			statuses[i], bodies[i] = postShard(t, ts.URL, body)
+		}(i)
+	}
+	wg.Wait()
+	for i, st := range statuses {
+		if st != http.StatusOK {
+			t.Fatalf("dispatch %d: status %d: %s", i, st, bodies[i])
+		}
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("overlapping dispatches answered different bytes\n%s\n%s", bodies[0], bodies[1])
+	}
+	st := s.Snapshot()
+	if st.MappingsEvaluated != ref.Evaluated || checkpoints.Load() != refCheckpoints.Load() {
+		t.Fatalf("mappings_evaluated %d, checkpoints %d; want one run's %d and %d",
+			st.MappingsEvaluated, checkpoints.Load(), ref.Evaluated, refCheckpoints.Load())
+	}
+	if st.WorkerRequests != 2 || st.WorkerShards != 1 {
+		t.Fatalf("worker_requests %d, worker_shards %d; want 2 and 1", st.WorkerRequests, st.WorkerShards)
+	}
+	if left, err := filepath.Glob(filepath.Join(workerDir, "*")); err != nil || len(left) != 0 {
+		t.Fatalf("worker directory not empty after the shared run: %v (err=%v)", left, err)
 	}
 }
 

@@ -98,7 +98,7 @@ func (p Plan) Slice(items int64) (lo, hi int64) {
 	n, k := int64(p.Count), int64(p.Index)
 	base := items / n
 	extra := items % n
-	lo = k*base + min64(k, extra)
+	lo = k*base + min(k, extra)
 	hi = lo + base
 	if k < extra {
 		hi++
@@ -115,11 +115,4 @@ func (p Plan) Slice(items int64) (lo, hi int64) {
 func Digest(canonical string) string {
 	sum := sha256.Sum256([]byte(canonical))
 	return hex.EncodeToString(sum[:])
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

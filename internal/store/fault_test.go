@@ -38,44 +38,6 @@ func corpse(t *testing.T, digest string) []byte {
 	return data
 }
 
-// assertQuarantinedAndRederived drives the recovery half of every
-// scenario: the planted bytes must read as a miss, leave a quarantine
-// file, and the slot must accept a re-derived entry that reads back
-// byte-identical.
-func assertQuarantinedAndRederived(t *testing.T, s *store.Store, digest string) {
-	t.Helper()
-	if _, ok := s.Get(digest); ok {
-		t.Fatal("fault-damaged entry was served")
-	}
-	matches, err := filepath.Glob(filepath.Join(s.Dir(), digest+".corrupt*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) == 0 {
-		t.Fatal("damaged entry not quarantined")
-	}
-	ent := testEntry(testCurve())
-	want := mustJSON(t, ent)
-	if err := s.Put(digest, ent); err != nil {
-		t.Fatalf("re-derive after quarantine: %v", err)
-	}
-	got, ok := s.Get(digest)
-	if !ok {
-		t.Fatal("re-derived entry missed")
-	}
-	if string(mustJSON(t, got)) != string(want) {
-		t.Fatal("re-derived entry not byte-identical")
-	}
-}
-
-// plant writes raw bytes at digest's committed path.
-func plant(t *testing.T, s *store.Store, digest string, data []byte) {
-	t.Helper()
-	if err := os.WriteFile(filepath.Join(s.Dir(), digest+".curve"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFaultTornRename(t *testing.T) {
 	injected := errors.New("injected rename fault")
 	ffs := &shard.FaultFS{Fail: shard.FailN(shard.OpRename, 1, injected)}
@@ -153,34 +115,6 @@ func TestFaultKillMidWrite(t *testing.T) {
 	}
 }
 
-func TestFaultZeroedTail(t *testing.T) {
-	digest := shard.Digest("workload-a")
-	data := corpse(t, digest)
-	for i := len(data) * 3 / 4; i < len(data); i++ {
-		data[i] = 0
-	}
-	s := open(t, store.Options{Logf: t.Logf})
-	plant(t, s, digest, data)
-	assertQuarantinedAndRederived(t, s, digest)
-}
-
-func TestFaultFlippedByte(t *testing.T) {
-	digest := shard.Digest("workload-a")
-	data := corpse(t, digest)
-	data[len(data)/2] ^= 0x01
-	s := open(t, store.Options{Logf: t.Logf})
-	plant(t, s, digest, data)
-	assertQuarantinedAndRederived(t, s, digest)
-}
-
-func TestFaultTruncation(t *testing.T) {
-	digest := shard.Digest("workload-a")
-	data := corpse(t, digest)
-	s := open(t, store.Options{Logf: t.Logf})
-	plant(t, s, digest, data[:len(data)/2])
-	assertQuarantinedAndRederived(t, s, digest)
-}
-
 // testEnvelope mirrors the on-disk envelope with the payload kept raw,
 // so a test can falsify one header field while leaving the payload
 // bytes — and their checksum — intact.
@@ -192,55 +126,85 @@ type testEnvelope struct {
 	Payload       json.RawMessage `json:"payload"`
 }
 
-func rewriteEnvelope(t *testing.T, data []byte, mutate func(*testEnvelope)) []byte {
-	t.Helper()
-	var env testEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Fatal(err)
+// rewriteHeader returns a mutilation that falsifies envelope header
+// fields with mutate, re-encoding the envelope around the raw payload.
+func rewriteHeader(mutate func(*testEnvelope)) func(*testing.T, []byte) []byte {
+	return func(t *testing.T, data []byte) []byte {
+		t.Helper()
+		var env testEnvelope
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&env)
+		out, err := json.Marshal(&env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	mutate(&env)
-	out, err := json.Marshal(&env)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestFaultCorruptEntry plants a mutilated copy of a valid entry in its
+// slot: each must read as a miss, leave a quarantine file, and the slot
+// must accept a re-derived entry that reads back byte-identical.
+func TestFaultCorruptEntry(t *testing.T) {
+	cases := []struct {
+		name     string
+		mutilate func(t *testing.T, data []byte) []byte
+	}{
+		{"ZeroedTail", func(_ *testing.T, data []byte) []byte {
+			for i := len(data) * 3 / 4; i < len(data); i++ {
+				data[i] = 0
+			}
+			return data
+		}},
+		{"FlippedByte", func(_ *testing.T, data []byte) []byte {
+			data[len(data)/2] ^= 0x01
+			return data
+		}},
+		{"Truncation", func(_ *testing.T, data []byte) []byte { return data[:len(data)/2] }},
+		// An entry written by a different derivation engine revision is
+		// internally consistent — valid JSON, valid checksum — and must
+		// still be rejected, or an engine upgrade would serve stale physics.
+		{"WrongEngine", rewriteHeader(func(env *testEnvelope) { env.Engine = "orojenesis/0-ancient" })},
+		{"WrongFormatVersion", rewriteHeader(func(env *testEnvelope) { env.FormatVersion = store.FormatVersion + 1 })},
+		// The recorded digest disagrees with the file's content address
+		// (e.g. a bit flip inside the digest field, or a file copied
+		// between slots). Checksum-valid, still rejected.
+		{"FlippedDigest", rewriteHeader(func(env *testEnvelope) { env.Digest = shard.Digest("some-other-workload") })},
 	}
-	return out
-}
-
-// TestFaultWrongEngine: an entry written by a different derivation
-// engine revision is internally consistent — valid JSON, valid
-// checksum — and must still be rejected, or an engine upgrade would
-// serve stale physics.
-func TestFaultWrongEngine(t *testing.T) {
-	digest := shard.Digest("workload-a")
-	data := rewriteEnvelope(t, corpse(t, digest), func(env *testEnvelope) {
-		env.Engine = "orojenesis/0-ancient"
-	})
-	s := open(t, store.Options{Logf: t.Logf})
-	plant(t, s, digest, data)
-	assertQuarantinedAndRederived(t, s, digest)
-}
-
-func TestFaultWrongFormatVersion(t *testing.T) {
-	digest := shard.Digest("workload-a")
-	data := rewriteEnvelope(t, corpse(t, digest), func(env *testEnvelope) {
-		env.FormatVersion = store.FormatVersion + 1
-	})
-	s := open(t, store.Options{Logf: t.Logf})
-	plant(t, s, digest, data)
-	assertQuarantinedAndRederived(t, s, digest)
-}
-
-// TestFaultFlippedDigest: the recorded digest disagrees with the file's
-// content address (e.g. a bit flip inside the digest field, or a file
-// copied between slots). Checksum-valid, still rejected.
-func TestFaultFlippedDigest(t *testing.T) {
-	digest := shard.Digest("workload-a")
-	data := rewriteEnvelope(t, corpse(t, digest), func(env *testEnvelope) {
-		env.Digest = shard.Digest("some-other-workload")
-	})
-	s := open(t, store.Options{Logf: t.Logf})
-	plant(t, s, digest, data)
-	assertQuarantinedAndRederived(t, s, digest)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			digest := shard.Digest("workload-a")
+			data := tc.mutilate(t, corpse(t, digest))
+			s := open(t, store.Options{Logf: t.Logf})
+			if err := os.WriteFile(filepath.Join(s.Dir(), digest+".curve"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s.Get(digest); ok {
+				t.Fatal("fault-damaged entry was served")
+			}
+			matches, err := filepath.Glob(filepath.Join(s.Dir(), digest+".corrupt*"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(matches) == 0 {
+				t.Fatal("damaged entry not quarantined")
+			}
+			ent := testEntry(testCurve())
+			want := mustJSON(t, ent)
+			if err := s.Put(digest, ent); err != nil {
+				t.Fatalf("re-derive after quarantine: %v", err)
+			}
+			got, ok := s.Get(digest)
+			if !ok {
+				t.Fatal("re-derived entry missed")
+			}
+			if string(mustJSON(t, got)) != string(want) {
+				t.Fatal("re-derived entry not byte-identical")
+			}
+		})
+	}
 }
 
 // TestFaultENOSPCDisables: a full disk (every write attempt ENOSPC,

@@ -41,7 +41,7 @@ func TestCancelReturnsWithinOneChunk(t *testing.T) {
 	}
 }
 
-// TestCancelSerialBetweenChunks: the single-worker fast path is also
+// TestCancelSerialBetweenChunks: a single-worker traversal is also
 // chunked, so a cancel mid-traversal stops before the next chunk instead
 // of running the whole range.
 func TestCancelSerialBetweenChunks(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // TestPanicInChunkFailsTraversalCleanly pins the containment contract the
 // derivation server's 500 path builds on: a panicking ChunkFunc fails the
 // traversal with a *PanicError (value + stack) instead of crashing the
-// process, for both the parallel pool and the serial fast path.
+// process, for one worker as for several.
 func TestPanicInChunkFailsTraversalCleanly(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		c, _, err := FrontierRange(context.Background(), 0, 10000, workers, func() ChunkFunc {

@@ -178,36 +178,8 @@ func Partition(ctx context.Context, items int64, workerCount int, newWorker func
 	if items <= 0 {
 		return Stats{Elapsed: time.Since(start)}, ctx.Err()
 	}
-	w := workerCount
-	if w < 1 {
-		w = 1
-	}
-	if int64(w) > items {
-		w = int(items)
-	}
+	w := int(min(max(int64(workerCount), 1), items))
 	chunk := chunkSize(items, w)
-	if w == 1 {
-		// Serial fast path: no goroutine, exact enumeration order — but
-		// still chunked, so cancellation is observed between chunks
-		// instead of only after the whole range.
-		fn := newWorker(0)
-		var n int64
-		for lo := int64(0); lo < items; lo += chunk {
-			if err := ctx.Err(); err != nil {
-				return Stats{Workers: 1, Items: lo, Evaluated: n, Elapsed: time.Since(start)}, err
-			}
-			hi := lo + chunk
-			if hi > items {
-				hi = items
-			}
-			cn, cerr := runChunk(fn, lo, hi, func() {})
-			if cerr != nil {
-				return Stats{Workers: 1, Items: lo, Evaluated: n, Elapsed: time.Since(start)}, cerr
-			}
-			n += cn
-		}
-		return Stats{Workers: 1, Items: items, Evaluated: n, Elapsed: time.Since(start)}, nil
-	}
 
 	// pctx lets a panicking worker stop its peers before their next chunk
 	// grab, exactly like an external cancellation.
