@@ -24,8 +24,12 @@ vet:
 
 # Documentation gate: formatting, vet, doc-comment coverage (package
 # docs everywhere; full exported-identifier docs in the core packages),
-# docs/ cross-references, and the zero-caller rule (every function under
-# internal/ has a non-test caller, bar an allowlist with reasons) — see
+# docs/ cross-references, the zero-caller rule (every function under
+# internal/ has a non-test caller, bar an allowlist with reasons) and
+# the field rule (every exported field of an *Options or *Config struct
+# under internal/ is set by non-test code outside its package, as a
+# composite-literal key, an assignment or an address taken, bar json-
+# tagged fields and an allowlist with reasons) — see
 # internal/tools/doccheck.
 docs:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \

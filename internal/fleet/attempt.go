@@ -75,7 +75,8 @@ const maxRetryAfter = time.Minute
 
 // parseRetryAfter parses a Retry-After header value — delta-seconds or
 // an HTTP-date — into a clamped hold duration. A date in the past parses
-// as a zero hold (the worker says "now is fine").
+// as a zero hold (the worker says "now is fine"). Delta-seconds clamp
+// before they scale, so no value can overflow the duration.
 func parseRetryAfter(h string, now time.Time) (time.Duration, bool) {
 	h = strings.TrimSpace(h)
 	if h == "" {
@@ -85,7 +86,10 @@ func parseRetryAfter(h string, now time.Time) (time.Duration, bool) {
 		if secs < 0 {
 			return 0, false
 		}
-		return min(time.Duration(secs)*time.Second, maxRetryAfter), true
+		if secs > int(maxRetryAfter/time.Second) {
+			return maxRetryAfter, true
+		}
+		return time.Duration(secs) * time.Second, true
 	}
 	if t, err := http.ParseTime(h); err == nil {
 		return min(max(t.Sub(now), 0), maxRetryAfter), true
@@ -214,17 +218,11 @@ func (c *coord) attemptWithSpeculation(ctx context.Context, st *ShardState, job 
 // the context error when cancelled.
 func (c *coord) post(ctx context.Context, slotPath string, job *shard.Job, expected *shard.Manifest, worker string) ([]byte, string, error) {
 	plan := job.Plan
-	if c.opts.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.AttemptTimeout)
-		defer cancel()
-	}
 	body, err := json.Marshal(ShardRequest{
 		Spec:             job.Spec,
 		ShardIndex:       plan.Index,
 		ShardCount:       plan.Count,
 		CheckpointEvery:  c.opts.CheckpointEvery,
-		TimeoutMS:        c.opts.AttemptTimeout.Milliseconds(),
 		MaxFormatVersion: shard.FormatVersion,
 	})
 	if err != nil {

@@ -117,9 +117,9 @@ func (passFault) apply(req *http.Request, inner http.RoundTripper) (*http.Respon
 	return inner.RoundTrip(req)
 }
 
-// Hang blocks the request until its context is cancelled (the
-// coordinator's attempt timeout or run cancellation) without any I/O —
-// the silently wedged worker.
+// Hang blocks the request until its context is cancelled (a winning
+// speculative duplicate or run cancellation) without any I/O — the
+// silently wedged worker.
 func Hang() Fault { return hangFault{} }
 
 type hangFault struct{}
@@ -213,7 +213,7 @@ func (b *tornBody) Close() error { return nil }
 // SlowDrip performs the real round trip and then meters the body out in
 // chunk-byte pieces with delay between them — the straggling worker
 // that answers, eventually. The drip respects the request context, so
-// attempt timeouts and speculation losers cut it short.
+// speculation losers and run cancellation cut it short.
 func SlowDrip(delay time.Duration, chunk int) Fault {
 	if chunk <= 0 {
 		chunk = 1

@@ -28,11 +28,11 @@ func chaosRun(t *testing.T, n int, tr *chaos.Transport, opts Options) *Report {
 	dir := t.TempDir()
 	opts.Dir = dir
 	opts.Client = tr.Client()
-	if opts.BaseBackoff == 0 {
-		opts.BaseBackoff = time.Millisecond
+	if opts.baseBackoff == 0 {
+		opts.baseBackoff = time.Millisecond
 	}
-	if opts.MaxBackoff == 0 {
-		opts.MaxBackoff = 4 * time.Millisecond
+	if opts.maxBackoff == 0 {
+		opts.maxBackoff = 4 * time.Millisecond
 	}
 	report, err := Run(context.Background(), n, jobsOf(testSpec()), opts)
 	if err != nil {
@@ -62,8 +62,12 @@ func statusOf(t *testing.T, reg *Registry, url string) WorkerStatus {
 }
 
 // TestChaosMatrix drives one faulty and one good worker through each
-// transport fault class and requires an exact merge every time.
+// transport fault class and requires an exact merge every time. A hung
+// or dripping dispatch ends only when its speculative duplicate wins,
+// and speculation fires once per round on an idle worker, so each worker
+// gets a slot per shard: the good one always has one free.
 func TestChaosMatrix(t *testing.T) {
+	const n = 4
 	cases := []struct {
 		name string
 		// inject scripts the faulty worker; it returns extra Options and a
@@ -74,11 +78,7 @@ func TestChaosMatrix(t *testing.T) {
 			name: "hang",
 			inject: func(tr *chaos.Transport, faulty string) (Options, func(*testing.T, *Registry)) {
 				tr.Script(faulty, chaos.Hang(), chaos.Hang())
-				return Options{AttemptTimeout: 500 * time.Millisecond}, func(t *testing.T, reg *Registry) {
-					if reg.Totals().Retries == 0 {
-						t.Fatal("hangs cost no retries — the faulty worker was never dispatched to")
-					}
-				}
+				return Options{SpeculateAfter: 100 * time.Millisecond}, wantSpeculation
 			},
 		},
 		{
@@ -113,10 +113,10 @@ func TestChaosMatrix(t *testing.T) {
 			},
 		},
 		{
-			name: "slow drip past the attempt deadline",
+			name: "slow drip",
 			inject: func(tr *chaos.Transport, faulty string) (Options, func(*testing.T, *Registry)) {
 				tr.Script(faulty, chaos.SlowDrip(2*time.Second, 64), chaos.SlowDrip(2*time.Second, 64))
-				return Options{AttemptTimeout: 300 * time.Millisecond}, nil
+				return Options{SpeculateAfter: 100 * time.Millisecond}, wantSpeculation
 			},
 		},
 		{
@@ -137,12 +137,20 @@ func TestChaosMatrix(t *testing.T) {
 			faulty, good := newWorker(t, nil), newWorker(t, nil)
 			tr := chaos.NewTransport(nil)
 			opts, check := tc.inject(tr, faulty.URL)
-			opts.Registry = registryOf(RegistryConfig{}, faulty.URL, good.URL)
-			chaosRun(t, 4, tr, opts)
+			opts.Registry = registryOf(RegistryConfig{PerWorker: n}, faulty.URL, good.URL)
+			chaosRun(t, n, tr, opts)
 			if check != nil {
 				check(t, opts.Registry)
 			}
 		})
+	}
+}
+
+// wantSpeculation checks that a straggler was outrun by a speculative
+// duplicate, which is what ends a hung or dripping dispatch here.
+func wantSpeculation(t *testing.T, reg *Registry) {
+	if reg.Totals().Speculations == 0 {
+		t.Fatal("no speculative dispatch outran the straggler")
 	}
 }
 
@@ -289,8 +297,8 @@ func TestChaosLastWorkerDies(t *testing.T) {
 			Dir:         t.TempDir(),
 			Client:      tr.Client(),
 			MaxRetries:  1,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  2 * time.Millisecond,
+			baseBackoff: time.Millisecond,
+			maxBackoff:  2 * time.Millisecond,
 		})
 		if !errors.Is(err, ErrRetriesExhausted) {
 			t.Fatalf("run error %v, want ErrRetriesExhausted", err)
@@ -300,18 +308,17 @@ func TestChaosLastWorkerDies(t *testing.T) {
 	t.Run("membership emptied", func(t *testing.T) {
 		worker := newWorker(t, nil)
 		tr := chaos.NewTransport(nil)
-		tr.Always(worker.URL, chaos.Hang())
+		tr.Always(worker.URL, chaos.Refuse())
 		reg := registryOf(RegistryConfig{}, worker.URL)
 		errc := make(chan error, 1)
 		go func() {
 			_, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
-				Registry:       reg,
-				Dir:            t.TempDir(),
-				Client:         tr.Client(),
-				AttemptTimeout: 200 * time.Millisecond,
-				MaxRetries:     10,
-				BaseBackoff:    time.Millisecond,
-				MaxBackoff:     2 * time.Millisecond,
+				Registry:    reg,
+				Dir:         t.TempDir(),
+				Client:      tr.Client(),
+				MaxRetries:  10,
+				baseBackoff: time.Millisecond,
+				maxBackoff:  2 * time.Millisecond,
 			})
 			errc <- err
 		}()

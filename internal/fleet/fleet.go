@@ -23,10 +23,7 @@
 //     a budget. Deterministic failures are not retried: worker 4xx
 //     rejections (the same spec would fail the same way everywhere), an
 //     emptied membership, and a cancellation that came from inside the
-//     derivation rather than from the run or the attempt deadline.
-//   - Per-attempt deadlines. An attempt that exceeds Options.
-//     AttemptTimeout is abandoned and retried; its checkpoint (local, or
-//     the worker's) survives, so the retry resumes rather than restarts.
+//     derivation rather than from the run.
 //   - Interrupts. Cancelling the run's context stops every attempt
 //     within about one traversal chunk with checkpoints flushed; the
 //     report is marked interrupted and rerunning resumes.
@@ -71,7 +68,8 @@ import (
 	"repro/internal/shard"
 )
 
-// Defaults for the scheduling policy; tests shorten them via Options.
+// Defaults for the scheduling policy; the package's tests shorten the
+// backoff through Options.baseBackoff and maxBackoff.
 const (
 	DefaultMaxRetries  = 3
 	DefaultBaseBackoff = 100 * time.Millisecond
@@ -155,19 +153,6 @@ type Options struct {
 	// 0 means DefaultMaxRetries; negative means no retries.
 	MaxRetries int
 
-	// BaseBackoff and MaxBackoff bound the exponential backoff between a
-	// shard's attempts: attempt k waits about BaseBackoff·2^k, capped at
-	// MaxBackoff, with ±50% deterministic jitter. Zero values pick the
-	// defaults.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-
-	// AttemptTimeout, when positive, bounds each attempt of each shard;
-	// an attempt that exceeds it is cancelled and retried from the last
-	// checkpoint (progress is monotonic across attempts, so a too-slow
-	// shard still converges).
-	AttemptTimeout time.Duration
-
 	// AllowPartial permits a degraded merge when shards fail
 	// permanently: the result carries the covered index fraction instead
 	// of being refused. Without it, any failed shard fails the run.
@@ -206,6 +191,14 @@ type Options struct {
 	// this run live, and health probing is the owner's
 	// (Registry.StartProbing).
 	Registry *Registry
+
+	// baseBackoff and maxBackoff bound the exponential backoff between a
+	// shard's attempts: attempt k waits about baseBackoff·2^k, capped at
+	// maxBackoff, with ±50% deterministic jitter. Zero values pick
+	// DefaultBaseBackoff and DefaultMaxBackoff; only the package's tests
+	// shorten them.
+	baseBackoff time.Duration
+	maxBackoff  time.Duration
 }
 
 func (o *Options) logf(format string, args ...any) {
@@ -232,7 +225,7 @@ func (o *Options) maxRetries() int {
 }
 
 func (o *Options) backoffBounds() (base, max time.Duration) {
-	base, max = o.BaseBackoff, o.MaxBackoff
+	base, max = o.baseBackoff, o.maxBackoff
 	if base <= 0 {
 		base = DefaultBaseBackoff
 	}
@@ -521,13 +514,7 @@ func (c *coord) runShard(ctx context.Context, k int) ShardState {
 // slot, resuming its last checkpoint. The file it checkpoints into is
 // the shard's result, so a completed run needs no second write.
 func (c *coord) runLocal(ctx context.Context, st *ShardState, job shard.Job) error {
-	actx := ctx
-	if c.opts.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, c.opts.AttemptTimeout)
-		defer cancel()
-	}
-	_, rs, err := shard.Run(actx, job, shard.RunOptions{
+	_, rs, err := shard.Run(ctx, job, shard.RunOptions{
 		Path:            st.Path,
 		CheckpointEvery: c.opts.CheckpointEvery,
 		OnCheckpoint:    c.opts.OnCheckpoint,
@@ -535,10 +522,10 @@ func (c *coord) runLocal(ctx context.Context, st *ShardState, job shard.Job) err
 	})
 	st.Attempts++
 	st.Evaluated += rs.Evaluated
-	if err != nil && actx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		// A cancellation that is neither the run's nor this attempt's
-		// deadline came from inside the derivation (e.g. a server request
-		// whose waiters all left): external intent, not a transient fault.
+	if err != nil && ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		// A cancellation that is not the run's came from inside the
+		// derivation (e.g. a server request whose waiters all left):
+		// external intent, not a transient fault.
 		return fmt.Errorf("cancelled inside the derivation (%w): %w", errNotRetryable, err)
 	}
 	return err

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -121,6 +122,56 @@ func assertCleanSpool(t *testing.T, dir string) {
 		if _, err := shard.ReadPartial(nil, filepath.Join(dir, name)); err != nil {
 			t.Errorf("spool file %s is neither a valid partial nor quarantined: %v", name, err)
 		}
+	}
+}
+
+var updateDispatch = flag.Bool("update", false, "rewrite testdata/dispatch-body.json")
+
+// TestDispatchBodyPinned pins the bytes the coordinator POSTs to
+// /v1/shard (docs/fleet-protocol.md) for one fixed job: shard 2 of 3 of
+// testSpec with a checkpoint stride of 7. A field added, dropped,
+// renamed or reordered — a stray timeout_ms, say — fails here before a
+// worker sees it. The capturing worker rejects every dispatch, so the
+// run fails permanently after one dispatch per shard.
+func TestDispatchBodyPinned(t *testing.T) {
+	const n = 3
+	bodies := make(chan []byte, n)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		data, _ := io.ReadAll(r.Body)
+		bodies <- data
+		http.Error(w, `{"error":{"code":"invalid_request","message":"captured"}}`, http.StatusBadRequest)
+	}))
+	defer ts.Close()
+	if _, err := Run(context.Background(), n, jobsOf(testSpec()), Options{
+		Dir:             t.TempDir(),
+		CheckpointEvery: 7,
+		Registry:        registryOf(RegistryConfig{}, ts.URL),
+	}); err == nil {
+		t.Fatal("run against a rejecting worker succeeded")
+	}
+	close(bodies)
+	var got []byte
+	for body := range bodies {
+		var req ShardRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("dispatch body %s: %v", body, err)
+		}
+		if req.ShardIndex == 1 {
+			got = body
+		}
+	}
+	golden := filepath.Join("testdata", "dispatch-body.json")
+	if *updateDispatch {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("dispatch body of shard 2/3 changed:\ngot  %s\nwant %s", got, want)
 	}
 }
 
@@ -262,8 +313,8 @@ func TestFleetKillAWorker(t *testing.T) {
 	report, err := Run(context.Background(), 4, jobsOf(testSpec()), Options{
 		Registry:    reg,
 		Dir:         dir,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
+		baseBackoff: time.Millisecond,
+		maxBackoff:  2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -413,8 +464,8 @@ func TestFleetFaultMatrix(t *testing.T) {
 			report, err := Run(context.Background(), 2, jobsOf(testSpec()), Options{
 				Registry:    reg,
 				Dir:         dir,
-				BaseBackoff: time.Millisecond,
-				MaxBackoff:  2 * time.Millisecond,
+				baseBackoff: time.Millisecond,
+				maxBackoff:  2 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -441,6 +492,39 @@ func TestFleetFaultMatrix(t *testing.T) {
 			}
 			assertCleanSpool(t, dir)
 		})
+	}
+}
+
+// TestParseRetryAfter pins the hint parser at its edges: delta-seconds
+// up to the one-minute clamp are taken as sent, larger ones clamp
+// instead of overflowing the duration, dates resolve against now, and
+// anything else is no hint.
+func TestParseRetryAfter(t *testing.T) {
+	now := time.Date(2024, 6, 1, 12, 0, 0, 0, time.UTC)
+	date := func(d time.Duration) string { return now.Add(d).Format(http.TimeFormat) }
+	for _, tc := range []struct {
+		in   string
+		want time.Duration
+		ok   bool
+	}{
+		{"0", 0, true},
+		{" 1 ", time.Second, true},
+		{"59", 59 * time.Second, true},
+		{"60", maxRetryAfter, true},
+		{"61", maxRetryAfter, true},
+		{"10000000000", maxRetryAfter, true},
+		{"18446744074", maxRetryAfter, true},
+		{"-1", 0, false},
+		{"", 0, false},
+		{"soon", 0, false},
+		{date(30 * time.Second), 30 * time.Second, true},
+		{date(-time.Hour), 0, true},
+		{date(24 * time.Hour), maxRetryAfter, true},
+	} {
+		got, ok := parseRetryAfter(tc.in, now)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("parseRetryAfter(%q) = %v, %v; want %v, %v", tc.in, got, ok, tc.want, tc.ok)
+		}
 	}
 }
 

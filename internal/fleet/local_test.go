@@ -29,29 +29,10 @@ func fastOpts(dir string) Options {
 	return Options{
 		Dir:             dir,
 		CheckpointEvery: 7,
-		BaseBackoff:     time.Millisecond,
-		MaxBackoff:      2 * time.Millisecond,
+		baseBackoff:     time.Millisecond,
+		maxBackoff:      2 * time.Millisecond,
 	}
 }
-
-// noSyncFS is the OS filesystem with its fsyncs dropped: no test here
-// crashes the host, so durability buys nothing, and disk latency would
-// count against an attempt's timeout.
-type noSyncFS struct{ shard.FS }
-
-func (f noSyncFS) CreateTemp(dir, pattern string) (shard.File, error) {
-	file, err := f.FS.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return noSyncFile{file}, nil
-}
-
-func (noSyncFS) SyncDir(string) error { return nil }
-
-type noSyncFile struct{ shard.File }
-
-func (noSyncFile) Sync() error { return nil }
 
 func curveBytes(t *testing.T, c *pareto.Curve) string {
 	t.Helper()
@@ -324,10 +305,10 @@ func TestRunValidatesOptions(t *testing.T) {
 }
 
 // TestCancelledDeriveNotRetried: a derivation that reports
-// context.Canceled / DeadlineExceeded without the parent context or the
-// attempt timeout being the cause is external intent, not a transient
-// fault — the scheduler must surface it after exactly one attempt
-// instead of burning the whole retry budget on a cancelled run.
+// context.Canceled / DeadlineExceeded without the parent context being
+// the cause is external intent, not a transient fault — the scheduler
+// must surface it after exactly one attempt instead of burning the whole
+// retry budget on a cancelled run.
 func TestCancelledDeriveNotRetried(t *testing.T) {
 	e, opts, _ := testWorkload(t)
 	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
@@ -356,51 +337,5 @@ func TestCancelledDeriveNotRetried(t *testing.T) {
 				t.Fatalf("cause=%v: shard %s error %v does not wrap the cancellation", cause, st.Plan, st.Err)
 			}
 		}
-	}
-}
-
-// TestAttemptTimeoutStillRetried guards the boundary of the non-retryable
-// rule: an attempt cancelled by its own AttemptTimeout also surfaces as a
-// context error, but that one IS the retry mechanism for slow shards —
-// progress is monotonic across attempts via the checkpoint, so the shard
-// must be retried and converge. The timeout bounds the retry too, so the
-// spool skips fsync: a retry's checkpoint flushes then cost microseconds,
-// not disk latency that a loaded host can stretch past the bound.
-func TestAttemptTimeoutStillRetried(t *testing.T) {
-	e, opts, want := testWorkload(t)
-	var stalled atomic.Bool
-	mkJob := func(p shard.Plan) (shard.Job, error) {
-		job, err := boundJob(e, opts, p)
-		if err != nil || p.Index != 0 {
-			return job, err
-		}
-		inner := job.Derive
-		job.Derive = func(ctx context.Context, floor, lo, hi int64) (*pareto.Curve, int64, error) {
-			if stalled.CompareAndSwap(false, true) {
-				// The first block of shard 0's first attempt stalls past
-				// the attempt timeout, honoring its context like a real
-				// traversal.
-				<-ctx.Done()
-				return nil, 0, ctx.Err()
-			}
-			return inner(ctx, floor, lo, hi)
-		}
-		return job, nil
-	}
-	sopts := fastOpts(t.TempDir())
-	sopts.FS = noSyncFS{shard.OS()}
-	sopts.AttemptTimeout = 50 * time.Millisecond
-	report, err := Run(context.Background(), 2, mkJob, sopts)
-	if err != nil {
-		t.Fatalf("attempt-timeout run did not converge: %v", err)
-	}
-	if got := report.Shards[0].Attempts; got != 2 {
-		t.Fatalf("shard 1/2 took %d attempts, want 2 (the timed-out attempt must have been retried)", got)
-	}
-	if got := report.Shards[1].Attempts; got != 1 {
-		t.Fatalf("shard 2/2 took %d attempts, want 1", got)
-	}
-	if got := curveBytes(t, report.Curve); got != want {
-		t.Fatal("post-timeout-retry curve differs from single-process derive")
 	}
 }

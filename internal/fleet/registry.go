@@ -438,8 +438,7 @@ func (r *Registry) takeLocked(url string, probe bool) {
 // worker. A Retry-After deferral holds exactly that worker for the hinted
 // time (holds extend, never shorten), and a PermanentError is about the
 // request, not the worker: neither trips the breaker. Every other failure
-// — transport errors, 5xx, invalid responses, attempt timeouts (a hung
-// worker) — does.
+// — transport errors, 5xx, invalid responses — does.
 func (r *Registry) done(url string, elapsed time.Duration, err error) {
 	var ra *RetryAfterError
 	var perm *PermanentError

@@ -512,12 +512,16 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // timeout resolves a request's timeout_ms: DefaultTimeout when unset,
-// the requested deadline clamped to MaxTimeout otherwise.
+// the requested deadline clamped to MaxTimeout otherwise. The clamp
+// comes before the scaling, so no value can overflow the duration.
 func (s *Server) timeout(ms int64) time.Duration {
 	if ms <= 0 {
 		return s.cfg.DefaultTimeout
 	}
-	return min(time.Duration(ms)*time.Millisecond, s.cfg.MaxTimeout)
+	if ms > s.cfg.MaxTimeout.Milliseconds() {
+		return s.cfg.MaxTimeout
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // enter registers work with the drain barrier and reports false when the

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -412,4 +413,28 @@ func TestHealthAndStats(t *testing.T) {
 		t.Fatal("fresh server reports draining")
 	}
 	_ = s
+}
+
+// TestTimeoutClamp pins timeout_ms resolution at its edges: unset takes
+// DefaultTimeout, values up to MaxTimeout are taken as sent, and larger
+// ones clamp to MaxTimeout instead of overflowing the duration.
+func TestTimeoutClamp(t *testing.T) {
+	s := &Server{cfg: Config{DefaultTimeout: time.Minute, MaxTimeout: 10 * time.Minute}}
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, time.Minute},
+		{1, time.Millisecond},
+		{599999, 599999 * time.Millisecond},
+		{600000, 10 * time.Minute},
+		{600001, 10 * time.Minute},
+		{10000000000000, 10 * time.Minute},
+		{18446744073710, 10 * time.Minute},
+		{math.MaxInt64, 10 * time.Minute},
+	} {
+		if got := s.timeout(tc.ms); got != tc.want {
+			t.Errorf("timeout(%d) = %v, want %v", tc.ms, got, tc.want)
+		}
+	}
 }

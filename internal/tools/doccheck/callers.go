@@ -73,29 +73,12 @@ func (k funcKey) String() string {
 // satisfies fmt.Stringer, error or a json (un)marshaler, whose callers
 // live in the standard library. A function's uses inside its own body
 // do not count. Entries of allow are exempt and checked for staleness.
-func checkCallers(root string, allow map[string]string) ([]string, error) {
-	l, err := newLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	for _, top := range []string{".", "cmd", "examples", "internal", "bench"} {
-		dirs, err := goDirs(root, top)
-		if err != nil {
-			return nil, err
-		}
-		for _, dir := range dirs {
-			if _, err := l.load(l.importPath(dir)); err != nil {
-				return nil, err
-			}
-		}
-	}
-
+func checkCallers(l *loader, allow map[string]string) []string {
 	decls := map[*types.Func]funcKey{}
 	uses := map[*types.Func]bool{}
 	called := map[*types.Func]bool{} // interface methods somebody calls
 	for _, p := range l.pkgs {
-		audited := strings.HasPrefix(p.dir, "internal/") && p.dir != "internal/tools" &&
-			!strings.HasPrefix(p.dir, "internal/tools/")
+		audited := p.audited()
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				var self *types.Func
@@ -153,7 +136,7 @@ func checkCallers(root string, allow map[string]string) ([]string, error) {
 		}
 	}
 	sort.Strings(problems)
-	return problems, nil
+	return problems
 }
 
 // recvInterface returns the interface fn is a method of, or nil for a
@@ -251,6 +234,27 @@ type loaded struct {
 	files []*ast.File
 }
 
+// loadModule type-checks every non-test package of the module at root
+// (the root package, cmd/, examples/ and internal/) and of bench/.
+func loadModule(root string) (*loader, error) {
+	l, err := newLoader(root)
+	if err != nil {
+		return nil, err
+	}
+	for _, top := range []string{".", "cmd", "examples", "internal", "bench"} {
+		dirs, err := goDirs(root, top)
+		if err != nil {
+			return nil, err
+		}
+		for _, dir := range dirs {
+			if _, err := l.load(l.importPath(dir)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return l, nil
+}
+
 func newLoader(root string) (*loader, error) {
 	module, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -325,6 +329,13 @@ func (l *loader) load(path string) (*types.Package, error) {
 	}
 	l.pkgs[path] = &loaded{dir: dir, pkg: pkg, files: files}
 	return pkg, nil
+}
+
+// audited reports whether the package's declarations fall under the
+// production-use rules: everything under internal/ but internal/tools.
+func (p *loaded) audited() bool {
+	return strings.HasPrefix(p.dir, "internal/") && p.dir != "internal/tools" &&
+		!strings.HasPrefix(p.dir, "internal/tools/")
 }
 
 // modulePath reads the module path from a go.mod file.

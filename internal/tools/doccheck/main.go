@@ -1,6 +1,6 @@
 // Command doccheck is the CI documentation and dead-code gate. It
-// enforces four rules with go/ast and go/types, failing (exit 1) with a file:line
-// listing when any is violated:
+// enforces five rules with go/ast and go/types, failing (exit 1) with a
+// file:line listing when any is violated:
 //
 //  1. Every package under internal/ and cmd/ (and the root orojenesis
 //     facade) has a package doc comment, so each package states which
@@ -15,8 +15,17 @@
 //  4. Every func and method declared in a non-test file under internal/
 //     (internal/tools excluded) has a production caller: a use, resolved
 //     by go/types down to the receiver, from a non-test file of the
-//     module or of bench/ (see checkCallers). Exceptions live in zeroCallerAllow, one reason per
-//     entry, and a stale entry is itself a failure.
+//     module or of bench/ (see checkCallers). Exceptions live in
+//     zeroCallerAllow, one reason per entry, and a stale entry is itself
+//     a failure.
+//  5. Every exported field of an exported *Options or *Config struct
+//     under internal/ (internal/tools excluded) has a production setter:
+//     a composite-literal key, an assignment or an address taken (as
+//     flag.IntVar(&o.F, ...) does) in a non-test file outside its own
+//     package, bench/ included (see checkSetters). Fields with a json
+//     tag are decoded from outside the program and exempt. Exceptions
+//     live in noSetterAllow, one reason per entry, and a stale entry is
+//     itself a failure.
 //
 // Usage (from the module root, as `make docs` does):
 //
@@ -72,12 +81,13 @@ func main() {
 		}
 		problems = append(problems, ps...)
 	}
-	ps, err := checkCallers(root, zeroCallerAllow)
+	l, err := loadModule(root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 		os.Exit(2)
 	}
-	problems = append(problems, ps...)
+	problems = append(problems, checkCallers(l, zeroCallerAllow)...)
+	problems = append(problems, checkSetters(l, noSetterAllow)...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)

@@ -4,4 +4,9 @@ package bench
 import "example.com/zc/internal/lib"
 
 // Run calls into the module.
-func Run() { lib.BenchOnly() }
+func Run() {
+	lib.BenchOnly()
+	var o lib.RunOptions
+	o.BenchSet = 1
+	_ = o
+}

@@ -2,6 +2,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 
 	zl "example.com/zc/internal/lib"
@@ -13,4 +14,10 @@ func main() {
 	var d zl.Doer = zl.D{}
 	d.Do()
 	fmt.Println(zl.Used())
+
+	o := zl.Defaults()
+	o.Assigned++
+	flag.IntVar(&o.Bound, "bound", 0, "bound through its address")
+	o.Nested.Depth = 2
+	fmt.Println(o, zl.RunOptions{Keyed: 1})
 }

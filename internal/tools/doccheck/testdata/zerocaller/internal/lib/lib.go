@@ -63,3 +63,46 @@ type S struct{}
 
 // String satisfies fmt.Stringer.
 func (S) String() string { return "s" }
+
+// RunOptions is an option struct the production-setter rule audits.
+type RunOptions struct {
+	// Keyed is set by a composite-literal key in cmd/app.
+	Keyed int
+	// Assigned is assigned in cmd/app.
+	Assigned int
+	// Bound is bound through its address in cmd/app, as flag.IntVar does.
+	Bound int
+	// Nested is set through its own field in cmd/app.
+	Nested NestedConfig
+	// BenchSet is assigned only in bench/, which counts as a setter.
+	BenchSet int
+	// Unset is set nowhere.
+	Unset int
+	// OwnPackage is set only inside this package.
+	OwnPackage int
+	// TestSet is set only from lib_test.go.
+	TestSet int
+	// Decoded is filled by encoding/json from outside the program.
+	Decoded int `json:"decoded"`
+	// Exempt is set nowhere but has an allowlist entry.
+	Exempt int
+
+	unexported int
+}
+
+// NestedConfig is reached only as RunOptions.Nested.
+type NestedConfig struct {
+	// Depth is assigned through RunOptions.Nested in cmd/app.
+	Depth int
+	// Width is set nowhere.
+	Width int
+}
+
+// Plain is not named *Options or *Config, so the rule ignores it.
+type Plain struct {
+	// Field is set nowhere.
+	Field int
+}
+
+// Defaults sets OwnPackage from inside the package.
+func Defaults() RunOptions { return RunOptions{OwnPackage: 1, unexported: 1} }

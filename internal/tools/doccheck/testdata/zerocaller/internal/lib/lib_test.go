@@ -3,3 +3,5 @@ package lib
 import "testing"
 
 func TestOnlyCaller(t *testing.T) { TestOnly() }
+
+func TestSetter(t *testing.T) { _ = RunOptions{TestSet: 1} }
